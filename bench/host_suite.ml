@@ -29,8 +29,7 @@ type case = {
   shape : string;  (* "tall" | "wide" *)
   domains : int;
   variant : string;
-      (* "sequential", "dense-acc", "col-partition", "blocked",
-         "library" *)
+      (* "sequential", "dense-acc", "blocked", "library" *)
   tile_cols : int option;  (* Some tc only for tile-sweep cases *)
   run : unit -> Vec.t;
 }
@@ -90,7 +89,6 @@ let shape_cases sd pools =
         (fun () -> run_host sd ~pool ());
       forced "host-densacc" Fusion.Host_fused.Dense_acc dp;
       forced "host-blocked" Fusion.Host_fused.Blocked dp;
-      forced "host-colpart" Fusion.Host_fused.Col_partition dp;
       case
         ~id:(Printf.sprintf "host-library:d=%d%s" d sfx)
         ~domains:d ~variant:"library"

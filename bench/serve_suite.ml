@@ -102,7 +102,7 @@ let run_cell ~pool ~pool_size ~window ~concurrency ~duration_s ~weights =
   { pool = pool_size; window; concurrency; summary; stats }
 
 let cell_json ~window0_rps c =
-  let q p = Kf_serve.Histogram.quantile c.summary.Kf_serve.Driver.latency_us p in
+  let q p = Kf_obs.Histogram.quantile c.summary.Kf_serve.Driver.latency_us p in
   Kf_obs.Json.Obj
     [
       ("pool", Kf_obs.Json.Int c.pool);
@@ -117,7 +117,7 @@ let cell_json ~window0_rps c =
       ("batches", Kf_obs.Json.Int c.stats.Kf_serve.Service.batches);
       ( "mean_batch",
         Kf_obs.Json.Float
-          (Kf_serve.Histogram.mean c.stats.Kf_serve.Service.occupancy) );
+          (Kf_obs.Histogram.mean c.stats.Kf_serve.Service.occupancy) );
       ("shed", Kf_obs.Json.Int c.summary.Kf_serve.Driver.shed);
       ("failed", Kf_obs.Json.Int c.summary.Kf_serve.Driver.failed);
       ( "speedup_vs_window0",
@@ -192,9 +192,9 @@ let () =
                     "pool=%d window=%s conc=%2d: %8.0f req/s  p99 %6.0f us  \
                      mean batch %5.1f"
                     pool_size (win_label c.window) concurrency (rps c)
-                    (Kf_serve.Histogram.quantile
+                    (Kf_obs.Histogram.quantile
                        c.summary.Kf_serve.Driver.latency_us 0.99)
-                    (Kf_serve.Histogram.mean
+                    (Kf_obs.Histogram.mean
                        c.stats.Kf_serve.Service.occupancy))
                 cells;
               cells)

@@ -66,7 +66,8 @@ let domains_arg =
    beyond the recommended domain count (oversubscription: domains
    time-share cores and the owner-computes kernels lose their cache
    affinity) earns a warning but still runs, since CI boxes
-   under-report cores. *)
+   under-report cores.  An unknown KF_HOST_VARIANT, which [Host_fused]
+   would ignore, is rejected here too. *)
 let warn_oversubscribed n =
   let rec_n = Domain.recommended_domain_count () in
   if n > rec_n then
@@ -77,7 +78,9 @@ let warn_oversubscribed n =
        %!"
       n rec_n
 
-let apply_domains = function
+let apply_domains domains =
+  ignore (Sysml.Env.host_variant "KF_HOST_VARIANT");
+  match domains with
   | Some n ->
       warn_oversubscribed n;
       Unix.putenv "KF_DOMAINS" (string_of_int n)
@@ -177,8 +180,6 @@ let with_obs ~trace ~profile f =
         | Some stats -> Kf_obs.Host_stats.with_sink stats f
         | None -> f ())
   end
-
-let engine_name = Fusion.Executor.engine_to_string
 
 (* one spelling authority for engines: [--engine] and [KF_ENGINE] both
    parse through {!Fusion.Executor.engine_of_string} *)
@@ -548,7 +549,8 @@ let train_cmd =
         (Kf_obs.Json.Obj
            ([
               ("algorithm", Kf_obs.Json.Str A.display_name);
-              ("engine", Kf_obs.Json.Str (engine_name engine));
+              ( "engine",
+                Kf_obs.Json.Str (Fusion.Executor.engine_to_string engine) );
               ("time_ms", Kf_obs.Json.Float r.gpu_ms);
               ("resumed", Kf_obs.Json.Bool (resume <> None));
               ("weights_checksum", Kf_obs.Json.Str checksum);
@@ -839,10 +841,10 @@ let serve_cmd =
         summary.Kf_serve.Driver.throughput_rps;
       Printf.printf
         "latency p50 %.0f us, p95 %.0f us, p99 %.0f us, max %.0f us\n"
-        (Kf_serve.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.5)
-        (Kf_serve.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.95)
-        (Kf_serve.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.99)
-        (Kf_serve.Histogram.max_value summary.Kf_serve.Driver.latency_us)
+        (Kf_obs.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.5)
+        (Kf_obs.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.95)
+        (Kf_obs.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.99)
+        (Kf_obs.Histogram.max_value summary.Kf_serve.Driver.latency_us)
     in
     let print_slo s =
       Printf.printf
@@ -896,7 +898,7 @@ let serve_cmd =
           | other -> other)
       else begin
         Printf.printf "serving %d model(s) (%s engine)%s\n"
-          (List.length specs) (engine_name engine)
+          (List.length specs) (Fusion.Executor.engine_to_string engine)
           (if watch then ", hot-swap watch on" else "");
         print_summary summary;
         List.iter
@@ -945,12 +947,12 @@ let serve_cmd =
       else begin
         Printf.printf "serving %s model from %s (%d features, %s engine)\n"
           A.display_name model weights.Kf_ml.Algorithm.cols
-          (engine_name engine);
+          (Fusion.Executor.engine_to_string engine);
         print_summary summary;
         Printf.printf
           "%d batch(es), mean occupancy %.1f rows, %d shed, %d failed\n"
           st.Kf_serve.Service.batches
-          (Kf_serve.Histogram.mean st.Kf_serve.Service.occupancy)
+          (Kf_obs.Histogram.mean st.Kf_serve.Service.occupancy)
           summary.Kf_serve.Driver.shed summary.Kf_serve.Driver.failed;
         Option.iter print_slo slo
       end

@@ -27,6 +27,19 @@ type result = {
   profile : profile;
 }
 
+(* The graph entry points return matrices (sparse S or dense Z) rather
+   than a vector, and carry a family-generic descriptor instead of an
+   Equation-1 instantiation; everything else is shared with the vector
+   ops through {!execute}. *)
+type mat_result = {
+  m_value : input;
+  m_reports : Sim.report list;
+  m_time_ms : float;
+  m_desc : Pattern_family.descriptor option;
+  m_engine_used : string;
+  m_profile : profile;
+}
+
 let rows = function
   | Sparse x -> x.Matrix.Csr.rows
   | Dense x -> x.Matrix.Dense.rows
@@ -42,108 +55,6 @@ let bytes = function
 let nnz = function
   | Sparse x -> Matrix.Csr.nnz x
   | Dense x -> x.Matrix.Dense.rows * x.Matrix.Dense.cols
-
-let ops_counter = Kf_obs.Counter.make "executor.ops"
-
-let host_ops_counter = Kf_obs.Counter.make "executor.host_ops"
-
-(* Every public entry point records its start first, so [wall_ns] covers
-   dispatch plus execution for all three engines (for the simulated
-   engines it is the time spent simulating; for the host engine it is
-   the op's real wall-clock time, which [time_ms] also reports). *)
-let mk_profile ~op ~input ~decision ~t0 ~host =
-  let wall_ns = Kf_obs.Clock.now_ns () - t0 in
-  let profile =
-    {
-      op;
-      decision;
-      p_rows = rows input;
-      p_cols = cols input;
-      p_nnz = nnz input;
-      wall_ns;
-      host;
-    }
-  in
-  Kf_obs.Counter.incr ops_counter;
-  Kf_obs.Trace.complete
-    ~name:("executor." ^ op)
-    ~args:
-      [
-        ("decision", decision);
-        ("rows", string_of_int profile.p_rows);
-        ("cols", string_of_int profile.p_cols);
-        ("nnz", string_of_int profile.p_nnz);
-      ]
-    ~ts_ns:t0 ~dur_ns:wall_ns ();
-  profile
-
-let finish ~op ~input ~t0 ~instantiation ~engine_used w reports =
-  let time_ms = Sim.total_ms reports in
-  Log.debug (fun m ->
-      m "%s: %d kernel(s), %.3f ms" engine_used (List.length reports) time_ms);
-  let profile = mk_profile ~op ~input ~decision:engine_used ~t0 ~host:None in
-  { w; reports; time_ms; instantiation; engine_used; profile }
-
-(* The host backend runs for real, so [time_ms] is measured wall-clock
-   rather than simulated device time, and there are no kernel reports.
-   Each op gets a fresh [Host_stats] installed as the ambient sink, so
-   the pool, the fused host kernels and the parallel BLAS record into
-   it; the per-op stats ride back on [profile.host]. *)
-let finish_host ~op ~input ~t0 ~instantiation ~engine_used ~pool f =
-  let stats = Kf_obs.Host_stats.create ~domains:(Par.Pool.size pool) in
-  let w = Kf_obs.Host_stats.with_sink stats f in
-  (* Fold per-op stats into any enclosing ambient sink (e.g. the CLI's
-     run-wide aggregate) that was shadowed while this op executed. *)
-  (match Kf_obs.Host_stats.current () with
-  | Some outer -> Kf_obs.Host_stats.accumulate ~into:outer stats
-  | None -> ());
-  let profile =
-    mk_profile ~op ~input ~decision:engine_used ~t0 ~host:(Some stats)
-  in
-  Kf_obs.Host_stats.emit_trace_counters stats;
-  Kf_obs.Counter.incr host_ops_counter;
-  let time_ms = Kf_obs.Clock.ns_to_ms profile.wall_ns in
-  Log.debug (fun m -> m "%s: %.3f ms wall-clock" engine_used time_ms);
-  { w; reports = []; time_ms; instantiation; engine_used; profile }
-
-let host_pool = function Some p -> p | None -> Par.Pool.default ()
-
-(* The dist engine runs for real in worker processes, so like [Host] its
-   [time_ms] is wall-clock and it produces no kernel reports; its
-   [engine_used] string (mode + worker count) is read back from the
-   cluster after the op, when the shard map has fixed the 1D/1.5D
-   choice. *)
-let dist_ops_counter = Kf_obs.Counter.make "executor.dist_ops"
-
-let dist_cluster = function
-  | Some c -> c
-  | None -> Kf_dist.Cluster.default ()
-
-let finish_dist ~op ~input ~t0 ~instantiation ~cluster f =
-  let w = f () in
-  let engine_used = Kf_dist.Cluster.describe cluster in
-  let profile = mk_profile ~op ~input ~decision:engine_used ~t0 ~host:None in
-  Kf_obs.Counter.incr dist_ops_counter;
-  let time_ms = Kf_obs.Clock.ns_to_ms profile.wall_ns in
-  Log.debug (fun m -> m "%s: %.3f ms wall-clock" engine_used time_ms);
-  { w; reports = []; time_ms; instantiation; engine_used; profile }
-
-(* --- guarded dispatch ----------------------------------------------------- *)
-
-(* Recovery plumbing: every public op runs through [guarded], which
-   (when fault injection or numerical guards are active) arms the fault
-   points below this layer, checks the output's health, and walks a
-   bounded retry-with-fallback chain — retry the same engine once, step
-   down Host/Fused -> Library, and as a last resort run the sequential
-   reference BLAS, which depends on nothing that can be injected.  With
-   faults inactive *and* guards disabled this collapses to a direct
-   call. *)
-
-let retries_counter = Kf_obs.Counter.make "resil.retries"
-
-let fallbacks_counter = Kf_obs.Counter.make "resil.fallbacks"
-
-let reference_counter = Kf_obs.Counter.make "resil.reference_runs"
 
 (* The one spelling of engine names: [bin/kf]'s flag parsing, the
    KF_ENGINE environment handling and the bench suites all go through
@@ -164,7 +75,30 @@ let engine_of_string s =
   | "dist" -> Some Dist
   | _ -> None
 
-let engine_name = engine_to_string
+let ops_counter = Kf_obs.Counter.make "executor.ops"
+
+let host_ops_counter = Kf_obs.Counter.make "executor.host_ops"
+
+let dist_ops_counter = Kf_obs.Counter.make "executor.dist_ops"
+
+let host_pool = function Some p -> p | None -> Par.Pool.default ()
+
+(* --- guarded dispatch ----------------------------------------------------- *)
+
+(* Recovery plumbing: when fault injection or numerical guards are
+   active, every public op runs through [recover], which arms the fault
+   points below this layer, checks the output's health, and walks a
+   bounded retry-with-fallback chain — retry the same engine once, step
+   down Host/Fused -> Library, and as a last resort run the sequential
+   reference BLAS, which depends on nothing that can be injected.  With
+   faults inactive *and* guards disabled {!execute} calls the engine
+   directly instead. *)
+
+let retries_counter = Kf_obs.Counter.make "resil.retries"
+
+let fallbacks_counter = Kf_obs.Counter.make "resil.fallbacks"
+
+let reference_counter = Kf_obs.Counter.make "resil.reference_runs"
 
 (* One retry on the engine the caller asked for, then progressively
    simpler engines: the multi-process tier falls back to single-process
@@ -187,68 +121,192 @@ let describe_failure = function
       Printf.sprintf "non-finite output (w.(%d) = %h) at %s" index value point
   | e -> Printexc.to_string e
 
-let reference_result ~op ~input ~t0 ~instantiation w =
-  let engine_used = "reference sequential blas" in
-  let profile = mk_profile ~op ~input ~decision:engine_used ~t0 ~host:None in
-  {
-    w;
-    reports = [];
-    time_ms = Kf_obs.Clock.ns_to_ms profile.wall_ns;
-    instantiation;
-    engine_used;
-    profile;
-  }
-
 (* Polymorphic over the result record — Equation-1 ops guard a vector
    result, the graph ops a matrix one; [vec_of] projects the raw float
    payload the fault injector poisons and the guard inspects. *)
-let guarded ~op ~engine ~vec_of ~dispatch ~reference =
+let recover ~faults ~op ~engine ~vec_of ~dispatch ~reference =
+  let point = "executor." ^ op in
+  let attempt e =
+    Kf_resil.Fault.with_arm @@ fun () ->
+    Kf_resil.Fault.check Kf_resil.Fault.Launch ~point;
+    let r = dispatch e in
+    if faults then Kf_resil.Fault.poison ~point (vec_of r);
+    Kf_resil.Guard.check_vec ~point (vec_of r);
+    r
+  in
+  let note verb e exn =
+    let cause = describe_failure exn in
+    let e = engine_to_string e in
+    Kf_obs.Trace.instant ("resil." ^ verb)
+      ~args:[ ("op", op); ("engine", e); ("cause", cause) ];
+    Log.warn (fun m -> m "%s after %s on %s %s" verb cause e op)
+  in
+  let rec run = function
+    | [] ->
+        Kf_obs.Counter.incr reference_counter;
+        let r = reference () in
+        (* if even the reference output is unhealthy the data itself is
+           bad: surface it rather than return garbage *)
+        Kf_resil.Guard.check_vec ~point:(point ^ ".reference") (vec_of r);
+        r
+    | e :: rest -> (
+        try attempt e
+        with (Kf_resil.Fault.Injected _ | Kf_resil.Guard.Unhealthy _) as exn ->
+          (match rest with
+          | e' :: _ when e' = e ->
+              Kf_obs.Counter.incr retries_counter;
+              note "retry" e exn
+          | _ ->
+              Kf_obs.Counter.incr fallbacks_counter;
+              note "fallback" e exn);
+          run rest)
+  in
+  run (attempt_plan engine)
+
+(* --- the execution skeleton ----------------------------------------------- *)
+
+(* What one engine branch of an op runs; {!execute} does everything
+   else. *)
+type 'a run =
+  | Simulated of string * 'a * Sim.report list
+      (** engine_used, value and the simulated kernel reports *)
+  | On_host of string * Par.Pool.t * (unit -> 'a)
+      (** engine_used and the real multicore kernel *)
+  | On_cluster of (Kf_dist.Cluster.t -> 'a)
+      (** the sharded op; engine_used is read back from the cluster
+          afterwards, when the shard map has fixed the 1D/1.5D choice *)
+  | No_dist_kernel  (** the op is not sharded: defer to [Host] *)
+
+(* How each public result record is built from the shared fields. *)
+type ('a, 'meta, 'r) kind = {
+  pack : 'meta -> 'a -> Sim.report list -> float -> string -> profile -> 'r;
+  vec_of : 'r -> Matrix.Vec.t;
+  reference_used : string;
+}
+
+let vector =
+  {
+    pack =
+      (fun instantiation w reports time_ms engine_used profile ->
+        { w; reports; time_ms; instantiation; engine_used; profile });
+    vec_of = (fun r -> r.w);
+    reference_used = "reference sequential blas";
+  }
+
+let matrix =
+  {
+    pack =
+      (fun m_desc m_value m_reports m_time_ms m_engine_used m_profile ->
+        { m_value; m_reports; m_time_ms; m_desc; m_engine_used; m_profile });
+    vec_of =
+      (fun r ->
+        match r.m_value with
+        | Sparse s -> s.Matrix.Csr.values
+        | Dense d -> d.Matrix.Dense.data);
+    reference_used = "reference sequential fusedmm";
+  }
+
+(* Every public op is [branch] (what runs on each engine) plus a
+   sequential [reference]; this is the rest, once.  [t0] is taken on
+   entry, so [wall_ns] covers dispatch plus execution on every engine
+   and across recovery attempts.  Simulated engines report the summed
+   kernel time as [time_ms]; the real ones (Host, Dist, the reference)
+   report measured wall-clock time and no kernel reports.  Host ops get
+   a fresh [Host_stats] installed as the ambient sink, so the pool, the
+   fused host kernels and the parallel BLAS record into it; it rides
+   back on [profile.host] and is folded into any enclosing sink (e.g.
+   the CLI's run-wide aggregate) that was shadowed meanwhile. *)
+let execute ?cluster kind ~op ~input ~meta ~engine ~reference branch =
+  let t0 = Kf_obs.Clock.now_ns () in
+  (* [reports] present means simulated: [time_ms] is their sum. *)
+  let finish ~engine_used ~host ?reports value =
+    let wall_ns = Kf_obs.Clock.now_ns () - t0 in
+    let profile =
+      {
+        op;
+        decision = engine_used;
+        p_rows = rows input;
+        p_cols = cols input;
+        p_nnz = nnz input;
+        wall_ns;
+        host;
+      }
+    in
+    Kf_obs.Counter.incr ops_counter;
+    if Kf_obs.Trace.enabled () then
+      Kf_obs.Trace.complete
+        ~name:("executor." ^ op)
+        ~args:
+          [
+            ("decision", engine_used);
+            ("rows", string_of_int profile.p_rows);
+            ("cols", string_of_int profile.p_cols);
+            ("nnz", string_of_int profile.p_nnz);
+          ]
+        ~ts_ns:t0 ~dur_ns:wall_ns ();
+    match reports with
+    | Some reports ->
+        let time_ms = Sim.total_ms reports in
+        Log.debug (fun m ->
+            m "%s: %d kernel(s), %.3f ms" engine_used (List.length reports)
+              time_ms);
+        kind.pack meta value reports time_ms engine_used profile
+    | None ->
+        let time_ms = Kf_obs.Clock.ns_to_ms wall_ns in
+        Log.debug (fun m -> m "%s: %.3f ms wall-clock" engine_used time_ms);
+        kind.pack meta value [] time_ms engine_used profile
+  in
+  let rec dispatch engine =
+    match branch engine with
+    | Simulated (engine_used, value, reports) ->
+        finish ~engine_used ~host:None ~reports value
+    | On_host (engine_used, pool, kernel) ->
+        let stats = Kf_obs.Host_stats.create ~domains:(Par.Pool.size pool) in
+        let value = Kf_obs.Host_stats.with_sink stats kernel in
+        (match Kf_obs.Host_stats.current () with
+        | Some outer -> Kf_obs.Host_stats.accumulate ~into:outer stats
+        | None -> ());
+        let r = finish ~engine_used ~host:(Some stats) value in
+        Kf_obs.Host_stats.emit_trace_counters stats;
+        Kf_obs.Counter.incr host_ops_counter;
+        r
+    | On_cluster sharded -> (
+        match
+          let c =
+            match cluster with Some c -> c | None -> Kf_dist.Cluster.default ()
+          in
+          (c, sharded c)
+        with
+        | c, value ->
+            let r =
+              finish ~engine_used:(Kf_dist.Cluster.describe c) ~host:None value
+            in
+            Kf_obs.Counter.incr dist_ops_counter;
+            r
+        | exception Kf_dist.Cluster.Unavailable reason -> to_host reason)
+    | No_dist_kernel -> to_host ("no " ^ op ^ " kernel")
+  and to_host reason =
+    Log.warn (fun m ->
+        m "dist engine unavailable (%s); falling back to host" reason);
+    dispatch Host
+  in
   let faults = Kf_resil.Fault.active () in
   if not (faults || Kf_resil.Guard.enabled ()) then dispatch engine
   else
-    let point = "executor." ^ op in
-    let attempt e =
-      Kf_resil.Fault.with_arm @@ fun () ->
-      Kf_resil.Fault.check Kf_resil.Fault.Launch ~point;
-      let r = dispatch e in
-      if faults then Kf_resil.Fault.poison ~point (vec_of r);
-      Kf_resil.Guard.check_vec ~point (vec_of r);
-      r
-    in
-    let note verb e exn =
-      let cause = describe_failure exn in
-      Kf_obs.Trace.instant ("resil." ^ verb)
-        ~args:[ ("op", op); ("engine", engine_name e); ("cause", cause) ];
-      Log.warn (fun m -> m "%s after %s on %s %s" verb cause (engine_name e) op)
-    in
-    let rec run = function
-      | [] ->
-          Kf_obs.Counter.incr reference_counter;
-          let r = reference () in
-          (* if even the reference output is unhealthy the data itself is
-             bad: surface it rather than return garbage *)
-          Kf_resil.Guard.check_vec ~point:(point ^ ".reference") (vec_of r);
-          r
-      | e :: rest -> (
-          try attempt e
-          with (Kf_resil.Fault.Injected _ | Kf_resil.Guard.Unhealthy _) as exn
-            ->
-            (match rest with
-            | e' :: _ when e' = e ->
-                Kf_obs.Counter.incr retries_counter;
-                note "retry" e exn
-            | _ ->
-                Kf_obs.Counter.incr fallbacks_counter;
-                note "fallback" e exn);
-            run rest)
-    in
-    run (attempt_plan engine)
+    recover ~faults ~op ~engine ~vec_of:kind.vec_of ~dispatch
+      ~reference:(fun () ->
+        finish ~engine_used:kind.reference_used ~host:None (reference ()))
 
-let host_engine_used ~kernel ~pool ~variant =
-  Printf.sprintf "host %s [%s, %d domain%s]" kernel
-    (Host_fused.variant_name variant)
-    (Par.Pool.size pool)
+(* --- Equation-1 ops ------------------------------------------------------- *)
+
+(* [layout] is the host variant's name, or "row-disjoint" for the graph
+   kernels. *)
+let host_used ~kernel ~pool layout =
+  Printf.sprintf "host %s [%s, %d domain%s]" kernel layout (Par.Pool.size pool)
     (if Par.Pool.size pool = 1 then "" else "s")
+
+let host_variant pool cols =
+  Host_fused.choose_variant ~domains:(Par.Pool.size pool) ~cols ()
 
 (* Library composition for the trailing BLAS-1 work: w <- alpha*w, then
    optionally w <- w + beta*z (two more kernel launches). *)
@@ -264,80 +322,53 @@ let library_epilogue device ~alpha ~beta_z w reports =
       (w, reports @ r1 @ r2 @ r3)
 
 let xt_y ?(engine = Fused) ?pool ?cluster device input y ~alpha =
-  let t0 = Kf_obs.Clock.now_ns () in
-  let op = "xt_y" in
-  let finish = finish ~op ~input ~t0 in
-  let finish_host = finish_host ~op ~input ~t0 in
-  let finish_dist = finish_dist ~op ~input ~t0 in
-  let instantiation =
-    Some
-      (Pattern.classify_shape
-         { first_multiply = false; weighted = false; additive_tail = false })
-  in
-  let reference () =
-    let w =
-      match input with
-      | Sparse x -> Matrix.Blas.csrmv_t x y
-      | Dense x -> Matrix.Blas.gemv_t x y
-    in
-    let w = Matrix.Blas.finish_pattern ~alpha ~beta:None ~z:None w in
-    reference_result ~op ~input ~t0 ~instantiation w
-  in
-  let rec dispatch engine =
+  execute vector ~op:"xt_y" ~input ~meta:(Some Pattern.Xt_y) ?cluster ~engine
+    ~reference:(fun () ->
+      Matrix.Blas.finish_pattern ~alpha ~beta:None ~z:None
+        (match input with
+        | Sparse x -> Matrix.Blas.csrmv_t x y
+        | Dense x -> Matrix.Blas.gemv_t x y))
+  @@ fun engine ->
   match (engine, input) with
-  | Dist, _ -> (
-      try
-        let c = dist_cluster cluster in
-        finish_dist ~instantiation ~cluster:c (fun () ->
-            match input with
-            | Sparse x -> Kf_dist.Cluster.xt_y_sparse c x ~y ~alpha
-            | Dense x -> Kf_dist.Cluster.xt_y_dense c x ~y ~alpha)
-      with Kf_dist.Cluster.Unavailable msg ->
-        Log.warn (fun m ->
-            m "dist engine unavailable (%s); falling back to host" msg);
-        dispatch Host)
+  | Dist, Sparse x ->
+      On_cluster (fun c -> Kf_dist.Cluster.xt_y_sparse c x ~y ~alpha)
+  | Dist, Dense x ->
+      On_cluster (fun c -> Kf_dist.Cluster.xt_y_dense c x ~y ~alpha)
   | Host, Sparse x ->
       let pool = host_pool pool in
-      let variant =
-        Host_fused.choose_variant ~domains:(Par.Pool.size pool)
-          ~cols:x.Matrix.Csr.cols ()
-      in
-      finish_host ~instantiation
-        ~engine_used:(host_engine_used ~kernel:"fused X^T*p" ~pool ~variant)
-        ~pool
-        (fun () -> Host_fused.xt_p ~pool ~variant ~alpha x y)
+      let variant = host_variant pool x.Matrix.Csr.cols in
+      On_host
+        ( host_used ~kernel:"fused X^T*p" ~pool (Host_fused.variant_name variant),
+          pool,
+          fun () -> Host_fused.xt_p ~pool ~variant ~alpha x y )
   | Host, Dense x ->
       (* Mirrors the Fused/Library dense dispatch: X^T*y is a single
          pass already, so the "library" gemv_t is used, parallelised. *)
       let pool = host_pool pool in
-      finish_host ~instantiation
-        ~engine_used:
-          (Printf.sprintf "host par_gemv_t [%d domains]" (Par.Pool.size pool))
-        ~pool
-        (fun () ->
-          let w = Matrix.Blas.par_gemv_t ~pool x y in
-          Matrix.Vec.scal alpha w;
-          w)
+      On_host
+        ( Printf.sprintf "host par_gemv_t [%d domains]" (Par.Pool.size pool),
+          pool,
+          fun () ->
+            let w = Matrix.Blas.par_gemv_t ~pool x y in
+            Matrix.Vec.scal alpha w;
+            w )
   | Fused, Sparse x ->
       let w, reports, plan = Fused_sparse.xt_p device x y ~alpha in
-      finish ~instantiation
-        ~engine_used:
-          (if plan.sp_large_n then "fused sparse X^T*p (large-n)"
-           else "fused sparse X^T*p")
-        w reports
+      Simulated
+        ( (if plan.sp_large_n then "fused sparse X^T*p (large-n)"
+           else "fused sparse X^T*p"),
+          w,
+          reports )
   | Library, Sparse x ->
       let w, reports = Gpulibs.Cusparse.csrmv_t device x y in
       let w, reports = library_epilogue device ~alpha ~beta_z:None w reports in
-      finish ~instantiation ~engine_used:"cusparse csrmv (transpose mode)" w
-        reports
+      Simulated ("cusparse csrmv (transpose mode)", w, reports)
   | (Fused | Library), Dense x ->
       (* The paper does not fuse X^T*y for dense data: cuBLAS's gemv is
          already a single pass. *)
       let w, reports = Gpulibs.Cublas.gemv_t device x y in
       let w, reports = library_epilogue device ~alpha ~beta_z:None w reports in
-      finish ~instantiation ~engine_used:"cublas gemv (transpose)" w reports
-  in
-  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~reference ~dispatch
+      Simulated ("cublas gemv (transpose)", w, reports)
 
 let library_pattern device input ~y ?v ?beta_z ~alpha () =
   let p, reports =
@@ -365,12 +396,7 @@ let library_pattern device input ~y ?v ?beta_z ~alpha () =
 
 let pattern ?(engine = Fused) ?pool ?cluster device input ~y ?v ?beta_z ~alpha
     () =
-  let t0 = Kf_obs.Clock.now_ns () in
-  let op = "pattern" in
-  let finish = finish ~op ~input ~t0 in
-  let finish_host = finish_host ~op ~input ~t0 in
-  let finish_dist = finish_dist ~op ~input ~t0 in
-  let instantiation =
+  let meta =
     Some
       (Pattern.classify_shape
          {
@@ -382,325 +408,170 @@ let pattern ?(engine = Fused) ?pool ?cluster device input ~y ?v ?beta_z ~alpha
   let beta, z =
     match beta_z with None -> (None, None) | Some (b, z) -> (Some b, Some z)
   in
-  let reference () =
-    let w =
+  execute vector ~op:"pattern" ~input ~meta ?cluster ~engine
+    ~reference:(fun () ->
       match input with
       | Sparse x -> Matrix.Blas.pattern_sparse ~alpha x ?v y ?beta ?z ()
-      | Dense x -> Matrix.Blas.pattern_dense ~alpha x ?v y ?beta ?z ()
-    in
-    reference_result ~op ~input ~t0 ~instantiation w
-  in
-  let rec dispatch engine =
+      | Dense x -> Matrix.Blas.pattern_dense ~alpha x ?v y ?beta ?z ())
+  @@ fun engine ->
   match (engine, input) with
-  | Dist, _ -> (
-      try
-        let c = dist_cluster cluster in
-        finish_dist ~instantiation ~cluster:c (fun () ->
-            match input with
-            | Sparse x ->
-                Kf_dist.Cluster.pattern_sparse c x ~y ?v ?beta_z ~alpha ()
-            | Dense x ->
-                Kf_dist.Cluster.pattern_dense c x ~y ?v ?beta_z ~alpha ())
-      with Kf_dist.Cluster.Unavailable msg ->
-        Log.warn (fun m ->
-            m "dist engine unavailable (%s); falling back to host" msg);
-        dispatch Host)
+  | Dist, Sparse x ->
+      On_cluster
+        (fun c -> Kf_dist.Cluster.pattern_sparse c x ~y ?v ?beta_z ~alpha ())
+  | Dist, Dense x ->
+      On_cluster
+        (fun c -> Kf_dist.Cluster.pattern_dense c x ~y ?v ?beta_z ~alpha ())
   | Host, Sparse x ->
       let pool = host_pool pool in
-      let variant =
-        Host_fused.choose_variant ~domains:(Par.Pool.size pool)
-          ~cols:x.Matrix.Csr.cols ()
-      in
-      finish_host ~instantiation
-        ~engine_used:(host_engine_used ~kernel:"fused sparse" ~pool ~variant)
-        ~pool
-        (fun () ->
-          Host_fused.pattern_sparse ~pool ~variant ~alpha x ?v y ?beta ?z ())
+      let variant = host_variant pool x.Matrix.Csr.cols in
+      On_host
+        ( host_used ~kernel:"fused sparse" ~pool (Host_fused.variant_name variant),
+          pool,
+          fun () ->
+            Host_fused.pattern_sparse ~pool ~variant ~alpha x ?v y ?beta ?z () )
   | Host, Dense x ->
       let pool = host_pool pool in
-      let variant =
-        Host_fused.choose_variant ~domains:(Par.Pool.size pool)
-          ~cols:x.Matrix.Dense.cols ()
-      in
-      finish_host ~instantiation
-        ~engine_used:(host_engine_used ~kernel:"fused dense" ~pool ~variant)
-        ~pool
-        (fun () ->
-          Host_fused.pattern_dense ~pool ~variant ~alpha x ?v y ?beta ?z ())
+      let variant = host_variant pool x.Matrix.Dense.cols in
+      On_host
+        ( host_used ~kernel:"fused dense" ~pool (Host_fused.variant_name variant),
+          pool,
+          fun () ->
+            Host_fused.pattern_dense ~pool ~variant ~alpha x ?v y ?beta ?z () )
   | Fused, Sparse x ->
       let w, reports, plan =
         Fused_sparse.pattern device x ~y ?v ?beta_z ~alpha ()
       in
-      finish ~instantiation
-        ~engine_used:
-          (if plan.sp_large_n then "fused sparse (large-n)" else "fused sparse")
-        w reports
-  | Fused, Dense x -> begin
+      Simulated
+        ( (if plan.sp_large_n then "fused sparse (large-n)" else "fused sparse"),
+          w,
+          reports )
+  | Fused, Dense x -> (
       match Fused_dense.pattern device x ~y ?v ?beta_z ~alpha () with
       | w, reports, _plan, spec ->
-          finish ~instantiation
-            ~engine_used:("fused dense " ^ Codegen.kernel_name spec)
-            w reports
+          Simulated ("fused dense " ^ Codegen.kernel_name spec, w, reports)
       | exception Invalid_argument _ ->
           (* Columns beyond the register budget: the paper prescribes
              falling back to two cuBLAS launches (Section 3.2). *)
           let w, reports = library_pattern device input ~y ?v ?beta_z ~alpha () in
-          finish ~instantiation
-            ~engine_used:"cublas fallback (columns exceed register budget)" w
-            reports
-    end
-  | Library, (Sparse _ | Dense _) ->
+          Simulated
+            ("cublas fallback (columns exceed register budget)", w, reports))
+  | Library, Sparse _ ->
       let w, reports = library_pattern device input ~y ?v ?beta_z ~alpha () in
-      let engine_used =
-        match input with
-        | Sparse _ -> "cusparse csrmv + csrmv_t (+ cublas level-1)"
-        | Dense _ -> "cublas gemv + gemv_t (+ level-1)"
-      in
-      finish ~instantiation ~engine_used w reports
-  in
-  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~reference ~dispatch
+      Simulated ("cusparse csrmv + csrmv_t (+ cublas level-1)", w, reports)
+  | Library, Dense _ ->
+      let w, reports = library_pattern device input ~y ?v ?beta_z ~alpha () in
+      Simulated ("cublas gemv + gemv_t (+ level-1)", w, reports)
 
 let x_y ?(engine = Fused) ?pool ?cluster device input y =
-  let t0 = Kf_obs.Clock.now_ns () in
-  let op = "x_y" in
-  let finish = finish ~op ~input ~t0 in
-  let finish_host = finish_host ~op ~input ~t0 in
-  let finish_dist = finish_dist ~op ~input ~t0 in
-  let instantiation = None in
-  let reference () =
-    let w =
+  execute vector ~op:"x_y" ~input ~meta:None ?cluster ~engine
+    ~reference:(fun () ->
       match input with
       | Sparse x -> Matrix.Blas.csrmv x y
-      | Dense x -> Matrix.Blas.gemv x y
-    in
-    reference_result ~op ~input ~t0 ~instantiation w
-  in
-  let rec dispatch engine =
+      | Dense x -> Matrix.Blas.gemv x y)
+  @@ fun engine ->
   match (engine, input) with
-  | Dist, _ -> (
-      try
-        let c = dist_cluster cluster in
-        finish_dist ~instantiation ~cluster:c (fun () ->
-            match input with
-            | Sparse x -> Kf_dist.Cluster.x_y_sparse c x y
-            | Dense x -> Kf_dist.Cluster.x_y_dense c x y)
-      with Kf_dist.Cluster.Unavailable msg ->
-        Log.warn (fun m ->
-            m "dist engine unavailable (%s); falling back to host" msg);
-        dispatch Host)
+  | Dist, Sparse x -> On_cluster (fun c -> Kf_dist.Cluster.x_y_sparse c x y)
+  | Dist, Dense x -> On_cluster (fun c -> Kf_dist.Cluster.x_y_dense c x y)
   | Host, Sparse x ->
       let pool = host_pool pool in
-      finish_host ~instantiation
-        ~engine_used:
-          (Printf.sprintf "host par_csrmv [%d domains]" (Par.Pool.size pool))
-        ~pool
-        (fun () -> Matrix.Blas.par_csrmv ~pool x y)
+      On_host
+        ( Printf.sprintf "host par_csrmv [%d domains]" (Par.Pool.size pool),
+          pool,
+          fun () -> Matrix.Blas.par_csrmv ~pool x y )
   | Host, Dense x ->
       let pool = host_pool pool in
-      finish_host ~instantiation
-        ~engine_used:
-          (Printf.sprintf "host par_gemv [%d domains]" (Par.Pool.size pool))
-        ~pool
-        (fun () -> Matrix.Blas.par_gemv ~pool x y)
+      On_host
+        ( Printf.sprintf "host par_gemv [%d domains]" (Par.Pool.size pool),
+          pool,
+          fun () -> Matrix.Blas.par_gemv ~pool x y )
   | (Fused | Library), Sparse x ->
       let w, reports = Gpulibs.Cusparse.csrmv device x y in
-      finish ~instantiation ~engine_used:"cusparse csrmv" w reports
+      Simulated ("cusparse csrmv", w, reports)
   | (Fused | Library), Dense x ->
       let w, reports = Gpulibs.Cublas.gemv device x y in
-      finish ~instantiation ~engine_used:"cublas gemv" w reports
-  in
-  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~reference ~dispatch
+      Simulated ("cublas gemv", w, reports)
 
 (* --- graph ops: the fusedmm family ----------------------------------------- *)
 
-(* The graph entry points return matrices (sparse S or dense Z) rather
-   than a vector, and carry a family-generic descriptor instead of an
-   Equation-1 instantiation; everything else — profiles, engine
-   strings, the guarded recovery chain — is shared with the vector
-   ops. *)
-type mat_result = {
-  m_value : input;
-  m_reports : Sim.report list;
-  m_time_ms : float;
-  m_desc : Pattern_family.descriptor option;
-  m_engine_used : string;
-  m_profile : profile;
-}
-
-let mat_vec r =
-  match r.m_value with
-  | Sparse s -> s.Matrix.Csr.values
-  | Dense d -> d.Matrix.Dense.data
-
-let finish_mat ~op ~input ~t0 ~desc ~engine_used value reports =
-  let time_ms = Sim.total_ms reports in
-  Log.debug (fun m ->
-      m "%s: %d kernel(s), %.3f ms" engine_used (List.length reports) time_ms);
-  let profile = mk_profile ~op ~input ~decision:engine_used ~t0 ~host:None in
-  {
-    m_value = value;
-    m_reports = reports;
-    m_time_ms = time_ms;
-    m_desc = desc;
-    m_engine_used = engine_used;
-    m_profile = profile;
-  }
-
-let finish_mat_host ~op ~input ~t0 ~desc ~engine_used ~pool f =
-  let stats = Kf_obs.Host_stats.create ~domains:(Par.Pool.size pool) in
-  let value = Kf_obs.Host_stats.with_sink stats f in
-  (match Kf_obs.Host_stats.current () with
-  | Some outer -> Kf_obs.Host_stats.accumulate ~into:outer stats
-  | None -> ());
-  let profile =
-    mk_profile ~op ~input ~decision:engine_used ~t0 ~host:(Some stats)
-  in
-  Kf_obs.Host_stats.emit_trace_counters stats;
-  Kf_obs.Counter.incr host_ops_counter;
-  let time_ms = Kf_obs.Clock.ns_to_ms profile.wall_ns in
-  Log.debug (fun m -> m "%s: %.3f ms wall-clock" engine_used time_ms);
-  {
-    m_value = value;
-    m_reports = [];
-    m_time_ms = time_ms;
-    m_desc = desc;
-    m_engine_used = engine_used;
-    m_profile = profile;
-  }
-
-let reference_mat ~op ~input ~t0 ~desc value =
-  let engine_used = "reference sequential fusedmm" in
-  let profile = mk_profile ~op ~input ~decision:engine_used ~t0 ~host:None in
-  {
-    m_value = value;
-    m_reports = [];
-    m_time_ms = Kf_obs.Clock.ns_to_ms profile.wall_ns;
-    m_desc = desc;
-    m_engine_used = engine_used;
-    m_profile = profile;
-  }
-
-let graph_host_used ~kernel ~pool =
-  Printf.sprintf "host %s [row-disjoint, %d domain%s]" kernel
-    (Par.Pool.size pool)
-    (if Par.Pool.size pool = 1 then "" else "s")
+(* Graph ops are not sharded yet: on Dist they defer to the host kernels
+   through the same path an unavailable cluster takes. *)
 
 let fusedmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device inst
     (g : Matrix.Csr.t) (h : Matrix.Dense.t) =
   Fusedmm.check ~name:"Executor.fusedmm" inst g h;
-  let t0 = Kf_obs.Clock.now_ns () in
-  let op = "fusedmm" in
-  let input = Sparse g in
-  let desc = Some (Fusedmm.descriptor ~semiring:semiring.Semiring.name inst) in
-  let reference () =
-    reference_mat ~op ~input ~t0 ~desc
-      (Dense (Fusedmm.fused ~semiring inst g h))
-  in
-  let rec dispatch engine =
-    match engine with
-    | Dist ->
-        (* graph ops are not sharded yet: the multi-process tier defers
-           to the host kernels with a warning, like an unavailable
-           cluster does for the vector ops *)
-        Log.warn (fun m ->
-            m "dist engine has no fusedmm kernels; falling back to host");
-        dispatch Host
-    | Host ->
-        let pool = host_pool pool in
-        finish_mat_host ~op ~input ~t0 ~desc
-          ~engine_used:
-            (graph_host_used
-               ~kernel:("fusedmm " ^ Fusedmm.inst_key inst)
-               ~pool)
-          ~pool
-          (fun () -> Dense (Host_fused.fusedmm ~pool ~semiring inst g h))
-    | Fused ->
-        let z, reports, _plan = Fusedmm.sim_fused device semiring inst g h in
-        finish_mat ~op ~input ~t0 ~desc
-          ~engine_used:
-            (Printf.sprintf "fused %s [%s]"
-               (match inst with
-               | Fusedmm.Sddmm_spmm -> "sddmm+spmm"
-               | Fusedmm.Spmm -> "spmm")
-               semiring.Semiring.name)
-          (Dense z) reports
-    | Library -> (
-        (* the unfused composition the paper argues against:
-           materialise S, then aggregate it in a second launch *)
-        match inst with
-        | Fusedmm.Spmm ->
-            let z, reports, _ = Fusedmm.sim_spmm device semiring g h in
-            finish_mat ~op ~input ~t0 ~desc ~engine_used:"cusparse-style spmm"
-              (Dense z) reports
-        | Fusedmm.Sddmm_spmm ->
-            let s, r1, plan = Fusedmm.sim_sddmm device semiring g h in
-            let z, r2, _ = Fusedmm.sim_spmm ~plan device semiring s h in
-            finish_mat ~op ~input ~t0 ~desc
-              ~engine_used:"sddmm + spmm (two launches, S materialised)"
-              (Dense z) (r1 @ r2))
-  in
-  guarded ~op ~engine ~vec_of:mat_vec ~reference ~dispatch
+  execute matrix ~op:"fusedmm" ~input:(Sparse g)
+    ~meta:(Some (Fusedmm.descriptor ~semiring:semiring.Semiring.name inst))
+    ~engine
+    ~reference:(fun () -> Dense (Fusedmm.fused ~semiring inst g h))
+  @@ function
+  | Dist -> No_dist_kernel
+  | Host ->
+      let pool = host_pool pool in
+      On_host
+        ( host_used ~kernel:("fusedmm " ^ Fusedmm.inst_key inst) ~pool
+            "row-disjoint",
+          pool,
+          fun () -> Dense (Host_fused.fusedmm ~pool ~semiring inst g h) )
+  | Fused ->
+      let z, reports, _plan = Fusedmm.sim_fused device semiring inst g h in
+      Simulated
+        ( Printf.sprintf "fused %s [%s]"
+            (match inst with
+            | Fusedmm.Sddmm_spmm -> "sddmm+spmm"
+            | Fusedmm.Spmm -> "spmm")
+            semiring.Semiring.name,
+          Dense z,
+          reports )
+  | Library -> (
+      (* the unfused composition the paper argues against:
+         materialise S, then aggregate it in a second launch *)
+      match inst with
+      | Fusedmm.Spmm ->
+          let z, reports, _ = Fusedmm.sim_spmm device semiring g h in
+          Simulated ("cusparse-style spmm", Dense z, reports)
+      | Fusedmm.Sddmm_spmm ->
+          let s, r1, plan = Fusedmm.sim_sddmm device semiring g h in
+          let z, r2, _ = Fusedmm.sim_spmm ~plan device semiring s h in
+          Simulated
+            ( "sddmm + spmm (two launches, S materialised)",
+              Dense z,
+              r1 @ r2 ))
 
+(* Standalone SDDMM is a building block, not a family instantiation: the
+   trace records nothing for it. *)
 let sddmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device
     (g : Matrix.Csr.t) (h : Matrix.Dense.t) =
-  let t0 = Kf_obs.Clock.now_ns () in
-  let op = "sddmm" in
-  let input = Sparse g in
-  (* standalone SDDMM is a building block, not a family instantiation:
-     the trace records nothing for it *)
-  let desc = None in
-  let reference () =
-    reference_mat ~op ~input ~t0 ~desc (Sparse (Fusedmm.sddmm ~semiring g h))
-  in
-  let rec dispatch engine =
-    match engine with
-    | Dist ->
-        Log.warn (fun m ->
-            m "dist engine has no sddmm kernel; falling back to host");
-        dispatch Host
-    | Host ->
-        let pool = host_pool pool in
-        finish_mat_host ~op ~input ~t0 ~desc
-          ~engine_used:(graph_host_used ~kernel:"sddmm" ~pool)
-          ~pool
-          (fun () -> Sparse (Host_fused.sddmm ~pool ~semiring g h))
-    | Fused | Library ->
-        (* one kernel either way: there is nothing to fuse until the
-           consumer is known (that is the plan compiler's job) *)
-        let s, reports, _ = Fusedmm.sim_sddmm device semiring g h in
-        finish_mat ~op ~input ~t0 ~desc
-          ~engine_used:("sddmm [" ^ semiring.Semiring.name ^ "]")
-          (Sparse s) reports
-  in
-  guarded ~op ~engine ~vec_of:mat_vec ~reference ~dispatch
+  execute matrix ~op:"sddmm" ~input:(Sparse g) ~meta:None ~engine
+    ~reference:(fun () -> Sparse (Fusedmm.sddmm ~semiring g h))
+  @@ function
+  | Dist -> No_dist_kernel
+  | Host ->
+      let pool = host_pool pool in
+      On_host
+        ( host_used ~kernel:"sddmm" ~pool "row-disjoint",
+          pool,
+          fun () -> Sparse (Host_fused.sddmm ~pool ~semiring g h) )
+  | Fused | Library ->
+      (* one kernel either way: there is nothing to fuse until the
+         consumer is known (that is the plan compiler's job) *)
+      let s, reports, _ = Fusedmm.sim_sddmm device semiring g h in
+      Simulated ("sddmm [" ^ semiring.Semiring.name ^ "]", Sparse s, reports)
 
 let spmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device
     (s : Matrix.Csr.t) (h : Matrix.Dense.t) =
-  let t0 = Kf_obs.Clock.now_ns () in
-  let op = "spmm" in
-  let input = Sparse s in
-  let desc =
-    Some (Fusedmm.descriptor ~semiring:semiring.Semiring.name Fusedmm.Spmm)
-  in
-  let reference () =
-    reference_mat ~op ~input ~t0 ~desc (Dense (Fusedmm.spmm ~semiring s h))
-  in
-  let rec dispatch engine =
-    match engine with
-    | Dist ->
-        Log.warn (fun m ->
-            m "dist engine has no spmm kernel; falling back to host");
-        dispatch Host
-    | Host ->
-        let pool = host_pool pool in
-        finish_mat_host ~op ~input ~t0 ~desc
-          ~engine_used:(graph_host_used ~kernel:"spmm" ~pool)
-          ~pool
-          (fun () -> Dense (Host_fused.spmm ~pool ~semiring s h))
-    | Fused | Library ->
-        let z, reports, _ = Fusedmm.sim_spmm device semiring s h in
-        finish_mat ~op ~input ~t0 ~desc
-          ~engine_used:("spmm [" ^ semiring.Semiring.name ^ "]")
-          (Dense z) reports
-  in
-  guarded ~op ~engine ~vec_of:mat_vec ~reference ~dispatch
+  execute matrix ~op:"spmm" ~input:(Sparse s)
+    ~meta:
+      (Some (Fusedmm.descriptor ~semiring:semiring.Semiring.name Fusedmm.Spmm))
+    ~engine
+    ~reference:(fun () -> Dense (Fusedmm.spmm ~semiring s h))
+  @@ function
+  | Dist -> No_dist_kernel
+  | Host ->
+      let pool = host_pool pool in
+      On_host
+        ( host_used ~kernel:"spmm" ~pool "row-disjoint",
+          pool,
+          fun () -> Dense (Host_fused.spmm ~pool ~semiring s h) )
+  | Fused | Library ->
+      let z, reports, _ = Fusedmm.sim_spmm device semiring s h in
+      Simulated ("spmm [" ^ semiring.Semiring.name ^ "]", Dense z, reports)

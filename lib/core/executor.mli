@@ -47,20 +47,24 @@ val engine_of_string : string -> engine option
 type input = Sparse of Matrix.Csr.t | Dense of Matrix.Dense.t
 
 (** Unified per-operation observability record, populated for {e all
-    three} engines.  When tracing is enabled ([Kf_obs.Trace]) the same
+    four} engines.  When tracing is enabled ([Kf_obs.Trace]) the same
     information is also recorded as an ["executor.<op>"] span, so the
     Chrome trace and the in-process profile agree by construction. *)
 type profile = {
-  op : string;  (** ["xt_y"], ["pattern"] or ["x_y"] *)
+  op : string;
+      (** ["xt_y"], ["pattern"], ["x_y"], ["fusedmm"], ["sddmm"] or
+          ["spmm"] *)
   decision : string;  (** the dispatch decision, same as [engine_used] *)
   p_rows : int;
   p_cols : int;
   p_nnz : int;  (** stored non-zeros; dense inputs report rows*cols *)
   wall_ns : int;
       (** wall-clock spent in the call: simulation time for the
-          simulated engines, real execution time for [Host] *)
+          simulated engines, real execution time for [Host] and
+          [Dist] *)
   host : Kf_obs.Host_stats.t option;
-      (** [Host] engine only: per-domain busy/idle time, rows/nnz
+      (** present exactly when the [Host] kernels ran (including
+          [Dist] deferring to them): per-domain busy/idle time, rows/nnz
           processed, accumulator and tree-merge accounting — the CPU
           analogue of [Gpu.Stats] *)
 }
@@ -70,7 +74,7 @@ type result = {
   reports : Sim.report list;
   time_ms : float;
       (** sum over all launched kernels (simulated engines) or measured
-          wall-clock (the [Host] engine) *)
+          wall-clock (the [Host] and [Dist] engines) *)
   instantiation : Pattern.instantiation option;
       (** [None] for plain [X x y], which is outside the pattern *)
   engine_used : string;

@@ -1,13 +1,11 @@
-type variant = Dense_acc | Col_partition | Blocked
+type variant = Dense_acc | Blocked
 
-let variant_name = function
-  | Dense_acc -> "dense-acc"
-  | Col_partition -> "col-partition"
-  | Blocked -> "blocked"
+let variants = [ Dense_acc; Blocked ]
+
+let variant_name = function Dense_acc -> "dense-acc" | Blocked -> "blocked"
 
 let variant_of_name = function
   | "dense-acc" -> Some Dense_acc
-  | "col-partition" -> Some Col_partition
   | "blocked" -> Some Blocked
   | _ -> None
 
@@ -16,10 +14,7 @@ let default_accumulator_budget_bytes = Par.Tune.accumulator_budget_bytes
 (* KF_HOST_VARIANT forces a variant for experiments; otherwise the
    shape decides: per-domain dense accumulators (one matrix walk, tree
    merge) while they are cache-cheap, the owner-computes blocked kernel
-   once [8 * cols * domains] outgrows the budget/L2 cap.  The legacy
-   Col_partition variant (which re-streams the matrix per domain) is
-   never auto-chosen — it is kept as an explicitly requestable
-   baseline. *)
+   once [8 * cols * domains] outgrows the budget/L2 cap. *)
 let choose_variant ?budget_bytes ~domains ~cols () =
   match Option.bind (Sys.getenv_opt "KF_HOST_VARIANT") variant_of_name with
   | Some v -> v
@@ -90,15 +85,15 @@ let finalize_ba ~alpha ~beta_z (m : acc) ~cols =
       done);
   out
 
-let check_sparse_args (x : Matrix.Csr.t) ~v ~y ~z ~name =
-  if Array.length y <> x.cols then
+let check_args ~rows ~cols ~v ~y ~z ~name =
+  if Array.length y <> cols then
     invalid_arg (name ^ ": y must have one element per column");
   (match v with
-  | Some v when Array.length v <> x.rows ->
+  | Some v when Array.length v <> rows ->
       invalid_arg (name ^ ": v must have one element per row")
   | _ -> ());
   match z with
-  | Some z when Array.length z <> x.cols ->
+  | Some z when Array.length z <> cols ->
       invalid_arg (name ^ ": z must have one element per column")
   | _ -> ()
 
@@ -150,28 +145,6 @@ let sparse_scatter_rows_ba (x : Matrix.Csr.t) ~p_of ~(w : acc) ~rlo ~rhi =
           incr i
         done
       end
-    end
-  done
-
-(* Legacy column-filtered scatter (Col_partition only): every domain
-   re-streams the matrix keeping the columns it owns. *)
-let sparse_scatter_rows (x : Matrix.Csr.t) ~p_of ~w ~rlo ~rhi ~clo ~chi =
-  let full = clo = 0 && chi >= x.cols in
-  for r = rlo to rhi - 1 do
-    let s = x.row_off.(r) and e = x.row_off.(r + 1) in
-    if e > s then begin
-      let pr = p_of r s e in
-      if pr <> 0.0 then
-        if full then
-          for i = s to e - 1 do
-            let c = x.col_idx.(i) in
-            w.(c) <- w.(c) +. (x.values.(i) *. pr)
-          done
-        else
-          for i = s to e - 1 do
-            let c = x.col_idx.(i) in
-            if c >= clo && c < chi then w.(c) <- w.(c) +. (x.values.(i) *. pr)
-          done
     end
   done
 
@@ -254,35 +227,8 @@ let sparse_dense_acc pool (x : Matrix.Csr.t) ~p_of =
   record_merge_traffic ~workers ~cols:x.cols;
   merged
 
-(* Col_partition (legacy baseline): [p] is materialised by a
-   row-parallel pass, then every domain streams the matrix filtering
-   for its own column range — d-fold matrix traffic; kept only for
-   explicit comparison runs. *)
-let sparse_col_partition pool (x : Matrix.Csr.t) ~p_of =
-  let workers = Par.Pool.size pool in
-  let p = Array.make x.rows 0.0 in
-  record_accs ~count:1 ~elems:x.rows;
-  record_accs ~count:1 ~elems:x.cols;
-  (* rows/nnz are credited in the [p] pass only, so every row counts
-     exactly once even though the scatter pass re-streams the matrix
-     per column range. *)
-  Par.Pool.parallel_for pool ~lo:0 ~hi:x.rows (fun a b ->
-      if Kf_obs.Host_stats.profiling () then
-        Kf_obs.Host_stats.add_work ~rows:(b - a)
-          ~nnz:(x.row_off.(b) - x.row_off.(a));
-      for r = a to b - 1 do
-        let s = x.row_off.(r) and e = x.row_off.(r + 1) in
-        if e > s then p.(r) <- p_of r s e
-      done);
-  let w = Array.make x.cols 0.0 in
-  let cbounds = Par.Partition.uniform ~n:x.cols ~parts:workers in
-  Par.Pool.run_workers pool (fun wid ->
-      let clo = cbounds.(wid) and chi = cbounds.(wid + 1) in
-      if chi > clo then
-        sparse_scatter_rows x
-          ~p_of:(fun r _s _e -> p.(r))
-          ~w ~rlo:0 ~rhi:x.rows ~clo ~chi);
-  w
+(* Row-block height of the blocked kernels' first pass. *)
+let row_chunk = function Some n when n >= 1 -> n | _ -> Par.Tune.tile_rows ()
 
 (* Blocked: the owner-computes two-pass kernel.  Pass 1 materialises
    the per-row scalars in parallel over row blocks; pass 2 scatters
@@ -295,11 +241,7 @@ let sparse_blocked pool ?tile_rows ?tile_cols (x : Matrix.Csr.t) ~p_of ~alpha
   let workers = Par.Pool.size pool in
   let p = Array.make x.rows 0.0 in
   record_accs ~count:1 ~elems:x.rows;
-  let chunk =
-    match tile_rows with
-    | Some n when n >= 1 -> n
-    | _ -> Par.Tune.tile_rows ()
-  in
+  let chunk = row_chunk tile_rows in
   Par.Pool.parallel_for pool ~chunk ~lo:0 ~hi:x.rows (fun a b ->
       if Kf_obs.Host_stats.profiling () then
         Kf_obs.Host_stats.add_work ~rows:(b - a)
@@ -313,32 +255,36 @@ let sparse_blocked pool ?tile_rows ?tile_cols (x : Matrix.Csr.t) ~p_of ~alpha
   Matrix.Tiles.scatter ~pool ~credit:false t x ~p ~alpha ?beta_z ~out ();
   out
 
-let run_sparse ?pool ?variant ?tile_rows ?tile_cols (x : Matrix.Csr.t) ~p_of
-    ~alpha ~beta ~z =
-  (* armed fault point: only fires under the executor's recovery scope *)
-  Kf_resil.Fault.check Kf_resil.Fault.Launch ~point:"host_fused.sparse";
+(* Shared start of the Equation-1 kernels: the armed fault point (it
+   only fires under the executor's recovery scope), then the pool and
+   the variant, which is recorded in the ambient Host_stats. *)
+let prologue ~point ?pool ?variant ~cols () =
+  Kf_resil.Fault.check Kf_resil.Fault.Launch ~point;
   let pool = get_pool pool in
   let variant =
     match variant with
     | Some v -> v
-    | None -> choose_variant ~domains:(Par.Pool.size pool) ~cols:x.cols ()
+    | None -> choose_variant ~domains:(Par.Pool.size pool) ~cols ()
   in
   Kf_obs.Host_stats.set_variant (variant_name variant);
+  (pool, variant)
+
+let run_sparse ?pool ?variant ?tile_rows ?tile_cols (x : Matrix.Csr.t) ~p_of
+    ~alpha ~beta ~z =
+  let pool, variant =
+    prologue ~point:"host_fused.sparse" ?pool ?variant ~cols:x.cols ()
+  in
+  let beta_z = epilogue_of ~beta ~z in
   match variant with
   | Dense_acc ->
-      let beta_z = epilogue_of ~beta ~z in
       let m = sparse_dense_acc pool x ~p_of in
       finalize_ba ~alpha ~beta_z m ~cols:x.cols
-  | Col_partition ->
-      let w = sparse_col_partition pool x ~p_of in
-      Matrix.Blas.finish_pattern ~alpha ~beta ~z w
-  | Blocked ->
-      let beta_z = epilogue_of ~beta ~z in
-      sparse_blocked pool ?tile_rows ?tile_cols x ~p_of ~alpha ~beta_z
+  | Blocked -> sparse_blocked pool ?tile_rows ?tile_cols x ~p_of ~alpha ~beta_z
 
 let pattern_sparse ?pool ?variant ?tile_rows ?tile_cols ~alpha
     (x : Matrix.Csr.t) ?v y ?beta ?z () =
-  check_sparse_args x ~v ~y ~z ~name:"Host_fused.pattern_sparse";
+  check_args ~rows:x.rows ~cols:x.cols ~v ~y ~z
+    ~name:"Host_fused.pattern_sparse";
   if x.rows = 0 || x.cols = 0 || Matrix.Csr.nnz x = 0 then
     degenerate ~alpha ~beta ~z ~cols:x.cols
   else
@@ -356,18 +302,6 @@ let xt_p ?pool ?variant ?tile_rows ?tile_cols ~alpha (x : Matrix.Csr.t) p =
       ~alpha ~beta:None ~z:None
 
 (* ---- dense ---- *)
-
-let check_dense_args (x : Matrix.Dense.t) ~v ~y ~z ~name =
-  if Array.length y <> x.cols then
-    invalid_arg (name ^ ": y must have one element per column");
-  (match v with
-  | Some v when Array.length v <> x.rows ->
-      invalid_arg (name ^ ": v must have one element per row")
-  | _ -> ());
-  match z with
-  | Some z when Array.length z <> x.cols ->
-      invalid_arg (name ^ ": z must have one element per column")
-  | _ -> ()
 
 let dense_row_scalar (x : Matrix.Dense.t) y ~v r =
   let data = x.data and cols = x.cols in
@@ -424,17 +358,6 @@ let dense_axpy_row_ba data ~base ~pr ~(w : acc) ~clo ~chi =
     incr c
   done
 
-let dense_scatter_rows (x : Matrix.Dense.t) ~p_of ~w ~rlo ~rhi ~clo ~chi =
-  for r = rlo to rhi - 1 do
-    let pr = p_of r in
-    if pr <> 0.0 then begin
-      let base = r * x.cols in
-      for c = clo to chi - 1 do
-        w.(c) <- w.(c) +. (x.data.(base + c) *. pr)
-      done
-    end
-  done
-
 let dense_dense_acc pool (x : Matrix.Dense.t) ~p_of =
   let workers = Par.Pool.size pool in
   let bounds = Par.Partition.uniform ~n:x.rows ~parts:workers in
@@ -461,26 +384,6 @@ let dense_dense_acc pool (x : Matrix.Dense.t) ~p_of =
   record_merge_traffic ~workers ~cols:x.cols;
   merged
 
-let dense_col_partition pool (x : Matrix.Dense.t) ~p_of =
-  let workers = Par.Pool.size pool in
-  let p = Array.make x.rows 0.0 in
-  record_accs ~count:1 ~elems:x.rows;
-  record_accs ~count:1 ~elems:x.cols;
-  Par.Pool.parallel_for pool ~lo:0 ~hi:x.rows (fun a b ->
-      if Kf_obs.Host_stats.profiling () then
-        Kf_obs.Host_stats.add_work ~rows:(b - a) ~nnz:((b - a) * x.cols);
-      for r = a to b - 1 do
-        p.(r) <- p_of r
-      done);
-  let w = Array.make x.cols 0.0 in
-  let cbounds = Par.Partition.uniform ~n:x.cols ~parts:workers in
-  Par.Pool.run_workers pool (fun wid ->
-      let clo = cbounds.(wid) and chi = cbounds.(wid + 1) in
-      if chi > clo then
-        dense_scatter_rows x ~p_of:(fun r -> p.(r)) ~w ~rlo:0 ~rhi:x.rows ~clo
-          ~chi);
-  w
-
 (* Dense Blocked: pass 1 materialises p over row blocks; pass 2 is the
    owner-computes column-stripe gemv_t from the parallel BLAS with the
    epilogue folded into the owners' final writes. *)
@@ -488,11 +391,7 @@ let dense_blocked pool ?tile_rows ?tile_cols (x : Matrix.Dense.t) ~p_of ~alpha
     ~beta_z =
   let p = Array.make x.rows 0.0 in
   record_accs ~count:1 ~elems:x.rows;
-  let chunk =
-    match tile_rows with
-    | Some n when n >= 1 -> n
-    | _ -> Par.Tune.tile_rows ()
-  in
+  let chunk = row_chunk tile_rows in
   Par.Pool.parallel_for pool ~chunk ~lo:0 ~hi:x.rows (fun a b ->
       if Kf_obs.Host_stats.profiling () then
         Kf_obs.Host_stats.add_work ~rows:(b - a) ~nnz:((b - a) * x.cols);
@@ -506,29 +405,20 @@ let dense_blocked pool ?tile_rows ?tile_cols (x : Matrix.Dense.t) ~p_of ~alpha
 
 let pattern_dense ?pool ?variant ?tile_rows ?tile_cols ~alpha
     (x : Matrix.Dense.t) ?v y ?beta ?z () =
-  check_dense_args x ~v ~y ~z ~name:"Host_fused.pattern_dense";
+  check_args ~rows:x.rows ~cols:x.cols ~v ~y ~z
+    ~name:"Host_fused.pattern_dense";
   if x.rows = 0 || x.cols = 0 then degenerate ~alpha ~beta ~z ~cols:x.cols
   else begin
-    Kf_resil.Fault.check Kf_resil.Fault.Launch ~point:"host_fused.dense";
-    let pool = get_pool pool in
-    let variant =
-      match variant with
-      | Some v -> v
-      | None -> choose_variant ~domains:(Par.Pool.size pool) ~cols:x.cols ()
+    let pool, variant =
+      prologue ~point:"host_fused.dense" ?pool ?variant ~cols:x.cols ()
     in
-    Kf_obs.Host_stats.set_variant (variant_name variant);
     let p_of = dense_row_scalar x y ~v in
+    let beta_z = epilogue_of ~beta ~z in
     match variant with
     | Dense_acc ->
-        let beta_z = epilogue_of ~beta ~z in
         let m = dense_dense_acc pool x ~p_of in
         finalize_ba ~alpha ~beta_z m ~cols:x.cols
-    | Col_partition ->
-        let w = dense_col_partition pool x ~p_of in
-        Matrix.Blas.finish_pattern ~alpha ~beta ~z w
-    | Blocked ->
-        let beta_z = epilogue_of ~beta ~z in
-        dense_blocked pool ?tile_rows ?tile_cols x ~p_of ~alpha ~beta_z
+    | Blocked -> dense_blocked pool ?tile_rows ?tile_cols x ~p_of ~alpha ~beta_z
   end
 
 (* ---- FusedMM graph kernels ------------------------------------------------ *)

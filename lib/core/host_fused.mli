@@ -29,11 +29,8 @@
     [KF_HOST_TILE_ROWS]/[KF_HOST_TILE_COLS] so a tile's slice of [w]
     stays L2-resident.  Ownership is exclusive, so the merge — and its
     O(domains * cols) traffic — disappears, and the pattern epilogue
-    [alpha * w + beta * z] folds into each owner's final write.  The
-    legacy [Col_partition] variant (every domain re-streams the matrix
-    filtering its column range — d-fold matrix traffic) is kept only as
-    an explicitly requestable baseline; [KF_HOST_VARIANT] forces any
-    variant by name for experiments.
+    [alpha * w + beta * z] folds into each owner's final write.
+    [KF_HOST_VARIANT] forces either variant by name for experiments.
 
     All entry points compute real results only (no simulator): they are
     the "runs as fast as the hardware allows" backend and are verified
@@ -42,14 +39,17 @@
 
 type variant =
   | Dense_acc  (** per-domain dense accumulators + tree merge *)
-  | Col_partition
-      (** legacy: shared [w], disjoint column ranges, matrix re-streamed
-          per domain *)
   | Blocked
       (** owner-computes column tiles, cached segment layout, no merge *)
 
+val variants : variant list
+(** Every variant: [[Dense_acc; Blocked]]. *)
+
 val variant_name : variant -> string
-(** ["dense-acc"], ["col-partition"] or ["blocked"]. *)
+(** ["dense-acc"] or ["blocked"]. *)
+
+val variant_of_name : string -> variant option
+(** Inverse of {!variant_name}; [None] for unknown names. *)
 
 val default_accumulator_budget_bytes : unit -> int
 (** Working-set budget for per-domain accumulators: the
@@ -58,11 +58,11 @@ val default_accumulator_budget_bytes : unit -> int
 
 val choose_variant :
   ?budget_bytes:int -> domains:int -> cols:int -> unit -> variant
-(** [KF_HOST_VARIANT] ("dense-acc" | "col-partition" | "blocked") when
-    set to a valid name; otherwise [Dense_acc] while
+(** [KF_HOST_VARIANT] ("dense-acc" | "blocked") when set to a valid
+    name (an unknown name is ignored here; the CLI rejects it, see
+    [Sysml.Env.host_variant]); otherwise [Dense_acc] while
     [8 * cols * domains] fits both [budget_bytes] and half an L2 per
-    domain, else [Blocked] ({!Par.Tune.prefer_owner_computes}).
-    [Col_partition] is never auto-chosen. *)
+    domain, else [Blocked] ({!Par.Tune.prefer_owner_computes}). *)
 
 val pattern_sparse :
   ?pool:Par.Pool.t ->

@@ -32,17 +32,7 @@ let classify_shape = function
   | { first_multiply = true; weighted = true; additive_tail = true } ->
       Full_pattern
   | { first_multiply = false; _ } ->
-      invalid_arg "Pattern.classify: v or z without the first multiply"
-
-(* Deprecated positional-bool arity, kept one release for callers that
-   have not migrated to the self-describing [shape] record. *)
-let classify ~with_first_multiply ~with_v ~with_z =
-  classify_shape
-    {
-      first_multiply = with_first_multiply;
-      weighted = with_v;
-      additive_tail = with_z;
-    }
+      invalid_arg "Pattern.classify_shape: v or z without the first multiply"
 
 (* A fused call can stop partway down the chain and leave the rest to
    separate kernels: the only valid cut points are below the additive

@@ -38,11 +38,6 @@ val classify_shape : shape -> instantiation
     [Invalid_argument] on [weighted] or [additive_tail] without
     [first_multiply]. *)
 
-val classify :
-  with_first_multiply:bool -> with_v:bool -> with_z:bool -> instantiation
-[@@ocaml.deprecated "use Pattern.classify_shape with a Pattern.shape record"]
-(** Positional-bool spelling of {!classify_shape}, kept for one release. *)
-
 val partials : instantiation -> instantiation list
 (** The fusable prefixes of an instantiation, largest first: every way a
     plan compiler can cover the head of the chain with one fused call and

@@ -6,8 +6,7 @@
    tree merge disappear.  The catch: CSR is row-major, so a domain
    owning columns [c_lo, c_hi) must find, in every row, the entries
    that fall inside its tiles.  Re-scanning all of [col_idx] per domain
-   multiplies matrix traffic by the domain count (the collapse the old
-   Col_partition variant exhibited); instead we run a one-time
+   would multiply matrix traffic by the domain count; instead we run a one-time
    inspector that exploits the CSR invariant of sorted column indices
    per row: within a row, the entries of one tile form a single
    contiguous run [lo, hi).  The layout flattens those runs into

@@ -53,44 +53,34 @@ let engine t = t.engine
 
 let algorithm t = Fusion.Pattern.Trace.algorithm t.trace
 
-let absorb_host_stats t = function
+(* The one accounting path for every executor op, whichever result
+   record carries it: device time and launches, the op's Host stats
+   folded into the session aggregate, and — for pattern instances of
+   any family — the trace entry. *)
+let absorb t ~time_ms ~reports ~(profile : Fusion.Executor.profile) desc =
+  t.gpu_ms <- t.gpu_ms +. time_ms;
+  t.launches <- t.launches + List.length reports;
+  (match (profile.host, t.host_stats) with
+  | None, _ -> ()
+  | Some stats, Some agg -> Kf_obs.Host_stats.accumulate ~into:agg stats
+  | Some stats, None ->
+      let agg = Kf_obs.Host_stats.create ~domains:stats.domains in
+      t.host_stats <- Some agg;
+      Kf_obs.Host_stats.accumulate ~into:agg stats);
+  match desc with
+  | Some d ->
+      t.pattern_ms <- t.pattern_ms +. time_ms;
+      Fusion.Pattern.Trace.record_desc t.trace d
   | None -> ()
-  | Some stats ->
-      let agg =
-        match t.host_stats with
-        | Some agg -> agg
-        | None ->
-            let agg =
-              Kf_obs.Host_stats.create ~domains:stats.Kf_obs.Host_stats.domains
-            in
-            t.host_stats <- Some agg;
-            agg
-      in
-      Kf_obs.Host_stats.accumulate ~into:agg stats
 
 let absorb_result t (r : Fusion.Executor.result) =
-  t.gpu_ms <- t.gpu_ms +. r.time_ms;
-  t.launches <- t.launches + List.length r.reports;
-  absorb_host_stats t r.profile.Fusion.Executor.host;
-  (match r.instantiation with
-  | Some inst ->
-      t.pattern_ms <- t.pattern_ms +. r.time_ms;
-      Fusion.Pattern.Trace.record t.trace inst
-  | None -> ());
+  absorb t ~time_ms:r.time_ms ~reports:r.reports ~profile:r.profile
+    (Option.map Fusion.Pattern.descriptor r.instantiation);
   r.w
 
-(* Matrix-valued twin of [absorb_result] for the graph ops, recording
-   the family-generic descriptor instead of an Equation-1
-   instantiation. *)
 let absorb_mat t (r : Fusion.Executor.mat_result) =
-  t.gpu_ms <- t.gpu_ms +. r.m_time_ms;
-  t.launches <- t.launches + List.length r.m_reports;
-  absorb_host_stats t r.m_profile.Fusion.Executor.host;
-  (match r.m_desc with
-  | Some d ->
-      t.pattern_ms <- t.pattern_ms +. r.m_time_ms;
-      Fusion.Pattern.Trace.record_desc t.trace d
-  | None -> ());
+  absorb t ~time_ms:r.m_time_ms ~reports:r.m_reports ~profile:r.m_profile
+    r.m_desc;
   r.m_value
 
 let xt_y t input y ~alpha =

@@ -77,7 +77,7 @@ let host_of_bench_json json =
           (fun acc r ->
             match (member "variant" r, Option.bind (member "ms" r) num,
                    Option.bind (member "domains" r) num) with
-            | Some (Str ("dense-acc" | "col-partition" | "blocked")), Some ms,
+            | Some (Str ("dense-acc" | "blocked")), Some ms,
               Some d
               when ms > 0.0 && d > 1.0 ->
                 Float.max acc (seq_ms /. ms /. d)
@@ -311,7 +311,7 @@ let xt_y_ms ctx m =
             ~max_share:(host_matrix_share ctx m
                         +. float_of_int (s.rows * 8)
                         +. float_of_int (s.cols * 8 / d))
-      | Fusion.Host_fused.Dense_acc | Fusion.Host_fused.Col_partition ->
+      | Fusion.Host_fused.Dense_acc ->
           (* per-domain full-width accumulators (zeroed + written) plus
              the tree merge's critical path: ceil(log2 d) pairwise
              merges at 24 bytes per element. *)
@@ -393,7 +393,7 @@ let fused_ms ctx m (inst : Fusion.Pattern.instantiation) =
                ~max_share:(share
                            +. float_of_int (s.rows * 8)
                            +. float_of_int (s.cols * 8 / d))
-      | Fusion.Host_fused.Dense_acc | Fusion.Host_fused.Col_partition ->
+      | Fusion.Host_fused.Dense_acc ->
           (* one matrix walk with per-domain accumulators, then the
              merge critical path. *)
           host_job_ms ctx.host

@@ -21,7 +21,7 @@ type summary = {
   failed : int;
   wall_s : float;
   throughput_rps : float;  (** ok / wall *)
-  latency_us : Histogram.t;  (** client-observed, merged over clients *)
+  latency_us : Kf_obs.Histogram.t;  (** client-observed, merged over clients *)
 }
 
 type client_tally = {
@@ -29,7 +29,7 @@ type client_tally = {
   mutable c_ok : int;
   mutable c_shed : int;
   mutable c_failed : int;
-  c_hist : Histogram.t;
+  c_hist : Kf_obs.Histogram.t;
 }
 
 (* Deterministic per-client row generator: a dense row of small values
@@ -64,7 +64,7 @@ let run_client svc ~cols ~cfg ~client ~tally =
           match Service.await ticket with
           | Service.Score _ ->
               tally.c_ok <- tally.c_ok + 1;
-              Histogram.record tally.c_hist
+              Kf_obs.Histogram.record tally.c_hist
                 (Kf_obs.Clock.ns_to_us (Service.latency_ns ticket))
           | Service.Failed _ -> tally.c_failed <- tally.c_failed + 1));
       if interval > 0.0 then Unix.sleepf interval;
@@ -79,7 +79,7 @@ let spawn_clients ~cfg ~run_one =
   let tallies =
     Array.init cfg.clients (fun _ ->
         { c_sent = 0; c_ok = 0; c_shed = 0; c_failed = 0;
-          c_hist = Histogram.create () })
+          c_hist = Kf_obs.Histogram.create () })
   in
   let start_ns = Kf_obs.Clock.now_ns () in
   let threads =
@@ -92,8 +92,8 @@ let spawn_clients ~cfg ~run_one =
   let wall_s =
     float_of_int (Kf_obs.Clock.now_ns () - start_ns) /. 1e9
   in
-  let latency_us = Histogram.create () in
-  Array.iter (fun t -> Histogram.merge ~into:latency_us t.c_hist) tallies;
+  let latency_us = Kf_obs.Histogram.create () in
+  Array.iter (fun t -> Kf_obs.Histogram.merge ~into:latency_us t.c_hist) tallies;
   let sum f = Array.fold_left (fun a t -> a + f t) 0 tallies in
   let ok = sum (fun t -> t.c_ok) in
   {
@@ -144,7 +144,7 @@ let run_models models cfg =
               match Service.await ticket with
               | Service.Score _ ->
                   tally.c_ok <- tally.c_ok + 1;
-                  Histogram.record tally.c_hist
+                  Kf_obs.Histogram.record tally.c_hist
                     (Kf_obs.Clock.ns_to_us (Service.latency_ns ticket))
               | Service.Failed _ -> tally.c_failed <- tally.c_failed + 1));
           if interval > 0.0 then Unix.sleepf interval;
@@ -166,7 +166,7 @@ let run_inflight svc ~cols ~inflight ~duration_s ~seed =
   let gen = row_gen ~seed ~client:0 ~cols in
   let nrows = 256 in
   let rows = Array.init nrows (fun _ -> gen ()) in
-  let hist = Histogram.create () in
+  let hist = Kf_obs.Histogram.create () in
   let sent = ref 0 and ok = ref 0 and shed = ref 0 and failed = ref 0 in
   let tickets = Array.make inflight None in
   let start_ns = Kf_obs.Clock.now_ns () in
@@ -185,7 +185,7 @@ let run_inflight svc ~cols ~inflight ~duration_s ~seed =
             (match Service.await t with
             | Service.Score _ ->
                 incr ok;
-                Histogram.record hist
+                Kf_obs.Histogram.record hist
                   (Kf_obs.Clock.ns_to_us (Service.latency_ns t))
             | Service.Failed _ -> incr failed);
             tickets.(i) <- None))
@@ -211,10 +211,10 @@ let summary_json ?service_stats s =
       ("failed", Kf_obs.Json.Int s.failed);
       ("wall_s", Kf_obs.Json.Float s.wall_s);
       ("throughput_rps", Kf_obs.Json.Float s.throughput_rps);
-      ("p50_us", Kf_obs.Json.Float (Histogram.quantile s.latency_us 0.5));
-      ("p95_us", Kf_obs.Json.Float (Histogram.quantile s.latency_us 0.95));
-      ("p99_us", Kf_obs.Json.Float (Histogram.quantile s.latency_us 0.99));
-      ("latency_us", Histogram.summary_json s.latency_us);
+      ("p50_us", Kf_obs.Json.Float (Kf_obs.Histogram.quantile s.latency_us 0.5));
+      ("p95_us", Kf_obs.Json.Float (Kf_obs.Histogram.quantile s.latency_us 0.95));
+      ("p99_us", Kf_obs.Json.Float (Kf_obs.Histogram.quantile s.latency_us 0.99));
+      ("latency_us", Kf_obs.Histogram.summary_json s.latency_us);
     ]
   in
   let extra =

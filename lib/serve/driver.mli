@@ -19,7 +19,7 @@ type summary = {
   failed : int;
   wall_s : float;
   throughput_rps : float;
-  latency_us : Histogram.t;  (** client-observed, merged over clients *)
+  latency_us : Kf_obs.Histogram.t;  (** client-observed, merged over clients *)
 }
 
 val run : Service.t -> cols:int -> cfg -> summary

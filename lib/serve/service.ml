@@ -121,9 +121,9 @@ type stats = {
   batch_retries : int;
   swaps : int;
   exec_ms : float;
-  queue_us : Histogram.t;
-  latency_us : Histogram.t;
-  occupancy : Histogram.t;
+  queue_us : Kf_obs.Histogram.t;
+  latency_us : Kf_obs.Histogram.t;
+  occupancy : Kf_obs.Histogram.t;
 }
 
 type metrics_cells = {
@@ -192,9 +192,9 @@ type t = {
   mutable batch_retries : int;
   swaps : int Atomic.t;
   mutable exec_ms : float;
-  queue_hist : Histogram.t;
-  latency_hist : Histogram.t;
-  occupancy_hist : Histogram.t;
+  queue_hist : Kf_obs.Histogram.t;
+  latency_hist : Kf_obs.Histogram.t;
+  occupancy_hist : Kf_obs.Histogram.t;
 }
 
 let requests_counter = Kf_obs.Counter.make "serve.requests"
@@ -410,11 +410,11 @@ let execute t batch =
   Kf_obs.Metrics.inc t.metrics.m_batches;
   Kf_obs.Metrics.observe t.metrics.m_occupancy
     (float_of_int (Array.length batch));
-  Histogram.record t.occupancy_hist (float_of_int (Array.length batch));
+  Kf_obs.Histogram.record t.occupancy_hist (float_of_int (Array.length batch));
   Array.iter
     (fun tk ->
       let wait_us = Kf_obs.Clock.ns_to_us (dispatch_ns - tk.t_enqueue_ns) in
-      Histogram.record t.queue_hist wait_us;
+      Kf_obs.Histogram.record t.queue_hist wait_us;
       Kf_obs.Metrics.observe t.metrics.m_queue wait_us)
     batch;
   let input = assemble t batch in
@@ -489,7 +489,7 @@ let execute t batch =
     (fun tk ->
       let lat_ns = done_ns - tk.t_enqueue_ns in
       let lat_us = Kf_obs.Clock.ns_to_us lat_ns in
-      Histogram.record t.latency_hist lat_us;
+      Kf_obs.Histogram.record t.latency_hist lat_us;
       Kf_obs.Metrics.observe t.metrics.m_latency lat_us;
       (match t.slo with
       | Some slo -> Kf_obs.Slo.record slo ~latency_us:lat_us ~ok:batch_ok
@@ -722,9 +722,9 @@ let create ?(engine = Fusion.Executor.Fused) ?pool ?config ?(start = true)
       batch_retries = 0;
       swaps = Atomic.make 0;
       exec_ms = 0.0;
-      queue_hist = Histogram.create ();
-      latency_hist = Histogram.create ();
-      occupancy_hist = Histogram.create ();
+      queue_hist = Kf_obs.Histogram.create ();
+      latency_hist = Kf_obs.Histogram.create ();
+      occupancy_hist = Kf_obs.Histogram.create ();
     }
   in
   Kf_obs.Metrics.set metrics.m_generation 1.0;
@@ -873,9 +873,9 @@ let stats t =
       batch_retries = t.batch_retries;
       swaps = Atomic.get t.swaps;
       exec_ms = t.exec_ms;
-      queue_us = Histogram.copy t.queue_hist;
-      latency_us = Histogram.copy t.latency_hist;
-      occupancy = Histogram.copy t.occupancy_hist;
+      queue_us = Kf_obs.Histogram.copy t.queue_hist;
+      latency_us = Kf_obs.Histogram.copy t.latency_hist;
+      occupancy = Kf_obs.Histogram.copy t.occupancy_hist;
     }
   in
   Mutex.unlock t.mu;
@@ -892,9 +892,9 @@ let stats_json (s : stats) =
       ("batch_retries", Kf_obs.Json.Int s.batch_retries);
       ("swaps", Kf_obs.Json.Int s.swaps);
       ("exec_ms", Kf_obs.Json.Float s.exec_ms);
-      ("queue_us", Histogram.summary_json s.queue_us);
-      ("latency_us", Histogram.summary_json s.latency_us);
-      ("occupancy", Histogram.summary_json s.occupancy);
+      ("queue_us", Kf_obs.Histogram.summary_json s.queue_us);
+      ("latency_us", Kf_obs.Histogram.summary_json s.latency_us);
+      ("occupancy", Kf_obs.Histogram.summary_json s.occupancy);
     ]
 
 let request_id tk = tk.t_id

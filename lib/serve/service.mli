@@ -155,9 +155,9 @@ type stats = {
   batch_retries : int;
   swaps : int;  (** weight generations published after the first *)
   exec_ms : float;  (** summed executor time across batches *)
-  queue_us : Histogram.t;  (** submit-to-dispatch wait *)
-  latency_us : Histogram.t;  (** submit-to-resolve *)
-  occupancy : Histogram.t;  (** rows per executed batch *)
+  queue_us : Kf_obs.Histogram.t;  (** submit-to-dispatch wait *)
+  latency_us : Kf_obs.Histogram.t;  (** submit-to-resolve *)
+  occupancy : Kf_obs.Histogram.t;  (** rows per executed batch *)
 }
 
 val stats : t -> stats

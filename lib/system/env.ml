@@ -40,17 +40,27 @@ let exit_2 = function
       Printf.eprintf "%s\n%!" msg;
       exit 2
 
-let engine_result name =
+(* Enumerated variables: the message lists every accepted name. *)
+let enum_result ~all ~of_string ~to_string name =
   parse
     ~kind:
-      (Printf.sprintf "one of %s"
-         (String.concat ", "
-            (List.map Fusion.Executor.engine_to_string Fusion.Executor.engines)))
+      (Printf.sprintf "one of %s" (String.concat ", " (List.map to_string all)))
+    ~of_string ~to_string name
+
+let engine_result =
+  enum_result ~all:Fusion.Executor.engines
     ~of_string:Fusion.Executor.engine_of_string
-    ~to_string:Fusion.Executor.engine_to_string name
+    ~to_string:Fusion.Executor.engine_to_string
+
+let host_variant_result =
+  enum_result ~all:Fusion.Host_fused.variants
+    ~of_string:Fusion.Host_fused.variant_of_name
+    ~to_string:Fusion.Host_fused.variant_name
 
 let int ?min ?max name = exit_2 (int_result ?min ?max name)
 
 let float ?min ?max name = exit_2 (float_result ?min ?max name)
 
 let engine name = exit_2 (engine_result name)
+
+let host_variant name = exit_2 (host_variant_result name)

@@ -9,7 +9,7 @@
     (the same contract as every other CLI usage error).
 
     Used for [KF_DOMAINS], [KF_WORKERS], [KF_METRICS_PORT],
-    [KF_TRACE_SAMPLE] and [KF_ENGINE]. *)
+    [KF_TRACE_SAMPLE], [KF_ENGINE] and [KF_HOST_VARIANT]. *)
 
 val int : ?min:int -> ?max:int -> string -> int option
 (** [int ~min ~max name] is [None] when [name] is unset, [Some v] when
@@ -37,3 +37,12 @@ val engine : string -> Fusion.Executor.engine option
 val engine_result :
   string -> (Fusion.Executor.engine option, string) result
 (** Non-exiting form of {!engine}. *)
+
+val host_variant : string -> Fusion.Host_fused.variant option
+(** Same contract for host-variant variables ([KF_HOST_VARIANT]): the
+    accepted names are exactly {!Fusion.Host_fused.variant_name}'s, and
+    the message lists them. *)
+
+val host_variant_result :
+  string -> (Fusion.Host_fused.variant option, string) result
+(** Non-exiting form of {!host_variant}. *)

@@ -161,11 +161,7 @@ let test_zero_rows_host () =
       Alcotest.(check (array (float 1e-12)))
         (Fusion.Host_fused.variant_name variant ^ ": beta*z survives")
         (Vec.scale 3.0 z) w)
-    [
-      Fusion.Host_fused.Dense_acc;
-      Fusion.Host_fused.Col_partition;
-      Fusion.Host_fused.Blocked;
-    ];
+    Fusion.Host_fused.variants;
   let w = Fusion.Host_fused.xt_p ~alpha:1.0 x [||] in
   Alcotest.(check (float 1e-12)) "xt_p on 0 rows" 0.0 (Vec.nrm2 w)
 

@@ -18,19 +18,23 @@ let sparse_case seed ~rows ~cols ~density =
 
 (* --- Pattern classification --- *)
 
-(* The positional-bool arity is deprecated (use [classify_shape]) but
-   must keep working for one release; acknowledge the alert here only. *)
-let[@alert "-deprecated"] test_classify () =
+let test_classify () =
   let open Fusion.Pattern in
   Alcotest.(check string) "xty" "a*X^T*y"
-    (name (classify ~with_first_multiply:false ~with_v:false ~with_z:false));
+    (name
+       (classify_shape
+          { first_multiply = false; weighted = false; additive_tail = false }));
   Alcotest.(check bool) "full" true
-    (classify ~with_first_multiply:true ~with_v:true ~with_z:true
+    (classify_shape
+       { first_multiply = true; weighted = true; additive_tail = true }
     = Full_pattern);
   Alcotest.check_raises "v without multiply"
-    (Invalid_argument "Pattern.classify: v or z without the first multiply")
+    (Invalid_argument
+       "Pattern.classify_shape: v or z without the first multiply")
     (fun () ->
-      ignore (classify ~with_first_multiply:false ~with_v:true ~with_z:false))
+      ignore
+        (classify_shape
+           { first_multiply = false; weighted = true; additive_tail = false }))
 
 let test_paper_table1_claims () =
   let open Fusion.Pattern in

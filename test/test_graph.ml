@@ -286,7 +286,7 @@ let test_env_engine () =
         (Astring.String.is_infix ~affix:"KF_TEST_GRAPH_ENGINE" msg)
   | Ok _ -> Alcotest.fail "malformed engine accepted"
 
-(* ---- classify: record argument vs deprecated shim ----------------------- *)
+(* ---- classify_shape --------------------------------------------------- *)
 
 let test_classify_shape () =
   let open Fusion.Pattern in
@@ -301,24 +301,7 @@ let test_classify_shape () =
   Alcotest.(check bool) "weighted" true
     (classify_shape
        { first_multiply = true; weighted = true; additive_tail = false }
-    = Xt_v_X_y);
-  (* the deprecated positional shim must agree with the record form *)
-  List.iter
-    (fun (f, v, z) ->
-      let old =
-        (classify [@alert "-deprecated"]) ~with_first_multiply:f ~with_v:v
-          ~with_z:z
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "shim %b %b %b" f v z)
-        true
-        (old
-        = classify_shape
-            { first_multiply = f; weighted = v; additive_tail = z }))
-    [
-      (false, false, false); (true, false, false); (true, true, false);
-      (true, false, true); (true, true, true);
-    ]
+    = Xt_v_X_y)
 
 (* ---- session trace and checkpoint round-trip ---------------------------- *)
 
@@ -442,7 +425,7 @@ let suite =
       test_fusedmm_descriptor_round_trip;
     Alcotest.test_case "engine names parse and print" `Quick test_engine_names;
     Alcotest.test_case "KF_ENGINE-style env parsing" `Quick test_env_engine;
-    Alcotest.test_case "classify_shape and deprecated shim agree" `Quick
+    Alcotest.test_case "classify_shape names each shape" `Quick
       test_classify_shape;
     Alcotest.test_case "session traces and checkpoints family counts" `Quick
       test_session_trace_and_checkpoint;

@@ -10,12 +10,7 @@ let pool4 = lazy (Par.Pool.create ~size:4 ())
 let pools () =
   [ (1, Lazy.force pool1); (2, Lazy.force pool2); (4, Lazy.force pool4) ]
 
-let variants =
-  [
-    Fusion.Host_fused.Dense_acc;
-    Fusion.Host_fused.Col_partition;
-    Fusion.Host_fused.Blocked;
-  ]
+let variants = Fusion.Host_fused.variants
 
 let max_abs v = Array.fold_left (fun m x -> Stdlib.max m (abs_float x)) 0.0 v
 

@@ -13,6 +13,7 @@ let () =
       ("warp", Test_warp.suite);
       ("gpulibs", Test_gpulibs.suite);
       ("fusion", Test_fusion.suite);
+      ("executor", Test_executor.suite);
       ("ml", Test_ml.suite);
       ("glm-families", Test_glm_families.suite);
       ("streaming", Test_streaming.suite);

@@ -281,15 +281,15 @@ let test_stats_histograms () =
   let st = Service.stats svc in
   Service.shutdown svc;
   Alcotest.(check int) "latency histogram counts every request" 30
-    (Histogram.count st.Service.latency_us);
+    (Kf_obs.Histogram.count st.Service.latency_us);
   Alcotest.(check int) "occupancy histogram counts every batch"
     st.Service.batches
-    (Histogram.count st.Service.occupancy);
+    (Kf_obs.Histogram.count st.Service.occupancy);
   Alcotest.(check bool) "mean occupancy >= 1" true
-    (Histogram.mean st.Service.occupancy >= 1.0);
+    (Kf_obs.Histogram.mean st.Service.occupancy >= 1.0);
   Alcotest.(check bool) "p99 latency >= p50" true
-    (Histogram.quantile st.Service.latency_us 0.99
-    >= Histogram.quantile st.Service.latency_us 0.5);
+    (Kf_obs.Histogram.quantile st.Service.latency_us 0.99
+    >= Kf_obs.Histogram.quantile st.Service.latency_us 0.5);
   (* the JSON snapshot round-trips through the independent test-side
      parser *)
   let j = Json_helper.parse_json (Kf_obs.Json.to_string (Service.stats_json st)) in
@@ -301,22 +301,22 @@ let test_stats_histograms () =
 (* --- histogram unit behaviour -------------------------------------------- *)
 
 let test_histogram_quantiles () =
-  let h = Histogram.create () in
-  Alcotest.(check (float 0.0)) "empty quantile" 0.0 (Histogram.quantile h 0.5);
+  let h = Kf_obs.Histogram.create () in
+  Alcotest.(check (float 0.0)) "empty quantile" 0.0 (Kf_obs.Histogram.quantile h 0.5);
   for v = 1 to 1000 do
-    Histogram.record h (float_of_int v)
+    Kf_obs.Histogram.record h (float_of_int v)
   done;
-  let p50 = Histogram.quantile h 0.5 and p99 = Histogram.quantile h 0.99 in
+  let p50 = Kf_obs.Histogram.quantile h 0.5 and p99 = Kf_obs.Histogram.quantile h 0.99 in
   (* geometric buckets: estimates land within ~25% above the true value *)
   Alcotest.(check bool) "p50 in range" true (p50 >= 500.0 && p50 <= 650.0);
   Alcotest.(check bool) "p99 in range" true (p99 >= 990.0 && p99 <= 1000.0);
-  Alcotest.(check (float 1e-9)) "max is exact" 1000.0 (Histogram.max_value h);
-  Alcotest.(check (float 1e-6)) "mean is exact" 500.5 (Histogram.mean h);
-  let h2 = Histogram.create () in
-  Histogram.record h2 2000.0;
-  Histogram.merge ~into:h h2;
-  Alcotest.(check int) "merge adds counts" 1001 (Histogram.count h);
-  Alcotest.(check (float 1e-9)) "merge tracks max" 2000.0 (Histogram.max_value h)
+  Alcotest.(check (float 1e-9)) "max is exact" 1000.0 (Kf_obs.Histogram.max_value h);
+  Alcotest.(check (float 1e-6)) "mean is exact" 500.5 (Kf_obs.Histogram.mean h);
+  let h2 = Kf_obs.Histogram.create () in
+  Kf_obs.Histogram.record h2 2000.0;
+  Kf_obs.Histogram.merge ~into:h h2;
+  Alcotest.(check int) "merge adds counts" 1001 (Kf_obs.Histogram.count h);
+  Alcotest.(check (float 1e-9)) "merge tracks max" 2000.0 (Kf_obs.Histogram.max_value h)
 
 (* --- driver -------------------------------------------------------------- *)
 
@@ -336,7 +336,7 @@ let test_driver_closed_loop () =
   Alcotest.(check int) "sent = ok + shed + failed" summary.Driver.sent
     (summary.Driver.ok + summary.Driver.shed + summary.Driver.failed);
   Alcotest.(check int) "latency recorded per success" summary.Driver.ok
-    (Histogram.count summary.Driver.latency_us)
+    (Kf_obs.Histogram.count summary.Driver.latency_us)
 
 (* --- telemetry: snapshot JSON, scrape endpoint, SLO ---------------------- *)
 

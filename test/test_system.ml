@@ -193,6 +193,19 @@ let test_env_float () =
         (Error "kf: KF_TEST_ENV must be a number between 0 and 1, got 1.5")
         (Sysml.Env.float_result ~min:0.0 ~max:1.0 "KF_TEST_ENV"))
 
+let test_env_host_variant () =
+  with_env "KF_TEST_ENV" " blocked " (fun () ->
+      Alcotest.(check bool) "a known name parses" true
+        (Sysml.Env.host_variant_result "KF_TEST_ENV"
+        = Ok (Some Fusion.Host_fused.Blocked)));
+  with_env "KF_TEST_ENV" "col-partition" (fun () ->
+      match Sysml.Env.host_variant_result "KF_TEST_ENV" with
+      | Ok _ -> Alcotest.fail "a removed variant name was accepted"
+      | Error msg ->
+          Alcotest.(check string) "the message lists the accepted names"
+            "kf: KF_TEST_ENV must be one of dense-acc, blocked, got \"col-partition\""
+            msg)
+
 let suite =
   [
     Alcotest.test_case "memmgr: upload then hit" `Quick test_mm_upload_then_hit;
@@ -218,4 +231,5 @@ let suite =
       test_systemml_overheads_shrink_speedup;
     Alcotest.test_case "env: strict integers" `Quick test_env_int;
     Alcotest.test_case "env: strict floats" `Quick test_env_float;
+    Alcotest.test_case "env: strict host variants" `Quick test_env_host_variant;
   ]
