@@ -291,13 +291,10 @@ let () =
         ( "domain_counts",
           Kf_obs.Json.List
             (List.map (fun d -> Kf_obs.Json.Int d) domain_counts) );
-        ( "kf_host_acc_bytes",
-          Kf_obs.Json.Int (Fusion.Host_fused.default_accumulator_budget_bytes ())
-        );
-        ("l2_bytes", Kf_obs.Json.Int (Fusion.Tuning.host_l2_bytes ()));
-        ("l2_source", Kf_obs.Json.Str (Fusion.Tuning.host_l2_source ()));
-        ("tile_rows_default", Kf_obs.Json.Int (Fusion.Tuning.host_tile_rows ()));
-        ("tile_cols_default", Kf_obs.Json.Int (Fusion.Tuning.host_tile_cols ()));
+        ("l2_bytes", Kf_obs.Json.Int (Par.Tune.l2_bytes ()));
+        ("l2_source", Kf_obs.Json.Str (Par.Tune.l2_source ()));
+        ("tile_rows_default", Kf_obs.Json.Int (Par.Tune.tile_rows ()));
+        ("tile_cols_default", Kf_obs.Json.Int (Par.Tune.tile_cols ()));
         ("scaling_tall", scaling_json "tall");
         ("scaling_wide", scaling_json "wide");
         ("tile_sweep", tile_sweep_json);

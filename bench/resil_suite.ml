@@ -58,9 +58,7 @@ let () =
          input ~y ~v ~beta_z:(0.5, z) ~alpha:2.0 ())
   in
   let guarded ms_on flag f =
-    Kf_resil.Guard.set_enabled flag;
-    Fun.protect ~finally:(fun () -> Kf_resil.Guard.set_enabled true) (fun () ->
-        measure ~name:ms_on f)
+    Kf_resil.Guard.with_enabled flag (fun () -> measure ~name:ms_on f)
   in
   let off_ms = guarded "host-pattern:guards=off" false run_pattern in
   Printf.printf "  %-28s %10.3f ms/run\n%!" "host-pattern:guards=off" off_ms;

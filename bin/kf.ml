@@ -22,6 +22,10 @@ let verbose_arg =
 
 (* ---- shared arguments ---- *)
 
+(* A flag overrides its variable. *)
+let flag_or_env flag var =
+  if Option.is_some flag then flag else Kf_obs.Env.get var
+
 let rows_arg =
   Arg.(value & opt int 100_000 & info [ "m"; "rows" ] ~doc:"Matrix rows.")
 
@@ -59,15 +63,11 @@ let domains_arg =
            recommended count).")
 
 (* The shared pool reads KF_DOMAINS lazily on first use, so setting the
-   variable before any host-engine work takes effect process-wide.
-
-   [Par.Pool] itself silently falls back to the recommended count on a
-   malformed KF_DOMAINS; the CLI is stricter ([Sysml.Env]), and a count
-   beyond the recommended domain count (oversubscription: domains
+   variable before any host-engine work takes effect process-wide.  A
+   count beyond the recommended domain count (oversubscription: domains
    time-share cores and the owner-computes kernels lose their cache
    affinity) earns a warning but still runs, since CI boxes
-   under-report cores.  An unknown KF_HOST_VARIANT, which [Host_fused]
-   would ignore, is rejected here too. *)
+   under-report cores. *)
 let warn_oversubscribed n =
   let rec_n = Domain.recommended_domain_count () in
   if n > rec_n then
@@ -78,13 +78,11 @@ let warn_oversubscribed n =
        %!"
       n rec_n
 
-let apply_domains domains =
-  ignore (Sysml.Env.host_variant "KF_HOST_VARIANT");
-  match domains with
+let apply_domains = function
   | Some n ->
       warn_oversubscribed n;
       Unix.putenv "KF_DOMAINS" (string_of_int n)
-  | None -> Option.iter warn_oversubscribed (Sysml.Env.int ~min:1 "KF_DOMAINS")
+  | None -> warn_oversubscribed (Par.Pool.default_size ())
 
 let workers_arg =
   Arg.(
@@ -97,12 +95,9 @@ let workers_arg =
            recommended domain count).")
 
 (* Like KF_DOMAINS: the shared cluster reads KF_WORKERS lazily on first
-   use, so the flag just sets the variable, and a malformed value the
-   user typed is a CLI error even though [Kf_dist.Cluster] itself would
-   fall back. *)
-let apply_workers = function
-  | Some n -> Unix.putenv "KF_WORKERS" (string_of_int n)
-  | None -> ignore (Sysml.Env.int ~min:1 ~max:64 "KF_WORKERS")
+   use, so the flag just sets the variable. *)
+let apply_workers =
+  Option.iter (fun n -> Unix.putenv "KF_WORKERS" (string_of_int n))
 
 (* ---- observability ---- *)
 
@@ -135,16 +130,12 @@ let json_arg =
    --profile asks for it; --profile additionally installs a run-wide
    [Host_stats] aggregate that every host-engine op folds into.  The
    artefacts are emitted even when the wrapped command raises, so a
-   failing run still leaves its trace behind.  KF_TRACE_SAMPLE (with
-   KF_TRACE_SEED) installs the deterministic per-request trace sampler
-   for every subcommand. *)
-let with_obs ~trace ~profile f =
-  (* validate before [sample_of_env] quietly clamps *)
-  ignore (Sysml.Env.float ~min:0.0 ~max:1.0 "KF_TRACE_SAMPLE");
-  Kf_obs.Trace.sample_of_env ();
-  let trace =
-    match trace with Some _ as t -> t | None -> Sys.getenv_opt "KF_TRACE"
-  in
+   failing run still leaves its trace behind.  [sample] (else
+   KF_TRACE_SAMPLE, with KF_TRACE_SEED) installs the deterministic
+   per-request trace sampler for every subcommand. *)
+let with_obs ?sample ~trace ~profile f =
+  Kf_obs.Trace.sample_of_env ?rate:sample ();
+  let trace = flag_or_env trace Kf_obs.Trace.file_var in
   if trace = None && not profile then f ()
   else begin
     Kf_obs.Trace.enable ();
@@ -201,16 +192,25 @@ let engine_conv =
   Arg.conv (parse, print)
 
 let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv Fusion.Executor.Fused
-    & info [ "e"; "engine" ] ~env:(Cmd.Env.info "KF_ENGINE")
-        ~doc:
-          "Execution engine: $(b,fused) (simulated fused kernels), \
-           $(b,library) (simulated cuSPARSE/cuBLAS composition), \
-           $(b,host) (real multicore execution on OCaml domains; timings \
-           are wall-clock), or $(b,dist) (sharded execution across \
-           $(b,--workers) worker processes; timings are wall-clock).")
+  let flag =
+    Arg.(
+      value
+      & opt (some engine_conv) None
+      & info [ "e"; "engine" ]
+          ~doc:
+            "Execution engine: $(b,fused) (simulated fused kernels), \
+             $(b,library) (simulated cuSPARSE/cuBLAS composition), \
+             $(b,host) (real multicore execution on OCaml domains; \
+             timings are wall-clock), or $(b,dist) (sharded execution \
+             across $(b,--workers) worker processes; timings are \
+             wall-clock).  Default: $(b,KF_ENGINE), else $(b,fused).")
+  in
+  let resolve flag =
+    Option.value
+      (flag_or_env flag Fusion.Executor.engine_var)
+      ~default:Fusion.Executor.Fused
+  in
+  Term.(const resolve $ flag)
 
 let make_input ~dense ~rows ~cols ~density ~seed =
   let rng = Rng.create seed in
@@ -496,11 +496,10 @@ let train_cmd =
     apply_faults faults;
     let (module A : Kf_ml.Algorithm.S) = Kf_ml.Registry.find algo_name in
     let checkpoint =
-      match checkpoint with
-      | Some _ as c -> c
-      | None -> Sys.getenv_opt "KF_CKPT"
+      Option.map
+        (fun path -> (path, every))
+        (flag_or_env checkpoint Kf_resil.Ckpt.path_var)
     in
-    let checkpoint = Option.map (fun path -> (path, every)) checkpoint in
     with_obs ~trace:trace_file ~profile @@ fun () ->
     let ckpt_meta =
       [
@@ -610,7 +609,7 @@ let serve_cmd =
       & info [ "window-cap-us" ] ~docv:"US"
           ~doc:
             "Upper bound for the adaptive coalescing window.  Default: \
-             $(b,KF_SERVE_WINDOW_CAP_US) or 500.")
+             500.")
   in
   let max_resident_arg =
     Arg.(
@@ -621,7 +620,7 @@ let serve_cmd =
             "Weight-residency budget across all models; admitting a \
              model beyond it evicts the least-recently-used one (its \
              weights reload from the model file on next use).  Default: \
-             $(b,KF_SERVE_MAX_RESIDENT_BYTES) or unlimited.")
+             unlimited.")
   in
   let watch_arg =
     Arg.(
@@ -638,8 +637,7 @@ let serve_cmd =
       & info [ "deadline-shed" ]
           ~doc:
             "Shed requests predicted to miss the SLO target while the \
-             error budget is nearly spent (needs $(b,--slo-target-us)).  \
-             Default: $(b,KF_SERVE_DEADLINE_SHED).")
+             error budget is nearly spent (needs $(b,--slo-target-us)).")
   in
   let serve_algo_arg =
     Arg.(
@@ -658,9 +656,9 @@ let serve_cmd =
       & opt (some int) None
       & info [ "window-us" ] ~docv:"US"
           ~doc:
-            "Micro-batching window in microseconds; $(b,0) scores every \
-             request alone (the unbatched baseline).  Default: \
-             $(b,KF_SERVE_WINDOW_US) or 200.")
+            "Pin a fixed micro-batching window of $(docv) microseconds; \
+             $(b,0) scores every request alone (the unbatched baseline).  \
+             Without it the window adapts to the load.")
   in
   let max_batch_arg =
     Arg.(
@@ -668,8 +666,7 @@ let serve_cmd =
       & opt (some positive_int) None
       & info [ "max-batch" ] ~docv:"N"
           ~doc:
-            "Largest coalesced batch.  Default: $(b,KF_SERVE_MAX_BATCH) \
-             or 32.")
+            "Largest coalesced batch.  Default: 32.")
   in
   let queue_depth_arg =
     Arg.(
@@ -678,7 +675,7 @@ let serve_cmd =
       & info [ "queue-depth" ] ~docv:"N"
           ~doc:
             "Admission bound: submissions beyond $(docv) queued requests \
-             are shed.  Default: $(b,KF_SERVE_QUEUE) or 1024.")
+             are shed.  Default: 1024.")
   in
   let clients_arg =
     Arg.(
@@ -690,7 +687,10 @@ let serve_cmd =
       value & opt float 0.0
       & info [ "rps" ] ~docv:"R"
           ~doc:
-            "Aggregate offered load in requests/second; $(b,0) runs \
+            "Aggregate offered load in requests/second, open loop: each \
+             client sends on a fixed schedule and times every request \
+             from when it was due, so a slow service shows in the \
+             latencies rather than receiving less load.  $(b,0) runs \
              closed-loop (each client keeps one request in flight).")
   in
   let duration_arg =
@@ -746,21 +746,8 @@ let serve_cmd =
     setup_logs verbose;
     apply_domains domains;
     apply_workers workers;
-    let metrics_port =
-      match metrics_port with
-      | Some _ as p -> p
-      | None -> Sysml.Env.int ~min:0 ~max:65535 "KF_METRICS_PORT"
-    in
-    with_obs ~trace ~profile @@ fun () ->
-    (match trace_sample with
-    | Some rate ->
-        let seed =
-          match Sys.getenv_opt "KF_TRACE_SEED" with
-          | Some s -> Option.value (int_of_string_opt (String.trim s)) ~default:0
-          | None -> 0
-        in
-        Kf_obs.Trace.set_sample ~seed rate
-    | None -> ());
+    let metrics_port = flag_or_env metrics_port Kf_serve.Scrape.port_var in
+    with_obs ?sample:trace_sample ~trace ~profile @@ fun () ->
     let specs_raw =
       List.map
         (fun s ->
@@ -771,33 +758,18 @@ let serve_cmd =
           | None -> (Filename.remove_extension (Filename.basename s), s))
         models
     in
-    let env_cfg = Kf_serve.Service.config_of_env () in
     let config =
+      let d = Kf_serve.Service.default_config in
       {
         Kf_serve.Service.window_us =
-          Option.value window_us ~default:env_cfg.Kf_serve.Service.window_us;
-        max_batch =
-          Option.value max_batch ~default:env_cfg.Kf_serve.Service.max_batch;
-        queue_depth =
-          Option.value queue_depth
-            ~default:env_cfg.Kf_serve.Service.queue_depth;
-        (* an explicit --window-us pins a fixed window; otherwise the
-           environment decides (adaptive by default) *)
-        adaptive =
-          (match window_us with
-          | Some _ -> false
-          | None -> env_cfg.Kf_serve.Service.adaptive);
-        window_cap_us =
-          Option.value window_cap
-            ~default:env_cfg.Kf_serve.Service.window_cap_us;
-        deadline_shed =
-          deadline_shed || env_cfg.Kf_serve.Service.deadline_shed;
+          Option.value window_us ~default:d.window_us;
+        max_batch = Option.value max_batch ~default:d.max_batch;
+        queue_depth = Option.value queue_depth ~default:d.queue_depth;
+        (* an explicit --window-us pins a fixed window *)
+        adaptive = d.adaptive && window_us = None;
+        window_cap_us = Option.value window_cap ~default:d.window_cap_us;
+        deadline_shed;
       }
-    in
-    let max_resident =
-      match max_resident with
-      | Some _ as b -> b
-      | None -> Sysml.Env.int ~min:1 ~max:max_int "KF_SERVE_MAX_RESIDENT_BYTES"
     in
     let slo_for name =
       Option.map
@@ -1153,15 +1125,11 @@ let top_cmd =
   in
   let top addr port interval iterations =
     let port =
-      match port with
+      match flag_or_env port Kf_serve.Scrape.port_var with
       | Some p -> p
-      | None -> (
-          match Sysml.Env.int ~min:0 ~max:65535 "KF_METRICS_PORT" with
-          | Some p -> p
-          | None ->
-              Printf.eprintf
-                "kf top: --port (or KF_METRICS_PORT) is required\n%!";
-              exit 2)
+      | None ->
+          Printf.eprintf "kf top: --port (or KF_METRICS_PORT) is required\n%!";
+          exit 2
     in
     let clear = iterations <> 1 && Unix.isatty Unix.stdout in
     let rec loop i prev =
@@ -1211,8 +1179,8 @@ let script_cmd =
       & info [ "plan" ]
           ~doc:
             "Compile the script with the fusion plan compiler and execute \
-             the chosen plan instead of interpreting statement by statement \
-             (the $(b,KF_PLAN) environment variable sets the default).")
+             the chosen plan instead of interpreting statement by \
+             statement.")
   in
   let explain_arg =
     Arg.(
@@ -1287,7 +1255,7 @@ let script_cmd =
     let mode =
       if explain then Sysml.Runtime.Plan_explain
       else if plan || dump_ir <> None then Sysml.Runtime.Plan_on
-      else Sysml.Runtime.plan_mode_of_env ()
+      else Sysml.Runtime.Plan_off
     in
     (match dump_ir with
     | Some path ->
@@ -1338,11 +1306,24 @@ let script_cmd =
       $ dump_ir_arg $ graph_arg $ dim_arg)
 
 let () =
+  (* every KF_* variable is checked before any work, workers included *)
+  (match Kf_obs.Env.check_all () with
+  | Ok () -> ()
+  | Error e ->
+      prerr_endline (Kf_obs.Env.message e);
+      exit 2);
   (* a dist worker process never reaches the CLI: this call serves the
      coordinator's requests and exits when KF_DIST_WORKER is set *)
   Kf_dist.Worker.maybe_run ();
+  let env (v : Kf_obs.Env.info) =
+    Cmd.Env.info v.name
+      ~doc:
+        (Printf.sprintf "%s Accepted: %s.  Default: %s." v.doc v.accepted
+           v.default)
+  in
   let info =
     Cmd.info "kf" ~version:"1.0.0"
+      ~envs:(List.map env (Kf_obs.Env.declared ()))
       ~doc:"Fused GPU kernels for ML patterns (PPoPP'15 reproduction)."
   in
   exit

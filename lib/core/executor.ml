@@ -75,6 +75,11 @@ let engine_of_string s =
   | "dist" -> Some Dist
   | _ -> None
 
+let engine_var =
+  Kf_obs.Env.enum ~all:engines ~to_string:engine_to_string
+    ~of_string:engine_of_string "KF_ENGINE"
+    ~doc:"Engine of every kf subcommand without --engine." ~default:"fused"
+
 let ops_counter = Kf_obs.Counter.make "executor.ops"
 
 let host_ops_counter = Kf_obs.Counter.make "executor.host_ops"

@@ -44,6 +44,9 @@ val engine_of_string : string -> engine option
 (** Inverse of {!engine_to_string} (case-insensitive, trimmed); [None]
     for unknown names. *)
 
+val engine_var : engine Kf_obs.Env.t
+(** [KF_ENGINE]: the engine [kf] uses when [--engine] is absent. *)
+
 type input = Sparse of Matrix.Csr.t | Dense of Matrix.Dense.t
 
 (** Unified per-operation observability record, populated for {e all

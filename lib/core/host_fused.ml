@@ -4,24 +4,11 @@ let variants = [ Dense_acc; Blocked ]
 
 let variant_name = function Dense_acc -> "dense-acc" | Blocked -> "blocked"
 
-let variant_of_name = function
-  | "dense-acc" -> Some Dense_acc
-  | "blocked" -> Some Blocked
-  | _ -> None
-
-let default_accumulator_budget_bytes = Par.Tune.accumulator_budget_bytes
-
-(* KF_HOST_VARIANT forces a variant for experiments; otherwise the
-   shape decides: per-domain dense accumulators (one matrix walk, tree
-   merge) while they are cache-cheap, the owner-computes blocked kernel
-   once [8 * cols * domains] outgrows the budget/L2 cap. *)
-let choose_variant ?budget_bytes ~domains ~cols () =
-  match Option.bind (Sys.getenv_opt "KF_HOST_VARIANT") variant_of_name with
-  | Some v -> v
-  | None ->
-      if Par.Tune.prefer_owner_computes ?budget_bytes ~domains ~cols () then
-        Blocked
-      else Dense_acc
+(* The shape decides: per-domain dense accumulators (one matrix walk,
+   tree merge) while they are cache-cheap, the owner-computes blocked
+   kernel once [8 * cols * domains] outgrows half an L2 per domain. *)
+let choose_variant ~domains ~cols () =
+  if Par.Tune.prefer_owner_computes ~domains ~cols then Blocked else Dense_acc
 
 let get_pool = function Some p -> p | None -> Par.Pool.default ()
 

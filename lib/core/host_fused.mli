@@ -19,18 +19,17 @@
     ([Par.Partition.by_prefix] over [row_off]), mirroring the tuner's
     Equation-5 coarsening so domains finish together.
 
-    Past a working-set budget (or half an L2 per domain —
-    {!Par.Tune.prefer_owner_computes}) the per-domain accumulators plus
-    merge stop paying and the kernels switch to the {b blocked
-    owner-computes} variant: a row-blocked parallel pass materialises
-    the per-row scalars [p], then each domain scatters only into the
-    column tiles it owns ([Matrix.Tiles] for CSR,
-    [Matrix.Blas.owner_gemv_t] column stripes for dense), sized via
-    [KF_HOST_TILE_ROWS]/[KF_HOST_TILE_COLS] so a tile's slice of [w]
-    stays L2-resident.  Ownership is exclusive, so the merge — and its
-    O(domains * cols) traffic — disappears, and the pattern epilogue
-    [alpha * w + beta * z] folds into each owner's final write.
-    [KF_HOST_VARIANT] forces either variant by name for experiments.
+    Past half an L2 per domain ({!Par.Tune.prefer_owner_computes}) the
+    per-domain accumulators plus merge stop paying and the kernels
+    switch to the {b blocked owner-computes} variant: a row-blocked
+    parallel pass materialises the per-row scalars [p], then each
+    domain scatters only into the column tiles it owns ([Matrix.Tiles]
+    for CSR, [Matrix.Blas.owner_gemv_t] column stripes for dense),
+    sized from the L2 ({!Par.Tune.tile_rows}/{!Par.Tune.tile_cols}) so
+    a tile's slice of [w] stays L2-resident.  Ownership is exclusive, so the
+    merge — and its O(domains * cols) traffic — disappears, and the
+    pattern epilogue [alpha * w + beta * z] folds into each owner's
+    final write.
 
     All entry points compute real results only (no simulator): they are
     the "runs as fast as the hardware allows" backend and are verified
@@ -48,21 +47,10 @@ val variants : variant list
 val variant_name : variant -> string
 (** ["dense-acc"] or ["blocked"]. *)
 
-val variant_of_name : string -> variant option
-(** Inverse of {!variant_name}; [None] for unknown names. *)
-
-val default_accumulator_budget_bytes : unit -> int
-(** Working-set budget for per-domain accumulators: the
-    [KF_HOST_ACC_BYTES] environment variable when set to a positive
-    integer, else 256 MiB (see {!Par.Tune.accumulator_budget_bytes}). *)
-
-val choose_variant :
-  ?budget_bytes:int -> domains:int -> cols:int -> unit -> variant
-(** [KF_HOST_VARIANT] ("dense-acc" | "blocked") when set to a valid
-    name (an unknown name is ignored here; the CLI rejects it, see
-    [Sysml.Env.host_variant]); otherwise [Dense_acc] while
-    [8 * cols * domains] fits both [budget_bytes] and half an L2 per
-    domain, else [Blocked] ({!Par.Tune.prefer_owner_computes}). *)
+val choose_variant : domains:int -> cols:int -> unit -> variant
+(** [Dense_acc] while [8 * cols * domains] fits half an L2 per domain,
+    else [Blocked] ({!Par.Tune.prefer_owner_computes}).  Pass
+    [?variant] to the kernels below to force one. *)
 
 val pattern_sparse :
   ?pool:Par.Pool.t ->

@@ -241,18 +241,3 @@ let pp_dense_plan fmt p =
     "dense plan: VS=%d BS=%d TL=%d C=%d grid=%d regs=%d padded_cols=%d (%a)"
     p.dp_vs p.dp_bs p.dp_tl p.dp_coarsening p.dp_grid p.dp_regs
     p.dp_padded_cols Occupancy.pp p.dp_occupancy
-
-(* ---- host tiling (the CPU mirror of the launch model) ----------------
-
-   The blocked host kernels size their tiles from the L2 cache the same
-   way the GPU model sizes launches from registers and shared memory;
-   the logic lives in [Par.Tune] (the partitioning layer needs it too)
-   and is re-exported here so kernel-tuning knobs have one home. *)
-
-let host_l2_bytes = Par.Tune.l2_bytes
-
-let host_l2_source = Par.Tune.l2_source
-
-let host_tile_rows = Par.Tune.tile_rows
-
-let host_tile_cols = Par.Tune.tile_cols

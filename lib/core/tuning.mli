@@ -88,24 +88,3 @@ val dense_plan_with :
 val pp_sparse_plan : Format.formatter -> sparse_plan -> unit
 
 val pp_dense_plan : Format.formatter -> dense_plan -> unit
-
-(** {1 Host tiling}
-
-    The CPU mirror of the launch model: the blocked host kernels
-    ([Host_fused.Blocked], the owner-computes parallel BLAS) size row
-    blocks and column tiles from the L2 cache the way the GPU model
-    sizes launches from registers/shared memory.  Defaults derive from
-    a sysfs probe of the per-core L2; [KF_HOST_TILE_ROWS],
-    [KF_HOST_TILE_COLS] and [KF_HOST_L2_BYTES] override.  Re-exported
-    from {!Par.Tune}. *)
-
-val host_l2_bytes : unit -> int
-
-val host_l2_source : unit -> string
-(** Provenance of {!host_l2_bytes}: ["env"], ["sysfs"] or ["fallback"];
-    benchmark metadata records it so results tiled against a guessed
-    cache size are distinguishable. *)
-
-val host_tile_rows : unit -> int
-
-val host_tile_cols : unit -> int

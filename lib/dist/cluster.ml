@@ -81,24 +81,26 @@ let size t = Array.length t.workers
 
 (* --- spawning ----------------------------------------------------------- *)
 
+let workers_var =
+  Kf_obs.Env.int ~min:1 ~max:64 "KF_WORKERS"
+    ~doc:"Worker-process count of the dist engine."
+    ~default:"min(8, the recommended domain count)"
+
 let default_size () =
-  let recommended () = max 1 (min 8 (Domain.recommended_domain_count ())) in
-  match Sys.getenv_opt "KF_WORKERS" with
-  | None -> recommended ()
-  | Some s -> (
-      (* The CLI validates KF_WORKERS (exit 2 on garbage); the library
-         stays lenient so tests and embedders get a working default. *)
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> min n 64
-      | _ -> recommended ())
+  match Kf_obs.Env.get workers_var with
+  | Some n -> n
+  | None -> max 1 (min 8 (Domain.recommended_domain_count ()))
 
 let child_env ~id ~clear_faults =
+  let set var = Kf_obs.Env.name var ^ "=" in
   let keep s =
-    (not (String.starts_with ~prefix:"KF_DIST_WORKER=" s))
-    && not (clear_faults && String.starts_with ~prefix:"KF_FAULTS=" s)
+    (not (String.starts_with ~prefix:(set Worker.id_var) s))
+    && not
+         (clear_faults
+         && String.starts_with ~prefix:(set Kf_resil.Fault.spec_var) s)
   in
   Array.of_list
-    (Printf.sprintf "KF_DIST_WORKER=%d" id
+    ((set Worker.id_var ^ string_of_int id)
     :: List.filter keep (Array.to_list (Unix.environment ())))
 
 let reap pid = try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
@@ -222,17 +224,14 @@ let default () = shared ~workers:(default_size ())
 
 (* --- sharding ----------------------------------------------------------- *)
 
-let env_block_cols = Netmodel.block_cols_of_env
+let mode_var =
+  Kf_obs.Env.enum ~all:[ Netmodel.One_d; Netmodel.One_five_d ]
+    ~to_string:Netmodel.mode_name ~of_string:Netmodel.mode_of_string
+    "KF_DIST_MODE" ~doc:"Force the dist allreduce layout."
+    ~default:"chosen per op by the network model"
 
-let forced_mode () =
-  match Sys.getenv_opt "KF_DIST_MODE" with
-  | None -> None
-  | Some s -> (
-      match Netmodel.mode_of_string s with
-      | Some m -> Some m
-      | None ->
-          Log.warn (fun m -> m "ignoring unparseable KF_DIST_MODE=%S" s);
-          None)
+(* Read at every op, so a harness can switch layouts mid-process. *)
+let forced_mode () = Kf_obs.Env.get mode_var
 
 let src_cols = function Sp x -> x.Matrix.Csr.cols | Dn x -> x.Matrix.Dense.cols
 
@@ -317,7 +316,7 @@ let build_shard t src =
         | Sp x -> x.Matrix.Csr.row_off.(bounds.(k + 1)) - x.Matrix.Csr.row_off.(bounds.(k))
         | Dn x -> (bounds.(k + 1) - bounds.(k)) * x.Matrix.Dense.cols)
   in
-  let block_cols = env_block_cols () in
+  let block_cols = Netmodel.block_cols_of_env () in
   let bytes_15d, replicated = analyze_blocks ~workers ~block_cols src bounds in
   let bytes_1d = Netmodel.bytes_1d ~workers ~cols:(src_cols src) in
   let mode =

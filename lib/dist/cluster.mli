@@ -14,7 +14,7 @@
     bit-exact across crash-respawn recoveries.  The allreduce layout
     (1D dense partials vs 1.5D touched column blocks) is chosen per
     matrix by {!Netmodel.choose_mode} from the exact per-worker block
-    touch counts; [KF_DIST_MODE=1d|1.5d] forces it.
+    touch counts; [KF_DIST_MODE=1d|1.5d] forces it ({!forced_mode}).
 
     Worker death (including [KF_FAULTS] [crash] rules firing at
     [dist.worker.op]) is recovered in place: the coordinator respawns
@@ -32,8 +32,12 @@ exception Unavailable of string
     to single-process execution. *)
 
 val default_size : unit -> int
-(** [KF_WORKERS] when set to a positive integer (clamped to [1, 64]),
-    else [Domain.recommended_domain_count ()] clamped to [1, 8]. *)
+(** [KF_WORKERS] (an integer in [1, 64]) when set, else
+    [Domain.recommended_domain_count ()] clamped to [1, 8].  Raises
+    {!Kf_obs.Env.Malformed} on a malformed [KF_WORKERS]. *)
+
+val forced_mode : unit -> Netmodel.mode option
+(** The layout [KF_DIST_MODE] forces on every op, if set. *)
 
 val create : ?workers:int -> unit -> t
 (** Spawn a fresh cluster ([workers] defaults to {!default_size}).

@@ -12,20 +12,19 @@ type t = { latency_us : float; gbps : float }
 
 let default = { latency_us = 50.0; gbps = 4.0 }
 
-let env_positive_float name =
-  match Sys.getenv_opt name with
-  | None -> None
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some v when v > 0.0 && Float.is_finite v -> Some v
-      | _ -> None)
+let latency_var =
+  Kf_obs.Env.float ~above:0.0 "KF_DIST_LAT_US"
+    ~doc:"Per-message latency of the dist network model, us." ~default:"50"
+
+let gbps_var =
+  Kf_obs.Env.float ~above:0.0 "KF_DIST_GBPS"
+    ~doc:"Link bandwidth of the dist network model, GB/s." ~default:"4"
 
 let of_env () =
   {
     latency_us =
-      Option.value (env_positive_float "KF_DIST_LAT_US")
-        ~default:default.latency_us;
-    gbps = Option.value (env_positive_float "KF_DIST_GBPS") ~default:default.gbps;
+      Option.value (Kf_obs.Env.get latency_var) ~default:default.latency_us;
+    gbps = Option.value (Kf_obs.Env.get gbps_var) ~default:default.gbps;
   }
 
 (* 1 GB/s moves 1000 bytes per microsecond. *)
@@ -39,13 +38,12 @@ let bytes_1d ~workers ~cols = workers * cols * 8
    entries (~8 B amortised). *)
 let block_bytes ~width = 16 + (width * 8)
 
+let block_cols_var =
+  Kf_obs.Env.int ~min:1 "KF_DIST_BLOCK_COLS"
+    ~doc:"Column-block width of the 1.5D allreduce layout." ~default:"256"
+
 let block_cols_of_env () =
-  match Sys.getenv_opt "KF_DIST_BLOCK_COLS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | _ -> 256)
-  | None -> 256
+  Option.value (Kf_obs.Env.get block_cols_var) ~default:256
 
 let expected_touched_blocks ~cols ~nnz_per_worker ~block_cols =
   if cols = 0 || nnz_per_worker <= 0.0 then 0.0

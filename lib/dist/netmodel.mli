@@ -36,8 +36,8 @@ val default : t
     50 us per message, 4 GB/s. *)
 
 val of_env : unit -> t
-(** {!default} with [KF_DIST_LAT_US] / [KF_DIST_GBPS] overrides (values
-    that fail to parse as positive floats are ignored). *)
+(** {!default} with [KF_DIST_LAT_US] / [KF_DIST_GBPS] overrides
+    (positive numbers; anything else raises {!Kf_obs.Env.Malformed}). *)
 
 val xfer_us : t -> msgs:int -> bytes:int -> float
 (** Alpha-beta cost of moving [bytes] in [msgs] messages. *)
@@ -50,9 +50,10 @@ val block_bytes : width:int -> int
     the per-block framing overhead. *)
 
 val block_cols_of_env : unit -> int
-(** [KF_DIST_BLOCK_COLS] when a positive integer, else 256 — the 1.5D
-    column-block width, shared by the cluster's sharding and plan-time
-    costing so both price the same layout. *)
+(** [KF_DIST_BLOCK_COLS] (a positive integer) when set, else 256 — the
+    1.5D column-block width, shared by the cluster's sharding and
+    plan-time costing so both price the same layout.  Raises
+    {!Kf_obs.Env.Malformed} on a malformed value. *)
 
 val expected_touched_blocks :
   cols:int -> nnz_per_worker:float -> block_cols:int -> float

@@ -143,8 +143,13 @@ let serve fd =
     | Wire.Shutdown -> finished := true
   done
 
+let id_var =
+  Kf_obs.Env.int ~min:0 "KF_DIST_WORKER"
+    ~doc:"Internal: the id the dist coordinator gives each worker."
+    ~default:"none"
+
 let maybe_run () =
-  match Sys.getenv_opt "KF_DIST_WORKER" with
+  match Kf_obs.Env.get id_var with
   | None -> ()
   | Some _ ->
       (* Reclaim stdout for stderr so any stray print in library code

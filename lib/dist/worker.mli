@@ -16,6 +16,10 @@
     the coordinator can pull with [Stats_req] and merge into its
     registry. *)
 
+val id_var : int Kf_obs.Env.t
+(** [KF_DIST_WORKER]: the worker id the coordinator passes to each
+    process it spawns. *)
+
 val maybe_run : unit -> unit
 (** If [KF_DIST_WORKER] is set: move the inherited socket off
     stdin/stdout (stray prints then go to stderr instead of corrupting

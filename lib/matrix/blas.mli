@@ -62,7 +62,7 @@ val finish_pattern :
     paid.  Inner loops are 4-way unrolled over unsafe accesses.
     Results match the sequential functions up to floating-point
     summation order.  Tile sizes default to the L2-derived
-    {!Par.Tune} values ([KF_HOST_TILE_ROWS]/[KF_HOST_TILE_COLS]). *)
+    {!Par.Tune} values ({!Par.Tune.tile_rows}/{!Par.Tune.tile_cols}). *)
 
 val par_gemv : ?pool:Par.Pool.t -> Dense.t -> Vec.t -> Vec.t
 

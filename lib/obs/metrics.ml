@@ -53,15 +53,24 @@ let families : (string, family) Hashtbl.t = Hashtbl.create 32
 
 let registry_mutex = Mutex.create ()
 
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "KF_METRICS" with
-    | Some ("0" | "off" | "false") -> false
-    | _ -> true)
+let metrics_var =
+  Env.bool "KF_METRICS"
+    ~doc:"Process-wide metrics registry; off makes recording a no-op."
+    ~default:"on"
 
-let enabled () = Atomic.get enabled_flag
+(* [None] until the first recording reads [KF_METRICS]; latched after,
+   because every counter bump consults it. *)
+let enabled_flag = Atomic.make None
 
-let set_enabled b = Atomic.set enabled_flag b
+let enabled () =
+  match Atomic.get enabled_flag with
+  | Some b -> b
+  | None ->
+      let b = Option.value (Env.get metrics_var) ~default:true in
+      Atomic.set enabled_flag (Some b);
+      b
+
+let set_enabled b = Atomic.set enabled_flag (Some b)
 
 let get_cell ~kind ~help ~labels name =
   Mutex.lock registry_mutex;

@@ -13,7 +13,7 @@
     sorted label set); creating the same name+labels twice returns the
     same cell, so modules declare metrics at load time without
     coordination.  Recording costs one atomic load when disabled
-    ([KF_METRICS=0]), an atomic CAS or a short mutexed bucket bump when
+    ([KF_METRICS=off]), an atomic CAS or a short mutexed bucket bump when
     enabled. *)
 
 type labels = (string * string) list
@@ -21,9 +21,9 @@ type labels = (string * string) list
 val enabled : unit -> bool
 
 val set_enabled : bool -> unit
-(** Default: on, unless the [KF_METRICS] environment variable is [0],
-    [off] or [false] at startup.  When off, recording is a no-op (one
-    atomic load); registration and snapshots still work. *)
+(** Default: the [KF_METRICS] environment variable, read at the first
+    recording and latched (on when unset).  When off, recording is a
+    no-op (one atomic load); registration and snapshots still work. *)
 
 type counter
 

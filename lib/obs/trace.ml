@@ -63,20 +63,25 @@ let sampled id =
     let h = mix (id lxor mix seed) land max_int in
     float_of_int h /. float_of_int max_int < rate
 
-let sample_of_env () =
-  match Sys.getenv_opt "KF_TRACE_SAMPLE" with
+let file_var =
+  Env.path "KF_TRACE"
+    ~doc:"Chrome trace file every kf subcommand writes at exit (--trace)."
+    ~default:"none"
+
+let sample_var =
+  Env.float ~min:0.0 ~max:1.0 "KF_TRACE_SAMPLE"
+    ~doc:"Fraction of requests whose spans a trace keeps (--trace-sample)."
+    ~default:"1"
+
+let seed_var =
+  Env.int "KF_TRACE_SEED" ~doc:"Seed of the trace-sampling hash."
+    ~default:"0"
+
+let sample_of_env ?rate () =
+  match if Option.is_some rate then rate else Env.get sample_var with
   | None -> ()
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some rate ->
-          let seed =
-            match Sys.getenv_opt "KF_TRACE_SEED" with
-            | Some s -> ( match int_of_string_opt (String.trim s) with
-                          | Some n -> n | None -> 0)
-            | None -> 0
-          in
-          set_sample ~seed rate
-      | None -> ())
+  | Some rate ->
+      set_sample ~seed:(Option.value (Env.get seed_var) ~default:0) rate
 
 (* Suppression scope: work done on behalf of an UNsampled request (the
    executor call, the pool dispatch it fans out) must not emit spans,

@@ -66,9 +66,13 @@ val sample_rate : unit -> float
 val sampled : int -> bool
 (** Deterministic per-id decision under the current (rate, seed). *)
 
-val sample_of_env : unit -> unit
-(** Install the rate from [KF_TRACE_SAMPLE] (and seed from
-    [KF_TRACE_SEED]) when set; no-op otherwise. *)
+val sample_of_env : ?rate:float -> unit -> unit
+(** Install [rate], else the rate from [KF_TRACE_SAMPLE], with the seed
+    from [KF_TRACE_SEED]; no-op when neither is given. *)
+
+val file_var : string Env.t
+(** [KF_TRACE]: the Chrome trace file [kf] writes when [--trace] is
+    absent. *)
 
 val with_suppressed : (unit -> 'a) -> 'a
 (** Run [f] with span emission suppressed on this domain — what the

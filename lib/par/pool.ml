@@ -20,16 +20,13 @@ type t = {
 
 let max_size = 128
 
+let domains_var =
+  Kf_obs.Env.int ~min:1 "KF_DOMAINS" ~doc:"Host-engine pool size."
+    ~default:"the recommended domain count"
+
 let default_size () =
-  let from_env =
-    match Sys.getenv_opt "KF_DOMAINS" with
-    | None -> None
-    | Some s -> ( match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> Some n
-        | _ -> None)
-  in
   let n =
-    match from_env with
+    match Kf_obs.Env.get domains_var with
     | Some n -> n
     | None -> Domain.recommended_domain_count ()
   in

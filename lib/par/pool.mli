@@ -15,8 +15,9 @@ type t
 
 val default_size : unit -> int
 (** Pool size used by {!default}: the [KF_DOMAINS] environment variable
-    when set to a positive integer, otherwise
-    [Domain.recommended_domain_count ()], clamped to [\[1, 128\]]. *)
+    (a positive integer) when set, otherwise
+    [Domain.recommended_domain_count ()], clamped to [\[1, 128\]].
+    Raises {!Kf_obs.Env.Malformed} on a malformed [KF_DOMAINS]. *)
 
 val create : ?size:int -> unit -> t
 (** [create ~size ()] spawns [size - 1] worker domains (the caller acts

@@ -5,19 +5,17 @@
    the blocked host kernels size their row blocks and column tiles from
    the L2 cache, so each domain's working set (its slice of the [w]
    accumulator plus the streamed matrix block) stays cache-resident.
-
-   Everything here is overridable per run:
-     KF_HOST_TILE_ROWS  row-block height
-     KF_HOST_TILE_COLS  column-tile width
-     KF_HOST_L2_BYTES   assumed per-core L2 size (else sysfs, else 1 MiB)
-     KF_HOST_ACC_BYTES  per-domain dense-accumulator working-set budget *)
+   Everything derives from one number, the per-core L2 size. *)
 
 let parse_positive s =
   match int_of_string_opt (String.trim s) with
   | Some n when n > 0 -> Some n
   | _ -> None
 
-let env_positive name = Option.bind (Sys.getenv_opt name) parse_positive
+let l2_var =
+  Kf_obs.Env.int ~min:1 "KF_HOST_L2_BYTES"
+    ~doc:"Per-core L2 size the host tiling and variant choice assume."
+    ~default:"sysfs, else 1048576"
 
 (* Best-effort probe of the per-core L2 size ("2048K", "1M", plain
    bytes).  Any failure falls back to a conservative 1 MiB. *)
@@ -45,10 +43,11 @@ let fallback_l2_bytes = 1 lsl 20
 (* Where did the L2 figure come from?  Exposed so benchmark metadata
    can record whether results were tiled against measured hardware or
    the guess — and so the fallback is a visible one-line warning, not a
-   silent mis-tiling on machines with exotic cache topologies. *)
+   silent mis-tiling on machines with exotic cache topologies.  Read
+   once, at the first host op: every op consults it. *)
 let detected_l2 =
   lazy
-    (match env_positive "KF_HOST_L2_BYTES" with
+    (match Kf_obs.Env.get l2_var with
     | Some n -> (n, "env")
     | None -> (
         match sysfs_l2_bytes () with
@@ -70,41 +69,19 @@ let clamp lo hi v = Stdlib.max lo (Stdlib.min hi v)
 (* Column-tile width: the owned slice of [w] for one tile should use at
    most a quarter of L2, leaving the rest for the streamed matrix block
    and the per-row scalars. *)
-let tile_cols () =
-  match env_positive "KF_HOST_TILE_COLS" with
-  | Some n -> n
-  | None -> clamp 64 (1 lsl 20) (l2_bytes () / (4 * 8))
+let tile_cols () = clamp 64 (1 lsl 20) (l2_bytes () / (4 * 8))
 
 (* Row-block height: sized so a block of per-row scalars plus a typical
    row slice streams through half of L2 (assuming ~64 bytes of matrix
    data per row, the regime where blocking starts to matter). *)
-let tile_rows () =
-  match env_positive "KF_HOST_TILE_ROWS" with
-  | Some n -> n
-  | None -> clamp 256 (1 lsl 16) (l2_bytes () / 512)
-
-let default_accumulator_budget = 256 * 1024 * 1024
-
-let accumulator_budget_bytes () =
-  match env_positive "KF_HOST_ACC_BYTES" with
-  | Some n -> n
-  | None -> default_accumulator_budget
+let tile_rows () = clamp 256 (1 lsl 16) (l2_bytes () / 512)
 
 (* Variant predicate shared by [Fusion.Host_fused] and the blocked
    parallel BLAS: per-domain dense accumulators (the one-walk kernel
    with a tree merge) win while they are cache-cheap; once
-   [8 * cols * domains] outgrows either the explicit budget or half an
-   L2 per domain, the O(domains * cols) accumulate-and-merge traffic
-   dominates and the owner-computes blocked kernel takes over.  With a
-   single domain there is nothing to merge, so the one-walk kernel
-   always wins. *)
-let prefer_owner_computes ?budget_bytes ~domains ~cols () =
-  domains > 1
-  &&
-  let budget =
-    match budget_bytes with
-    | Some b -> b
-    | None -> accumulator_budget_bytes ()
-  in
-  let cache_cap = domains * (l2_bytes () / 2) in
-  8 * cols * domains > Stdlib.min budget cache_cap
+   [8 * cols * domains] outgrows half an L2 per domain, the
+   O(domains * cols) accumulate-and-merge traffic dominates and the
+   owner-computes blocked kernel takes over.  With a single domain
+   there is nothing to merge, so the one-walk kernel always wins. *)
+let prefer_owner_computes ~domains ~cols =
+  domains > 1 && 8 * cols * domains > domains * (l2_bytes () / 2)

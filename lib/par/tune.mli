@@ -4,15 +4,16 @@
     The blocked kernels (see [Fusion.Host_fused] and the owner-computes
     parallel BLAS) tile their work so each domain's active working set
     — its owned slice of the output accumulator plus the streamed
-    matrix block — fits the L2 cache.  The defaults derive from a
-    best-effort sysfs probe of the per-core L2 size; every knob has an
-    environment-variable override. *)
+    matrix block — fits the L2 cache.  Every parameter derives from the
+    per-core L2 size: a best-effort sysfs probe, which [KF_HOST_L2_BYTES]
+    overrides. *)
 
 val l2_bytes : unit -> int
 (** Assumed per-core L2 size in bytes: [KF_HOST_L2_BYTES] when set,
     else the sysfs cache topology, else 1 MiB (with a one-line warning
     on stderr — a silent fallback would mis-tile machines whose cache
-    topology sysfs cannot describe). *)
+    topology sysfs cannot describe).  Decided at the first call, which
+    raises {!Kf_obs.Env.Malformed} on a malformed [KF_HOST_L2_BYTES]. *)
 
 val l2_source : unit -> string
 (** Which of the three sources produced {!l2_bytes}: ["env"], ["sysfs"]
@@ -20,22 +21,17 @@ val l2_source : unit -> string
     so results tiled against a guessed cache size are distinguishable. *)
 
 val tile_cols : unit -> int
-(** Column-tile width for owner-computes scatters: [KF_HOST_TILE_COLS]
-    when set, else sized so one tile's slice of [w] uses at most a
-    quarter of L2 (clamped to [64, 2^20]). *)
+(** Column-tile width for owner-computes scatters: sized so one tile's
+    slice of [w] uses at most a quarter of L2 (clamped to
+    [64, 2^20]). *)
 
 val tile_rows : unit -> int
-(** Row-block height for the streaming passes: [KF_HOST_TILE_ROWS]
-    when set, else an L2-derived default (clamped to [256, 2^16]). *)
+(** Row-block height for the streaming passes: an L2-derived default
+    (clamped to [256, 2^16]). *)
 
-val accumulator_budget_bytes : unit -> int
-(** Working-set budget for per-domain dense accumulators:
-    [KF_HOST_ACC_BYTES] when set to a positive integer, else 256 MiB. *)
-
-val prefer_owner_computes :
-  ?budget_bytes:int -> domains:int -> cols:int -> unit -> bool
+val prefer_owner_computes : domains:int -> cols:int -> bool
 (** Should the blocked owner-computes kernel replace per-domain dense
     accumulators plus tree merge?  True once [8 * cols * domains]
-    exceeds [min budget_bytes (domains * l2_bytes / 2)] — i.e. when the
-    accumulate-and-merge traffic would dominate — and never with a
-    single domain (nothing to merge). *)
+    exceeds [domains * l2_bytes / 2] — i.e. when the accumulate-and-merge
+    traffic would dominate — and never with a single domain (nothing to
+    merge). *)

@@ -291,6 +291,10 @@ let write_raw path data =
      raise e);
   tmp
 
+let path_var =
+  Kf_obs.Env.path "KF_CKPT"
+    ~doc:"Checkpoint file kf train writes (--checkpoint)." ~default:"none"
+
 let write ~path ~algorithm ~iteration payload =
   let data = render ~algorithm ~iteration payload in
   let rec attempt n =

@@ -36,6 +36,10 @@ exception Corrupt of string
 val version : string
 (** ["kf-ckpt/1"]. *)
 
+val path_var : string Kf_obs.Env.t
+(** [KF_CKPT]: the checkpoint path [kf train] writes when
+    [--checkpoint] is absent. *)
+
 val write : path:string -> algorithm:string -> iteration:int -> payload -> unit
 (** Atomic, verified write. Raises [Sys_error] on I/O failure and
     {!Corrupt} if the file still fails verification after bounded

@@ -140,45 +140,39 @@ let parse_rule s =
                     (* odd so seed=0 still yields a non-trivial stream *);
                   }))
 
+let rules_of_spec spec =
+  match String.trim spec with
+  | "" -> Ok []
+  | spec ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | s :: rest -> (
+            match parse_rule s with
+            | Ok r -> go (r :: acc) rest
+            | Error e -> Error (Printf.sprintf "fault rule %S: %s" s e))
+      in
+      go [] (String.split_on_char ',' spec)
+
+let spec_var =
+  Kf_obs.Env.custom ~accepted:"a fault spec (DESIGN.md section 10)"
+    rules_of_spec "KF_FAULTS"
+    ~doc:"Deterministic fault-injection rules (--faults)." ~default:"none"
+
 let parse spec =
   configured := true;
-  let spec = String.trim spec in
-  if spec = "" then (
-    rules := [];
-    Ok ())
-  else
-    let parts = String.split_on_char ',' spec in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | s :: rest -> (
-          match parse_rule s with
-          | Ok r -> go (r :: acc) rest
-          | Error e -> Error (Printf.sprintf "fault rule %S: %s" s e))
-    in
-    match go [] parts with
-    | Ok rs ->
-        rules := rs;
-        Ok ()
-    | Error _ as e -> e
-
-let configure spec =
-  match parse spec with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Kf_resil.Fault.configure: " ^ msg)
+  Result.map (fun rs -> rules := rs) (rules_of_spec spec)
 
 let clear () =
   configured := true;
   rules := []
 
-let ensure_configured () =
-  if not !configured then (
-    configured := true;
-    match Sys.getenv_opt "KF_FAULTS" with
-    | None | Some "" -> ()
-    | Some spec -> (
-        match parse spec with
-        | Ok () -> ()
-        | Error msg -> invalid_arg ("KF_FAULTS: " ^ msg)))
+let reload () =
+  rules := Option.value (Kf_obs.Env.get spec_var) ~default:[];
+  configured := true
+
+(* Latched at the first fault point: the rules carry per-rule arrival
+   counters, so re-reading would restart every stream. *)
+let ensure_configured () = if not !configured then reload ()
 
 let active () =
   ensure_configured ();
@@ -187,7 +181,9 @@ let active () =
 let with_config spec f =
   ensure_configured ();
   let saved = !rules in
-  configure spec;
+  Result.iter_error
+    (fun msg -> invalid_arg ("Kf_resil.Fault.with_config: " ^ msg))
+    (parse spec);
   Fun.protect
     ~finally:(fun () -> rules := saved)
     f

@@ -30,7 +30,7 @@
     that recover in place, so they fire unconditionally.
 
     The engine is configured once per process from [KF_FAULTS] (or
-    {!configure}); with no configuration every check is a single flag
+    {!parse}); with no configuration every check is a single flag
     load. *)
 
 type kind = Launch | Nan | Inf | Alloc | Crash | Trunc
@@ -41,25 +41,31 @@ exception Injected of { point : string; kind : kind }
 
 val kind_name : kind -> string
 
+type rule
+
+val spec_var : rule list Kf_obs.Env.t
+(** [KF_FAULTS], decoded by the same grammar as {!parse}. *)
+
 val parse : string -> (unit, string) result
 (** [parse spec] validates and installs [spec] as the process fault
     configuration (replacing any previous one). [Error msg] leaves the
     previous configuration in place. The empty string clears it. *)
 
-val configure : string -> unit
-(** [parse], raising [Invalid_argument] on a malformed spec. *)
+val reload : unit -> unit
+(** Install [KF_FAULTS]'s rules now (none when unset), as the first
+    fault point does; raises {!Kf_obs.Env.Malformed}, changing nothing,
+    on a spec that does not parse. *)
 
 val clear : unit -> unit
 (** Drop all rules (fault injection becomes inactive). *)
 
 val active : unit -> bool
-(** At least one rule is installed ([KF_FAULTS] is consulted on the
-    first call). *)
+(** At least one rule is installed (the first call {!reload}s). *)
 
 val with_config : string -> (unit -> 'a) -> 'a
 (** [with_config spec f] runs [f] under [spec], then restores the
     previous configuration (rule counters reset) — the test harness
-    idiom. *)
+    idiom.  Raises [Invalid_argument] on a malformed [spec]. *)
 
 val with_arm : (unit -> 'a) -> 'a
 (** Mark the dynamic extent of [f] as a recovery scope: [launch], [nan],

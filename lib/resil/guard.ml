@@ -3,18 +3,25 @@ exception Unhealthy of { point : string; index : int; value : float }
 let checks = Kf_obs.Counter.make "resil.guard_checks"
 let trips = Kf_obs.Counter.make "resil.guard_trips"
 
-let flag =
-  ref
-    (match Sys.getenv_opt "KF_GUARDS" with
-    | Some ("0" | "off" | "false" | "no") -> false
-    | _ -> true)
+let guards_var =
+  Kf_obs.Env.bool "KF_GUARDS"
+    ~doc:"NaN/Inf scan of every guarded op's output, with retry on a trip."
+    ~default:"on"
 
-let enabled () = !flag
-let set_enabled b = flag := b
+(* Every executor op checks the flag, so KF_GUARDS is read at the first
+   check (or by [reload]) and latched: a read per op costs more than a
+   small op's scan. *)
+let flag = ref None
+
+let reload () =
+  flag := Some (Option.value (Kf_obs.Env.get guards_var) ~default:true)
+
+let rec enabled () =
+  match !flag with Some b -> b | None -> reload (); enabled ()
 
 let with_enabled b f =
   let saved = !flag in
-  flag := b;
+  flag := Some b;
   Fun.protect ~finally:(fun () -> flag := saved) f
 
 (* Runs on every executor output, so the scan is a plain loop over
@@ -32,7 +39,7 @@ let first_bad v =
 let healthy v = first_bad v = None
 
 let check_vec ~point v =
-  if !flag then begin
+  if enabled () then begin
     Kf_obs.Counter.incr checks;
     match first_bad v with
     | None -> ()

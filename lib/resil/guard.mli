@@ -7,18 +7,22 @@
     O(cols) against O(nnz) compute, which is why they are cheap enough
     to leave on by default.
 
-    Guards are enabled unless [KF_GUARDS] is [0] / [off] / [false] (or
-    {!set_enabled} says otherwise). *)
+    Guards are enabled unless [KF_GUARDS] is off or {!with_enabled}
+    says otherwise.  [KF_GUARDS] is read at the first check and
+    latched; a malformed value raises {!Kf_obs.Env.Malformed} there. *)
 
 exception Unhealthy of { point : string; index : int; value : float }
 (** [value] is the first non-finite element found, at [index]. *)
 
 val enabled : unit -> bool
 
-val set_enabled : bool -> unit
+val reload : unit -> unit
+(** Read [KF_GUARDS] again now; raises {!Kf_obs.Env.Malformed},
+    changing nothing, on a malformed value. *)
 
 val with_enabled : bool -> (unit -> 'a) -> 'a
-(** Run [f] with the guard flag forced, restoring it after. *)
+(** Run [f] with the guard flag forced over [KF_GUARDS], restoring it
+    after. *)
 
 val check_vec : point:string -> float array -> unit
 (** Raise {!Unhealthy} on the first NaN/Inf in [v]; no-op when guards

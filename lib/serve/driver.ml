@@ -4,8 +4,9 @@
    blocked in [Service.await], so threads multiplex fine on one core and
    leave the domains to the scheduler and the executor pool).  Closed
    loop ([rps = 0]): each client keeps exactly one request in flight.
-   Open loop: each client fires at [rps / clients] and the per-request
-   latency absorbs any queueing. *)
+   Open loop: each client sends on a fixed schedule of [rps / clients]
+   and times every request from when it was due, so the queueing a slow
+   service causes is counted rather than slowing the load down. *)
 
 type cfg = {
   clients : int;
@@ -47,33 +48,44 @@ let row_gen ~seed ~client ~cols =
   in
   fun () -> Service.Dense_row (Array.init cols (fun _ -> next ()))
 
-let run_client svc ~cols ~cfg ~client ~tally =
-  let make_row = row_gen ~seed:cfg.seed ~client ~cols in
-  let interval =
-    if cfg.rps > 0.0 then float_of_int cfg.clients /. cfg.rps else 0.0
-  in
-  let stop_ns =
-    Kf_obs.Clock.now_ns () + int_of_float (cfg.duration_s *. 1e9)
-  in
-  let rec loop () =
-    if Kf_obs.Clock.now_ns () < stop_ns then begin
+(* One client: [submit] sends its next request.  Closed loop: the next
+   request goes out as soon as the previous one resolves, until the run
+   ends.  Open loop: request [k] is due at [start_ns + k * clients / rps]
+   and every request due before the end is sent — early, the client
+   sleeps until the due time; late (the previous request outlasted the
+   interval), it sends at once and adds its lateness to the request's
+   latency.  The lateness is taken when the client is ready to send, so
+   the sleep's own overshoot is not counted. *)
+let client_loop ~cfg ~start_ns ~submit tally =
+  let stop_ns = start_ns + int_of_float (cfg.duration_s *. 1e9) in
+  let interval_ns = float_of_int cfg.clients /. cfg.rps *. 1e9 in
+  let rec loop k =
+    let ready = Kf_obs.Clock.now_ns () in
+    let due =
+      if cfg.rps = 0.0 then ready
+      else start_ns + int_of_float (float_of_int k *. interval_ns)
+    in
+    if due < stop_ns then begin
+      if ready < due then Unix.sleepf (float_of_int (due - ready) /. 1e9);
+      let late = Stdlib.max 0 (ready - due) in
       tally.c_sent <- tally.c_sent + 1;
-      (match Service.submit svc (make_row ()) with
+      (match submit () with
       | None -> tally.c_shed <- tally.c_shed + 1
       | Some ticket -> (
           match Service.await ticket with
           | Service.Score _ ->
               tally.c_ok <- tally.c_ok + 1;
               Kf_obs.Histogram.record tally.c_hist
-                (Kf_obs.Clock.ns_to_us (Service.latency_ns ticket))
+                (Kf_obs.Clock.ns_to_us (late + Service.latency_ns ticket))
           | Service.Failed _ -> tally.c_failed <- tally.c_failed + 1));
-      if interval > 0.0 then Unix.sleepf interval;
-      loop ()
+      loop (k + 1)
     end
   in
-  loop ()
+  loop 0
 
-let spawn_clients ~cfg ~run_one =
+(* [submit_for client] builds that client's submit function; it runs on
+   the client's own thread. *)
+let spawn_clients ~cfg ~submit_for =
   if cfg.clients < 1 then invalid_arg "Driver.run: need at least one client";
   if cfg.duration_s <= 0.0 then invalid_arg "Driver.run: duration must be > 0";
   let tallies =
@@ -85,7 +97,10 @@ let spawn_clients ~cfg ~run_one =
   let threads =
     Array.mapi
       (fun client tally ->
-        Thread.create (fun () -> run_one ~client ~tally) ())
+        Thread.create
+          (fun () ->
+            client_loop ~cfg ~start_ns ~submit:(submit_for client) tally)
+          ())
       tallies
   in
   Array.iter Thread.join threads;
@@ -107,8 +122,9 @@ let spawn_clients ~cfg ~run_one =
   }
 
 let run svc ~cols cfg =
-  spawn_clients ~cfg ~run_one:(fun ~client ~tally ->
-      run_client svc ~cols ~cfg ~client ~tally)
+  spawn_clients ~cfg ~submit_for:(fun client ->
+      let make_row = row_gen ~seed:cfg.seed ~client ~cols in
+      fun () -> Service.submit svc (make_row ()))
 
 (* Multi-model load: each client round-robins across every registered
    model (starting offset staggered by client id so model 0 is not
@@ -119,39 +135,18 @@ let run svc ~cols cfg =
 let run_models models cfg =
   let targets = Array.of_list (Models.services models) in
   if Array.length targets = 0 then invalid_arg "Driver.run_models: no models";
-  let interval =
-    if cfg.rps > 0.0 then float_of_int cfg.clients /. cfg.rps else 0.0
-  in
-  spawn_clients ~cfg ~run_one:(fun ~client ~tally ->
+  spawn_clients ~cfg ~submit_for:(fun client ->
       let gens =
         Array.map
           (fun (name, svc) ->
             (name, row_gen ~seed:cfg.seed ~client ~cols:(Service.cols svc)))
           targets
       in
-      let stop_ns =
-        Kf_obs.Clock.now_ns () + int_of_float (cfg.duration_s *. 1e9)
-      in
       let turn = ref client in
-      let rec loop () =
-        if Kf_obs.Clock.now_ns () < stop_ns then begin
-          let name, make_row = gens.(!turn mod Array.length gens) in
-          incr turn;
-          tally.c_sent <- tally.c_sent + 1;
-          (match Models.submit models name (make_row ()) with
-          | None -> tally.c_shed <- tally.c_shed + 1
-          | Some ticket -> (
-              match Service.await ticket with
-              | Service.Score _ ->
-                  tally.c_ok <- tally.c_ok + 1;
-                  Kf_obs.Histogram.record tally.c_hist
-                    (Kf_obs.Clock.ns_to_us (Service.latency_ns ticket))
-              | Service.Failed _ -> tally.c_failed <- tally.c_failed + 1));
-          if interval > 0.0 then Unix.sleepf interval;
-          loop ()
-        end
-      in
-      loop ())
+      fun () ->
+        let name, make_row = gens.(!turn mod Array.length gens) in
+        incr turn;
+        Models.submit models name (make_row ()))
 
 (* Pipelined single-thread load: keep [inflight] requests outstanding
    by submitting a burst and awaiting it before the next.  One thread

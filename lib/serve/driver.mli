@@ -2,8 +2,12 @@
 
     Closed loop ([rps = 0.]) keeps one request in flight per client —
     the regime where batching headroom comes purely from concurrency.
-    Open loop ([rps > 0.]) paces submissions at [rps] across all
-    clients, so latency includes queueing under overload. *)
+    Open loop ([rps > 0.]) sends each client's request [k] at
+    [start + k * clients / rps] and times it from that due time: a
+    client held up by a slow request sends the overdue ones at once,
+    and their latency includes the wait.  Every request due within
+    [duration_s] is sent, so a slow service stretches [wall_s] instead
+    of receiving less load. *)
 
 type cfg = {
   clients : int;
@@ -19,7 +23,9 @@ type summary = {
   failed : int;
   wall_s : float;
   throughput_rps : float;
-  latency_us : Kf_obs.Histogram.t;  (** client-observed, merged over clients *)
+  latency_us : Kf_obs.Histogram.t;
+      (** merged over clients: the service's submit-to-resolve time,
+          plus, in open loop, how late the request was sent *)
 }
 
 val run : Service.t -> cols:int -> cfg -> summary

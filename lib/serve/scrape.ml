@@ -103,6 +103,11 @@ let listen_loop t ~render =
 
 let default_addr = "127.0.0.1"
 
+let port_var =
+  Kf_obs.Env.int ~min:0 ~max:65535 "KF_METRICS_PORT"
+    ~doc:"OpenMetrics endpoint port of kf serve, polled by kf top."
+    ~default:"none"
+
 let start ?(addr = default_addr) ~port ~render () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try

@@ -12,6 +12,10 @@
 
 type t
 
+val port_var : int Kf_obs.Env.t
+(** [KF_METRICS_PORT]: the port [kf serve] scrapes on and [kf top]
+    polls when [--metrics-port] / [--port] is absent. *)
+
 val start :
   ?addr:string -> port:int -> render:(unit -> string) -> unit -> t
 (** [start ~port ~render ()] binds [addr] (default [127.0.0.1]) on

@@ -77,41 +77,6 @@ let default_config =
     deadline_shed = false;
   }
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | _ -> default)
-  | None -> default
-
-let env_bool name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "1" | "true" | "on" | "yes" -> true
-      | "0" | "false" | "off" | "no" -> false
-      | _ -> default)
-  | None -> default
-
-(* Setting KF_SERVE_WINDOW_US pins a fixed window (that is what the
-   variable has always meant) unless KF_SERVE_ADAPTIVE explicitly
-   re-enables the controller on top of it. *)
-let config_of_env () =
-  let window_pinned = Sys.getenv_opt "KF_SERVE_WINDOW_US" <> None in
-  {
-    window_us = env_int "KF_SERVE_WINDOW_US" default_config.window_us;
-    max_batch =
-      Stdlib.max 1 (env_int "KF_SERVE_MAX_BATCH" default_config.max_batch);
-    queue_depth =
-      Stdlib.max 1 (env_int "KF_SERVE_QUEUE" default_config.queue_depth);
-    adaptive = env_bool "KF_SERVE_ADAPTIVE" (not window_pinned);
-    window_cap_us =
-      env_int "KF_SERVE_WINDOW_CAP_US" default_config.window_cap_us;
-    deadline_shed =
-      env_bool "KF_SERVE_DEADLINE_SHED" default_config.deadline_shed;
-  }
-
 type stats = {
   accepted : int;
   shed : int;
@@ -660,7 +625,7 @@ let run_scheduler t =
 
 let create ?(engine = Fusion.Executor.Fused) ?pool ?config ?(start = true)
     ?model ?slo device ~algo ~weights () =
-  let cfg = match config with Some c -> c | None -> config_of_env () in
+  let cfg = Option.value config ~default:default_config in
   if cfg.window_us < 0 then
     invalid_arg "Service.create: window_us must be >= 0";
   if cfg.window_cap_us < 0 then

@@ -58,13 +58,6 @@ val default_config : config
 (** [{window_us = 200; max_batch = 32; queue_depth = 1024;
     adaptive = true; window_cap_us = 500; deadline_shed = false}]. *)
 
-val config_of_env : unit -> config
-(** {!default_config} overridden by [KF_SERVE_WINDOW_US],
-    [KF_SERVE_MAX_BATCH], [KF_SERVE_QUEUE], [KF_SERVE_ADAPTIVE],
-    [KF_SERVE_WINDOW_CAP_US] and [KF_SERVE_DEADLINE_SHED].  Setting
-    [KF_SERVE_WINDOW_US] pins that fixed window (adaptive off) unless
-    [KF_SERVE_ADAPTIVE] explicitly turns the controller back on. *)
-
 type t
 
 val create :
@@ -81,7 +74,7 @@ val create :
   t
 (** [create device ~algo ~weights ()] builds the service and (unless
     [~start:false]) spawns its scheduler domain.  [?config] defaults to
-    {!config_of_env}.  Engine defaults to [Fused].  [?model] labels the
+    {!default_config}.  Engine defaults to [Fused].  [?model] labels the
     service's time-series in the metrics registry (default: the
     algorithm's name); [?slo] attaches a latency objective — every
     resolved request is recorded against it.  The initial weights are

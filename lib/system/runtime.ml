@@ -105,15 +105,9 @@ let standalone ?(max_iterations = 100) ?measure_iterations device
    The plan compiler lives in a separate library ([kf_plan]) that depends
    on this one, so the runtime cannot call it directly; instead the
    compiler registers itself here and [eval_script] dispatches on the
-   requested mode.  [KF_PLAN] selects the default mode process-wide. *)
+   requested mode. *)
 
 type plan_mode = Plan_off | Plan_on | Plan_explain
-
-let plan_mode_of_env () =
-  match Option.map String.lowercase_ascii (Sys.getenv_opt "KF_PLAN") with
-  | Some ("1" | "on" | "true" | "yes") -> Plan_on
-  | Some "explain" -> Plan_explain
-  | _ -> Plan_off
 
 type planner = {
   plan_run :
@@ -138,8 +132,8 @@ let register_planner p = registered_planner := Some p
 
 let planner () = !registered_planner
 
-let eval_script ?mode ?engine ?pool ?positional device ~inputs program =
-  let mode = match mode with Some m -> m | None -> plan_mode_of_env () in
+let eval_script ?(mode = Plan_off) ?engine ?pool ?positional device ~inputs
+    program =
   match (mode, !registered_planner) with
   | Plan_off, _ ->
       (Script.eval ?engine ?pool ?positional device ~inputs program, None)

@@ -50,11 +50,6 @@ type plan_mode =
   | Plan_on  (** compile to a plan, then execute it *)
   | Plan_explain  (** as [Plan_on], also produce the explain report *)
 
-val plan_mode_of_env : unit -> plan_mode
-(** The process default, from [KF_PLAN]: ["1"/"on"/"true"/"yes"] is
-    {!Plan_on}, ["explain"] is {!Plan_explain}, anything else (or unset)
-    is {!Plan_off}. *)
-
 type planner = {
   plan_run :
     ?engine:Fusion.Executor.engine ->
@@ -87,7 +82,7 @@ val eval_script :
   inputs:(string * Script.value) list ->
   Script.stmt list ->
   Script.run * string option
-(** Run a DML program under [mode] (default: {!plan_mode_of_env}).
+(** Run a DML program under [mode] (default: {!Plan_off}).
     {!Plan_off} delegates to {!Script.eval}; the planned modes require a
     registered planner (raises [Invalid_argument] otherwise).  The
     second component is the explain report under {!Plan_explain}. *)

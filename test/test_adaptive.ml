@@ -406,34 +406,6 @@ let test_service_pipelined_coalesces () =
     (Service.current_window_us svc <= 100);
   Service.shutdown svc
 
-let test_config_of_env () =
-  Unix.putenv "KF_SERVE_WINDOW_US" "77";
-  let c = Service.config_of_env () in
-  Alcotest.(check int) "pinned window honoured" 77 c.Service.window_us;
-  Alcotest.(check bool) "pinning a window disables adaptive" false
-    c.Service.adaptive;
-  Unix.putenv "KF_SERVE_ADAPTIVE" "1";
-  let c = Service.config_of_env () in
-  Alcotest.(check bool) "KF_SERVE_ADAPTIVE overrides the pin" true
-    c.Service.adaptive;
-  Unix.putenv "KF_SERVE_WINDOW_CAP_US" "123";
-  Unix.putenv "KF_SERVE_DEADLINE_SHED" "yes";
-  let c = Service.config_of_env () in
-  Alcotest.(check int) "cap parsed" 123 c.Service.window_cap_us;
-  Alcotest.(check bool) "deadline shedding enabled" true
-    c.Service.deadline_shed;
-  (* restore: empty strings parse as invalid and fall back to defaults;
-     KF_SERVE_ADAPTIVE=1 matches the default, so later config_of_env
-     callers see the stock configuration *)
-  Unix.putenv "KF_SERVE_WINDOW_US" "";
-  Unix.putenv "KF_SERVE_WINDOW_CAP_US" "";
-  Unix.putenv "KF_SERVE_DEADLINE_SHED" "";
-  let c = Service.config_of_env () in
-  Alcotest.(check int) "window back to default" 200 c.Service.window_us;
-  Alcotest.(check bool) "adaptive back on" true c.Service.adaptive;
-  Alcotest.(check int) "cap back to default" 500 c.Service.window_cap_us;
-  Alcotest.(check bool) "shedding back off" false c.Service.deadline_shed
-
 let suite =
   [
     Alcotest.test_case "default params" `Quick test_default_params;
@@ -456,6 +428,4 @@ let suite =
       test_service_sparse_holds_zero;
     Alcotest.test_case "pipelined traffic coalesces under the cap" `Quick
       test_service_pipelined_coalesces;
-    Alcotest.test_case "config_of_env parsing and pinning" `Quick
-      test_config_of_env;
   ]

@@ -221,8 +221,17 @@ let test_netmodel_recommend () =
 let test_block_cols_env () =
   Alcotest.(check int) "env override" 64
     (with_env "KF_DIST_BLOCK_COLS" "64" Nm.block_cols_of_env);
-  Alcotest.(check int) "garbage falls back to 256" 256
-    (with_env "KF_DIST_BLOCK_COLS" "not-a-width" Nm.block_cols_of_env)
+  Alcotest.(check int) "unset is 256" 256
+    (with_env "KF_DIST_BLOCK_COLS" "" Nm.block_cols_of_env);
+  Alcotest.check_raises "garbage is the typed error"
+    (Kf_obs.Env.Malformed
+       {
+         name = "KF_DIST_BLOCK_COLS";
+         expected = "an integer >= 1";
+         got = {|"not-a-width"|};
+       })
+    (fun () ->
+      ignore (with_env "KF_DIST_BLOCK_COLS" "not-a-width" Nm.block_cols_of_env))
 
 (* --- differential equivalence ------------------------------------------- *)
 

@@ -471,21 +471,17 @@ let test_engine_names () =
   Alcotest.(check bool) "empty" true (Executor.engine_of_string "" = None)
 
 let test_env_engine () =
-  Alcotest.(check (result (option reject) string))
-    "unset" (Ok None)
-    (Result.map
-       (Option.map (fun _ -> assert false))
-       (Sysml.Env.engine_result "KF_TEST_GRAPH_UNSET"));
-  Unix.putenv "KF_TEST_GRAPH_ENGINE" "Host";
-  (match Sysml.Env.engine_result "KF_TEST_GRAPH_ENGINE" with
-  | Ok (Some Executor.Host) -> ()
-  | _ -> Alcotest.fail "KF_ENGINE-style parse failed");
-  Unix.putenv "KF_TEST_GRAPH_ENGINE" "tpu";
-  match Sysml.Env.engine_result "KF_TEST_GRAPH_ENGINE" with
-  | Error msg ->
-      Alcotest.(check bool) "uniform message" true
-        (Astring.String.is_infix ~affix:"KF_TEST_GRAPH_ENGINE" msg)
-  | Ok _ -> Alcotest.fail "malformed engine accepted"
+  let parse raw =
+    Result.map_error Kf_obs.Env.message
+      (Kf_obs.Env.parse Executor.engine_var raw)
+  in
+  Alcotest.(check bool) "unset" true (parse "" = Ok None);
+  Alcotest.(check bool) "KF_ENGINE-style parse" true
+    (parse "Host" = Ok (Some Executor.Host));
+  Alcotest.(check bool) "uniform message" true
+    (parse "tpu"
+    = Error
+        "kf: KF_ENGINE must be one of fused, library, host, dist, got \"tpu\"")
 
 (* ---- classify_shape --------------------------------------------------- *)
 

@@ -273,19 +273,20 @@ let test_executor_host_engine () =
        r.Fusion.Executor.engine_used)
 
 let test_host_variant_auto_switch () =
-  (* A tiny accumulator budget must switch multi-domain runs to the
-     owner-computes blocked variant; a large one keeps per-domain dense
-     accumulators; a single domain never needs either. *)
-  Alcotest.(check bool) "small budget -> blocked" true
-    (Fusion.Host_fused.choose_variant ~budget_bytes:64 ~domains:4 ~cols:1000 ()
-    = Fusion.Host_fused.Blocked);
-  Alcotest.(check bool) "large budget -> dense-acc" true
-    (Fusion.Host_fused.choose_variant ~budget_bytes:(1 lsl 30) ~domains:4
-       ~cols:1000 ()
-    = Fusion.Host_fused.Dense_acc);
-  Alcotest.(check bool) "one domain -> dense-acc even on a tiny budget" true
-    (Fusion.Host_fused.choose_variant ~budget_bytes:64 ~domains:1 ~cols:1000 ()
-    = Fusion.Host_fused.Dense_acc)
+  (* The accumulator budget is half an L2 per domain: once a domain's
+     [w] (8 bytes a column) outgrows it, multi-domain runs switch to the
+     owner-computes blocked variant; while it fits they keep per-domain
+     dense accumulators; a single domain never needs either. *)
+  let budget_cols = Par.Tune.l2_bytes () / 16 in
+  let choose ~domains ~cols =
+    Fusion.Host_fused.choose_variant ~domains ~cols ()
+  in
+  Alcotest.(check bool) "past half an L2 -> blocked" true
+    (choose ~domains:4 ~cols:(budget_cols + 1) = Fusion.Host_fused.Blocked);
+  Alcotest.(check bool) "within half an L2 -> dense-acc" true
+    (choose ~domains:4 ~cols:budget_cols = Fusion.Host_fused.Dense_acc);
+  Alcotest.(check bool) "one domain -> dense-acc at any width" true
+    (choose ~domains:1 ~cols:(100 * budget_cols) = Fusion.Host_fused.Dense_acc)
 
 let test_blocked_stats_counters () =
   (* The blocked kernel reports its tile structure and the merge

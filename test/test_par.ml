@@ -12,15 +12,22 @@ let test_default_size_env () =
     | Some v -> Unix.putenv "KF_DOMAINS" v
     | None -> Unix.putenv "KF_DOMAINS" ""
   in
+  let rejects raw got =
+    Unix.putenv "KF_DOMAINS" raw;
+    Alcotest.check_raises (raw ^ " is the typed error")
+      (Kf_obs.Env.Malformed
+         { name = "KF_DOMAINS"; expected = "an integer >= 1"; got })
+      (fun () -> ignore (Par.Pool.default_size ()))
+  in
   Fun.protect ~finally:restore (fun () ->
       Unix.putenv "KF_DOMAINS" "3";
       Alcotest.(check int) "env respected" 3 (Par.Pool.default_size ());
-      Unix.putenv "KF_DOMAINS" "not-a-number";
-      Alcotest.(check bool) "garbage falls back to >= 1" true
-        (Par.Pool.default_size () >= 1);
-      Unix.putenv "KF_DOMAINS" "0";
-      Alcotest.(check bool) "non-positive falls back to >= 1" true
-        (Par.Pool.default_size () >= 1))
+      rejects "not-a-number" {|"not-a-number"|};
+      rejects "0" "0";
+      Unix.putenv "KF_DOMAINS" " ";
+      Alcotest.(check int) "blank is unset"
+        (Stdlib.min 128 (Domain.recommended_domain_count ()))
+        (Par.Pool.default_size ()))
 
 let test_run_workers_covers_all () =
   List.iter

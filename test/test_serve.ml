@@ -338,6 +338,38 @@ let test_driver_closed_loop () =
   Alcotest.(check int) "latency recorded per success" summary.Driver.ok
     (Kf_obs.Histogram.count summary.Driver.latency_us)
 
+(* Open loop against a service that starts 100 ms late: every request
+   due during the stall is still sent, and its latency counts from its
+   due time, so the stall shows in the latencies instead of thinning
+   the load. *)
+let test_driver_open_loop_stall () =
+  let cols = 16 in
+  let weights = lr_weights ~cols 9 in
+  let svc = mk_service ~window_us:0 ~start:false weights in
+  let starter =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.1;
+        Service.start svc)
+      ()
+  in
+  let summary =
+    Driver.run svc ~cols
+      { Driver.clients = 2; rps = 200.0; duration_s = 0.5; seed = 42 }
+  in
+  Thread.join starter;
+  Service.shutdown svc;
+  let lat = summary.Driver.latency_us in
+  Alcotest.(check int) "every request due in the run is sent (rps x duration)"
+    100 summary.Driver.sent;
+  Alcotest.(check int) "all of them are served" 100 summary.Driver.ok;
+  (* Due times 0, 10, .., 90 ms per client are sent when the service
+     comes up: on average ~55 ms late, ~11 ms over all 100 requests. *)
+  Alcotest.(check bool) "the stall is in the mean latency" true
+    (Kf_obs.Histogram.mean lat >= 8_000.0);
+  Alcotest.(check bool) "and in the requests queued behind it" true
+    (Kf_obs.Histogram.quantile lat 0.85 >= 20_000.0)
+
 (* --- telemetry: snapshot JSON, scrape endpoint, SLO ---------------------- *)
 
 let json_num = function
@@ -724,6 +756,8 @@ let suite =
     Alcotest.test_case "stats and histograms" `Quick test_stats_histograms;
     Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
     Alcotest.test_case "driver closed loop" `Quick test_driver_closed_loop;
+    Alcotest.test_case "driver open loop counts a stall" `Quick
+      test_driver_open_loop_stall;
     Alcotest.test_case "service snapshot json" `Quick
       test_service_snapshot_json;
     Alcotest.test_case "scrape endpoint round-trip" `Quick

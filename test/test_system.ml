@@ -149,7 +149,7 @@ let test_systemml_overheads_shrink_speedup () =
   Alcotest.(check bool) "overheads positive" true (r.Sysml.Runtime.overhead_ms > 0.0);
   Alcotest.(check int) "matrix uploaded once" 1 r.Sysml.Runtime.mm.Sysml.Memmgr.uploads
 
-(* --- strict CLI environment parsing ------------------------------------- *)
+(* --- the KF_* table (Kf_obs.Env) ----------------------------------------- *)
 
 let with_env name value f =
   let saved = Sys.getenv_opt name in
@@ -158,53 +158,209 @@ let with_env name value f =
     ~finally:(fun () -> Unix.putenv name (Option.value saved ~default:""))
     f
 
+let declared name =
+  List.find (fun (v : Kf_obs.Env.info) -> v.name = name) (Kf_obs.Env.declared ())
+
+(* [Error] carries the exact line [kf] prints before exiting 2. *)
+let decode name raw =
+  Result.map_error Kf_obs.Env.message ((declared name).check raw)
+
+let decodes = Alcotest.(check (result unit string))
+
+let malformed name expected got = Kf_obs.Env.Malformed { name; expected; got }
+
 let test_env_int () =
   Alcotest.(check (result (option int) string))
-    "unset is None" (Ok None)
-    (Sysml.Env.int_result "KF_TEST_UNSET_VARIABLE");
-  with_env "KF_TEST_ENV" " 42 " (fun () ->
-      Alcotest.(check (result (option int) string))
-        "whitespace-tolerant parse"
-        (Ok (Some 42))
-        (Sysml.Env.int_result ~min:1 ~max:64 "KF_TEST_ENV"));
-  with_env "KF_TEST_ENV" "three" (fun () ->
-      Alcotest.(check (result (option int) string))
-        "garbage carries the uniform message"
-        (Error "kf: KF_TEST_ENV must be an integer between 1 and 64, got \"three\"")
-        (Sysml.Env.int_result ~min:1 ~max:64 "KF_TEST_ENV"));
-  with_env "KF_TEST_ENV" "0" (fun () ->
-      Alcotest.(check (result (option int) string))
-        "out-of-range names the bound"
-        (Error "kf: KF_TEST_ENV must be an integer >= 1, got 0")
-        (Sysml.Env.int_result ~min:1 "KF_TEST_ENV"))
+    "whitespace-tolerant parse" (Ok (Some 42))
+    (Result.map_error Kf_obs.Env.message
+       (Kf_obs.Env.parse Kf_serve.Scrape.port_var " 42 "));
+  Alcotest.(check (result (option int) string))
+    "blank is unset" (Ok None)
+    (Result.map_error Kf_obs.Env.message
+       (Kf_obs.Env.parse Kf_serve.Scrape.port_var "  "));
+  decodes "garbage carries the uniform message"
+    (Error "kf: KF_WORKERS must be an integer between 1 and 64, got \"three\"")
+    (decode "KF_WORKERS" "three");
+  decodes "out-of-range names the bound"
+    (Error "kf: KF_DOMAINS must be an integer >= 1, got 0")
+    (decode "KF_DOMAINS" "0");
+  decodes "an unbounded integer takes negatives" (Ok ())
+    (decode "KF_TRACE_SEED" "-3")
 
 let test_env_float () =
-  with_env "KF_TEST_ENV" "0.25" (fun () ->
-      Alcotest.(check (result (option (float 1e-12)) string))
-        "a rate parses"
-        (Ok (Some 0.25))
-        (Sysml.Env.float_result ~min:0.0 ~max:1.0 "KF_TEST_ENV"));
-  with_env "KF_TEST_ENV" "nan" (fun () ->
-      Alcotest.(check bool) "non-finite is rejected" true
-        (Result.is_error (Sysml.Env.float_result "KF_TEST_ENV")));
-  with_env "KF_TEST_ENV" "1.5" (fun () ->
-      Alcotest.(check (result (option (float 1e-12)) string))
-        "bounds text for floats"
-        (Error "kf: KF_TEST_ENV must be a number between 0 and 1, got 1.5")
-        (Sysml.Env.float_result ~min:0.0 ~max:1.0 "KF_TEST_ENV"))
+  decodes "a rate parses" (Ok ()) (decode "KF_TRACE_SAMPLE" "0.25");
+  Alcotest.(check bool) "non-finite is rejected" true
+    (Result.is_error (decode "KF_TRACE_SAMPLE" "nan"));
+  decodes "bounds text for floats"
+    (Error "kf: KF_TRACE_SAMPLE must be a number between 0 and 1, got 1.5")
+    (decode "KF_TRACE_SAMPLE" "1.5");
+  decodes "an exclusive bound"
+    (Error "kf: KF_DIST_GBPS must be a number > 0, got 0")
+    (decode "KF_DIST_GBPS" "0")
 
-let test_env_host_variant () =
-  with_env "KF_TEST_ENV" " blocked " (fun () ->
-      Alcotest.(check bool) "a known name parses" true
-        (Sysml.Env.host_variant_result "KF_TEST_ENV"
-        = Ok (Some Fusion.Host_fused.Blocked)));
-  with_env "KF_TEST_ENV" "col-partition" (fun () ->
-      match Sysml.Env.host_variant_result "KF_TEST_ENV" with
-      | Ok _ -> Alcotest.fail "a removed variant name was accepted"
-      | Error msg ->
-          Alcotest.(check string) "the message lists the accepted names"
-            "kf: KF_TEST_ENV must be one of dense-acc, blocked, got \"col-partition\""
-            msg)
+let test_env_enum () =
+  decodes "enums are case- and space-tolerant" (Ok ())
+    (decode "KF_DIST_MODE" " 1.5D ");
+  decodes "the message lists the accepted names"
+    (Error "kf: KF_DIST_MODE must be one of 1d, 1.5d, got \"2d\"")
+    (decode "KF_DIST_MODE" "2d");
+  decodes "booleans take every spelling" (Ok ()) (decode "KF_GUARDS" "No");
+  decodes "a boolean is one of its spellings"
+    (Error
+       "kf: KF_GUARDS must be one of on, off, 1, 0, true, false, yes, no, got \
+        \"maybe\"")
+    (decode "KF_GUARDS" "maybe");
+  decodes "a grammar appends its reason"
+    (Error
+       "kf: KF_FAULTS must be a fault spec (DESIGN.md section 10), got \
+        \"bogus:p=1\" (fault rule \"bogus:p=1\": unknown fault kind \
+        \"bogus\")")
+    (decode "KF_FAULTS" "bogus:p=1")
+
+(* One test per value kind: the library function that reads the
+   variable raises the typed error instead of falling back. *)
+
+let test_reader_int () =
+  with_env "KF_WORKERS" "three" (fun () ->
+      Alcotest.check_raises "Cluster.default_size"
+        (malformed "KF_WORKERS" "an integer between 1 and 64" {|"three"|})
+        (fun () -> ignore (Kf_dist.Cluster.default_size ())))
+
+let test_reader_float () =
+  let rate = Kf_obs.Trace.sample_rate () in
+  with_env "KF_TRACE_SAMPLE" "2" (fun () ->
+      Alcotest.check_raises "Trace.sample_of_env"
+        (malformed "KF_TRACE_SAMPLE" "a number between 0 and 1" "2")
+        Kf_obs.Trace.sample_of_env);
+  Alcotest.(check (float 0.0)) "the sampler is untouched" rate
+    (Kf_obs.Trace.sample_rate ());
+  with_env "KF_DIST_GBPS" "0" (fun () ->
+      Alcotest.check_raises "Netmodel.of_env"
+        (malformed "KF_DIST_GBPS" "a number > 0" "0")
+        (fun () -> ignore (Kf_dist.Netmodel.of_env ())))
+
+let test_reader_bool () =
+  let err =
+    malformed "KF_GUARDS" "one of on, off, 1, 0, true, false, yes, no"
+      {|"maybe"|}
+  in
+  (* the flag is latched: re-latch it from the restored environment *)
+  Fun.protect ~finally:Kf_resil.Guard.reload (fun () ->
+      with_env "KF_GUARDS" "maybe" (fun () ->
+          Alcotest.check_raises "Guard.reload" err Kf_resil.Guard.reload);
+      with_env "KF_GUARDS" "off" Kf_resil.Guard.reload;
+      Alcotest.(check bool) "off is latched" false (Kf_resil.Guard.enabled ()))
+
+let test_reader_enum () =
+  with_env "KF_DIST_MODE" "2d" (fun () ->
+      Alcotest.check_raises "Cluster.forced_mode"
+        (malformed "KF_DIST_MODE" "one of 1d, 1.5d" {|"2d"|})
+        (fun () -> ignore (Kf_dist.Cluster.forced_mode ())));
+  with_env "KF_DIST_MODE" "1d" (fun () ->
+      Alcotest.(check bool) "a valid layout is forced" true
+        (Kf_dist.Cluster.forced_mode () = Some Kf_dist.Netmodel.One_d))
+
+let test_reader_spec () =
+  Kf_resil.Fault.with_config "" (fun () ->
+      with_env "KF_FAULTS" "bogus:p=1" (fun () ->
+          Alcotest.check_raises "Fault.reload"
+            (malformed "KF_FAULTS" "a fault spec (DESIGN.md section 10)"
+               ({|"bogus:p=1" (fault rule "bogus:p=1": |}
+               ^ {|unknown fault kind "bogus")|}))
+            Kf_resil.Fault.reload);
+      Alcotest.(check bool) "a rejected spec installs nothing" false
+        (Kf_resil.Fault.active ());
+      with_env "KF_FAULTS" "nan:every=2:seed=1" Kf_resil.Fault.reload;
+      Alcotest.(check bool) "a valid spec installs its rules" true
+        (Kf_resil.Fault.active ()))
+
+let test_check_all () =
+  with_env "KF_GUARDS" "maybe" (fun () ->
+      with_env "KF_DIST_MODE" "2d" (fun () ->
+          match Kf_obs.Env.check_all () with
+          | Error e ->
+              Alcotest.(check string) "the first malformed name" "KF_DIST_MODE"
+                e.name
+          | Ok () -> Alcotest.fail "malformed variables passed the check"));
+  with_env "KF_GUARDS" "" (fun () ->
+      Alcotest.(check (result unit string))
+        "an empty value is unset" (Ok ())
+        (Result.map_error Kf_obs.Env.message (Kf_obs.Env.check_all ())))
+
+(* README.md's environment table, row by row: variable, accepted
+   values and default must be the declarations', and every declared
+   variable needs a row.  The suite runs from the repository root or
+   from dune's test directory. *)
+let test_readme_table () =
+  let strip s = String.trim (String.concat "" (String.split_on_char '`' s)) in
+  let readme = List.find Sys.file_exists [ "README.md"; "../README.md" ] in
+  let rows =
+    In_channel.with_open_text readme In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match List.map strip (String.split_on_char '|' line) with
+           | "" :: name :: accepted :: default :: _
+             when String.starts_with ~prefix:"KF_" name ->
+               Some (name, (accepted, default))
+           | _ -> None)
+  in
+  let names l = List.sort compare (List.map fst l) in
+  let table =
+    List.map
+      (fun (v : Kf_obs.Env.info) -> (v.name, (v.accepted, v.default)))
+      (Kf_obs.Env.declared ())
+  in
+  Alcotest.(check (list string)) "one row per declared variable" (names table)
+    (names rows);
+  List.iter
+    (fun (name, cells) ->
+      Alcotest.(check (pair string string))
+        (name ^ ": accepted values and default") (List.assoc name table) cells)
+    rows
+
+(* Every decoder returns a value or a typed error on any input — random
+   bytes, and valid values spliced, truncated or bit-flipped.
+   [Fault.parse] installs the rules it accepts, so it runs under
+   [with_config], which puts the previous rules back. *)
+let env_inputs =
+  let valid =
+    [ "3"; " 42 "; "-7"; "65535"; "0.25"; "1e-3"; "on"; "OFF"; "1.5d";
+      "host"; "/tmp/t.json"; "nan:every=2:seed=1";
+      "launch:p=0.05:seed=7,crash:after=3:times=2";
+      "trunc:every=5:seed=1:point=ckpt" ]
+  in
+  let open QCheck.Gen in
+  let cut s = int_bound (String.length s) in
+  let mutated =
+    let* s = oneofl valid in
+    oneof
+      [
+        (let* t = oneofl valid in
+         let* i = cut s and* j = cut t in
+         return (String.sub s 0 i ^ String.sub t j (String.length t - j)));
+        map (fun i -> String.sub s 0 i) (cut s);
+        (if s = "" then return s
+         else
+           let* i = int_bound (String.length s - 1) and* bit = int_bound 7 in
+           return
+             (String.mapi
+                (fun k c ->
+                  if k = i then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+                s));
+      ]
+  in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    (oneof [ string; string_printable; mutated ])
+
+let test_env_fuzz =
+  QCheck.Test.make ~count:2000 ~name:"env: decoders never raise" env_inputs
+    (fun raw ->
+      List.iter
+        (fun (v : Kf_obs.Env.info) -> ignore (v.check raw))
+        (Kf_obs.Env.declared ());
+      ignore
+        (Kf_resil.Fault.with_config "" (fun () -> Kf_resil.Fault.parse raw));
+      true)
 
 let suite =
   [
@@ -231,5 +387,15 @@ let suite =
       test_systemml_overheads_shrink_speedup;
     Alcotest.test_case "env: strict integers" `Quick test_env_int;
     Alcotest.test_case "env: strict floats" `Quick test_env_float;
-    Alcotest.test_case "env: strict host variants" `Quick test_env_host_variant;
+    Alcotest.test_case "env: strict enums" `Quick test_env_enum;
+    Alcotest.test_case "env: integer reader raises" `Quick test_reader_int;
+    Alcotest.test_case "env: number reader raises" `Quick test_reader_float;
+    Alcotest.test_case "env: boolean reader raises" `Quick test_reader_bool;
+    Alcotest.test_case "env: enum reader raises" `Quick test_reader_enum;
+    Alcotest.test_case "env: fault-spec reader raises" `Quick
+      test_reader_spec;
+    Alcotest.test_case "env: check_all" `Quick test_check_all;
+    Alcotest.test_case "env: README table is the declared table" `Quick
+      test_readme_table;
+    QCheck_alcotest.to_alcotest test_env_fuzz;
   ]
