@@ -67,29 +67,51 @@ let () =
   let overhead_pct = 100.0 *. ((on_ms /. off_ms) -. 1.0) in
   Printf.printf "  guard overhead: %+.3f%% (acceptance < 2%%)\n%!"
     overhead_pct;
-  (* checkpoint write cost: a realistic LR-CG state (three cols-sized
-     vectors plus the session accounting) on the write path, including
-     the verify-after-write read-back *)
-  let ckpt_path = Filename.temp_file "kf_resil_bench" ".ckpt" in
-  let payload =
-    [
-      ("lr.w", Kf_resil.Ckpt.Floats (Gen.vector rng cols));
-      ("lr.r", Kf_resil.Ckpt.Floats (Gen.vector rng cols));
-      ("lr.p", Kf_resil.Ckpt.Floats (Gen.vector rng cols));
-      ("lr.nr2", Kf_resil.Ckpt.Float 1.0);
-      ("lr.i", Kf_resil.Ckpt.Int 17);
-    ]
+  (* checkpoint write cost at two state sizes, each including the
+     verify-after-write read-back: an LR-CG state (three cols-sized
+     vectors plus the session accounting, ~25 KB) where the fixed
+     costs show, and logreg-wide's Newton state (150,000 weights +
+     20,000 margins, ~1.36 MB) where the per-byte cost of rendering,
+     hashing, writing and verifying shows *)
+  let ckpt_cell name payload =
+    let path = Filename.temp_file "kf_resil_bench" ".ckpt" in
+    let write () =
+      Kf_resil.Ckpt.write ~path ~algorithm:"bench" ~iteration:17 payload
+    in
+    let ms = measure ~name write in
+    write ();
+    let bytes = (Unix.stat path).Unix.st_size in
+    (try Sys.remove path with Sys_error _ -> ());
+    let mb_per_s = float_of_int bytes /. (ms *. 1e3) in
+    Printf.printf "  %-28s %10.3f ms/run (%d bytes, %.0f MB/s)\n%!" name ms
+      bytes mb_per_s;
+    Kf_obs.Json.Obj
+      [
+        ("write_ms", Kf_obs.Json.Float ms);
+        ("bytes", Kf_obs.Json.Int bytes);
+        ("mb_per_s", Kf_obs.Json.Float mb_per_s);
+      ]
   in
-  let write_ckpt () =
-    Kf_resil.Ckpt.write ~path:ckpt_path ~algorithm:"bench" ~iteration:17
-      payload
+  let floats name n = (name, Kf_resil.Ckpt.Floats (Gen.vector rng n)) in
+  let lr_ckpt =
+    ckpt_cell "ckpt-write"
+      [
+        floats "lr.w" cols;
+        floats "lr.r" cols;
+        floats "lr.p" cols;
+        ("lr.nr2", Kf_resil.Ckpt.Float 1.0);
+        ("lr.i", Kf_resil.Ckpt.Int 17);
+      ]
   in
-  let ckpt_ms = measure ~name:"ckpt-write" write_ckpt in
-  write_ckpt ();
-  let ckpt_bytes = (Unix.stat ckpt_path).Unix.st_size in
-  (try Sys.remove ckpt_path with Sys_error _ -> ());
-  Printf.printf "  %-28s %10.3f ms/run (%d bytes)\n%!" "ckpt-write" ckpt_ms
-    ckpt_bytes;
+  let wide_ckpt =
+    ckpt_cell "ckpt-write:logreg-wide"
+      [
+        floats "logreg.w" 150_000;
+        floats "logreg.margins" 20_000;
+        ("logreg.delta", Kf_resil.Ckpt.Float 1.0);
+        ("logreg.newton", Kf_resil.Ckpt.Int 3);
+      ]
+  in
   let doc =
     Kf_obs.Json.Obj
       [
@@ -114,13 +136,8 @@ let () =
               ("on_ms", Kf_obs.Json.Float on_ms);
               ("overhead_pct", Kf_obs.Json.Float overhead_pct);
             ] );
-        ( "checkpoint",
-          Kf_obs.Json.Obj
-            [
-              ("write_ms", Kf_obs.Json.Float ckpt_ms);
-              ("bytes", Kf_obs.Json.Int ckpt_bytes);
-              ("state_floats", Kf_obs.Json.Int (3 * cols));
-            ] );
+        ("checkpoint", lr_ckpt);
+        ("checkpoint_wide", wide_ckpt);
       ]
   in
   let oc = open_out "BENCH_resil.json" in

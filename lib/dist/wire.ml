@@ -47,32 +47,6 @@ type msg =
   | Stats of { ops : int; compute : Kf_obs.Histogram.t }
   | Shutdown
 
-(* --- FNV-1a 64 over the payload (same function the ckpt format uses) ---
-
-   The hash state lives in two untagged 32-bit halves: the prime
-   0x100000001B3 is 2^40 + 0x1b3, so mod 2^64 the per-byte product
-   (hi·2^32 + l)·(2^40 + 0x1b3), with l = lo xor byte, reduces to
-     lo' = (l·0x1b3) mod 2^32
-     hi' = ((l << 8) + hi·0x1b3 + (l·0x1b3 >> 32)) mod 2^32
-   — all intermediates stay below 2^42, well inside a native int.  This
-   keeps a 256 KiB frame's checksum out of boxed-Int64 territory; the
-   frame codec sits on every distributed op's critical path. *)
-
-let fnv_mask = 0xFFFFFFFF
-
-let fnv_string s =
-  let lo = ref 0x84222325 and hi = ref 0xCBF29CE4 in
-  String.iter
-    (fun c ->
-      let l = !lo lxor Char.code c in
-      let m = l * 0x1b3 in
-      lo := m land fnv_mask;
-      hi := ((l lsl 8) + (!hi * 0x1b3) + (m lsr 32)) land fnv_mask)
-    s;
-  Int64.logor
-    (Int64.shift_left (Int64.of_int !hi) 32)
-    (Int64.of_int (!lo land fnv_mask))
-
 (* --- payload codecs (tagged fields via the checkpoint layer) ----------- *)
 
 module C = Kf_resil.Ckpt
@@ -225,44 +199,29 @@ let msg_of_payload tag p =
 
 (* --- framing ----------------------------------------------------------- *)
 
-let add_u32 b n =
-  for k = 0 to 3 do
-    Buffer.add_char b (Char.chr ((n lsr (k * 8)) land 0xff))
-  done
-
 let encode msg =
-  let payload = C.encode (payload_fields msg) in
-  let n = String.length payload in
+  let fields = payload_fields msg in
+  let n = C.encoded_size fields in
   if n > max_payload then invalid_arg "Wire.encode: payload too large";
-  let b = Buffer.create (header_len + n + checksum_len) in
-  Buffer.add_string b magic;
-  Buffer.add_char b (Char.chr (tag_of msg));
-  add_u32 b n;
-  Buffer.add_string b payload;
-  Buffer.add_int64_le b (fnv_string payload);
-  Buffer.contents b
+  let b, sum =
+    C.encode_framed ~header:header_len ~trailer:checksum_len fields
+  in
+  Bytes.blit_string magic 0 b 0 magic_len;
+  Bytes.set_uint8 b magic_len (tag_of msg);
+  Bytes.set_int32_le b (magic_len + 1) (Int32.of_int n);
+  Bytes.set_int64_le b (header_len + n) sum;
+  Bytes.unsafe_to_string b
 
-let u32_at s pos =
-  let v = ref 0 in
-  for k = 3 downto 0 do
-    v := (!v lsl 8) lor Char.code s.[pos + k]
-  done;
-  !v
+let u32_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xffff_ffff
 
-let i64_at s pos =
-  let v = ref 0L in
-  for k = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[pos + k]))
-  done;
-  !v
-
-let decode_body ~tag payload =
-  let h = fnv_string payload in
-  fun sum ->
-    if not (Int64.equal h sum) then corrupt "frame checksum mismatch";
-    match msg_of_payload tag (C.decode payload) with
-    | m -> m
-    | exception C.Corrupt s -> corrupt "frame payload: %s" s
+(* [s] holds the [len]-byte payload at [pos], then its checksum *)
+let decode_body ~tag s ~pos ~len =
+  let sum = String.get_int64_le s (pos + len) in
+  if not (Int64.equal (C.fnv1a64 s ~pos ~len) sum) then
+    corrupt "frame checksum mismatch";
+  match msg_of_payload tag (C.decode ~pos ~len s) with
+  | m -> m
+  | exception C.Corrupt s -> corrupt "frame payload: %s" s
 
 let decode frame =
   let n = String.length frame in
@@ -276,8 +235,7 @@ let decode frame =
     corrupt "frame length mismatch (%d of %d payload bytes)"
       (n - header_len - checksum_len)
       len;
-  let payload = String.sub frame header_len len in
-  decode_body ~tag payload (i64_at frame (header_len + len))
+  decode_body ~tag frame ~pos:header_len ~len
 
 (* --- socket I/O -------------------------------------------------------- *)
 
@@ -330,9 +288,7 @@ let recv_handshake fd =
     corrupt "frame payload length %d out of range" len;
   let rest = Bytes.create (len + checksum_len) in
   really_read fd rest 0 (len + checksum_len);
-  let rest = Bytes.unsafe_to_string rest in
-  let payload = String.sub rest 0 len in
-  let msg = decode_body ~tag payload (i64_at rest len) in
+  let msg = decode_body ~tag (Bytes.unsafe_to_string rest) ~pos:0 ~len in
   (msg, !skipped - magic_len + header_len + len + checksum_len)
 
 let recv fd =
@@ -347,7 +303,5 @@ let recv fd =
     corrupt "frame payload length %d out of range" len;
   let rest = Bytes.create (len + checksum_len) in
   really_read fd rest 0 (len + checksum_len);
-  let rest = Bytes.unsafe_to_string rest in
-  let payload = String.sub rest 0 len in
-  let msg = decode_body ~tag payload (i64_at rest len) in
+  let msg = decode_body ~tag (Bytes.unsafe_to_string rest) ~pos:0 ~len in
   (msg, header_len + len + checksum_len)

@@ -9,8 +9,8 @@
     v}
 
     and the payload reuses the checkpoint layer's tagged field encoding
-    ([Kf_resil.Ckpt.encode]/[decode]), so floats travel as IEEE-754
-    bits and every roundtrip is bit-exact — the property the sharded
+    and checksum ([Kf_resil.Ckpt.encode_framed]/[decode]/[fnv1a64]), so
+    floats travel as IEEE-754 bits and every roundtrip is bit-exact — the property the sharded
     differential tests and crash-respawn recovery depend on.  A frame
     whose checksum or structure does not verify raises {!Corrupt};
     reading from a peer that died raises {!Closed}. *)

@@ -18,51 +18,46 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 (* --- FNV-1a 64 -----------------------------------------------------------
 
-   The hash state lives in two untagged 32-bit halves: the FNV prime
-   0x100000001B3 is 2^40 + 0x1b3, so mod 2^64 the per-byte product
-   (hi·2^32 + l)·(2^40 + 0x1b3), with l = lo xor byte, reduces to
-     lo' = (l·0x1b3) mod 2^32
-     hi' = ((l << 8) + hi·0x1b3 + (l·0x1b3 >> 32)) mod 2^32
-   — all intermediates stay below 2^42, inside a native int, keeping
-   megabyte checkpoints (and the dist wire frames that reuse this
-   function) free of per-byte boxed-Int64 multiplies. *)
+   The one hash behind every checksum in the tree: checkpoint files, the
+   dist wire frames and the CLI's weights fingerprint.  The state is a
+   local [Int64] ref that never escapes, so ocamlopt keeps it unboxed in
+   a register: a byte costs one xor and one multiply, with no closure
+   call and no allocation. *)
 
-let fnv_mask = 0xFFFFFFFF
+let fnv_offset = 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3L
 
-let fnv_string s =
-  let lo = ref 0x84222325 and hi = ref 0xCBF29CE4 in
-  String.iter
-    (fun c ->
-      let l = !lo lxor Char.code c in
-      let m = l * 0x1b3 in
-      lo := m land fnv_mask;
-      hi := ((l lsl 8) + (!hi * 0x1b3) + (m lsr 32)) land fnv_mask)
-    s;
-  Int64.logor
-    (Int64.shift_left (Int64.of_int !hi) 32)
-    (Int64.of_int !lo)
+let fnv_bytes h b pos len =
+  let h = ref h in
+  for i = pos to pos + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get b i))))
+        fnv_prime
+  done;
+  !h
+
+let fnv1a64 s ~pos ~len =
+  fnv_bytes fnv_offset (Bytes.unsafe_of_string s) pos len
 
 let hex64 h = Printf.sprintf "%016Lx" h
 
+(* The bytes hashed are the little-endian bit patterns, 512 floats at a
+   time through one 4 KiB window, so fingerprinting a model allocates
+   nothing proportional to it. *)
 let checksum_floats v =
-  let lo = ref 0x84222325 and hi = ref 0xCBF29CE4 in
-  Array.iter
-    (fun x ->
-      let bits = Int64.bits_of_float x in
-      for k = 0 to 7 do
-        let byte =
-          Int64.to_int (Int64.shift_right_logical bits (k * 8)) land 0xff
-        in
-        let l = !lo lxor byte in
-        let m = l * 0x1b3 in
-        lo := m land fnv_mask;
-        hi := ((l lsl 8) + (!hi * 0x1b3) + (m lsr 32)) land fnv_mask
-      done)
-    v;
-  hex64
-    (Int64.logor
-       (Int64.shift_left (Int64.of_int !hi) 32)
-       (Int64.of_int !lo))
+  let window = Bytes.create 4096 in
+  let per = Bytes.length window / 8 in
+  let h = ref fnv_offset and i = ref 0 in
+  while !i < Array.length v do
+    let k = min per (Array.length v - !i) in
+    for j = 0 to k - 1 do
+      Bytes.set_int64_le window (8 * j) (Int64.bits_of_float v.(!i + j))
+    done;
+    h := fnv_bytes !h window 0 (8 * k);
+    i := !i + k
+  done;
+  hex64 !h
 
 (* --- payload encoding ----------------------------------------------------- *)
 
@@ -79,82 +74,91 @@ let tag_of = function
   | Floats _ -> 3
   | Ints _ -> 4
 
-let add_u16 b n =
-  Buffer.add_char b (Char.chr (n land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff))
+let body_size = function
+  | Int _ | Float _ -> 8
+  | Str s -> 4 + String.length s
+  | Floats v -> 4 + (8 * Array.length v)
+  | Ints v -> 4 + (8 * Array.length v)
 
-let add_u32 b n =
-  for k = 0 to 3 do
-    Buffer.add_char b (Char.chr ((n lsr (k * 8)) land 0xff))
-  done
-
-let encode payload =
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun (name, f) ->
+let encoded_size payload =
+  List.fold_left
+    (fun acc (name, f) ->
       if String.length name > 0xffff then
         invalid_arg "Ckpt.encode: field name too long";
-      Buffer.add_char b (Char.chr (tag_of f));
-      add_u16 b (String.length name);
-      Buffer.add_string b name;
-      match f with
-      | Int n -> Buffer.add_int64_le b (Int64.of_int n)
-      | Float x -> Buffer.add_int64_le b (Int64.bits_of_float x)
-      | Str s ->
-          add_u32 b (String.length s);
-          Buffer.add_string b s
-      | Floats v ->
-          add_u32 b (Array.length v);
-          Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) v
-      | Ints v ->
-          add_u32 b (Array.length v);
-          Array.iter (fun n -> Buffer.add_int64_le b (Int64.of_int n)) v)
-    payload;
-  Buffer.contents b
+      acc + 3 + String.length name + body_size f)
+    0 payload
 
-let decode s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let need k what =
-    if !pos + k > n then corrupt "checkpoint payload truncated in %s" what
-  in
-  let u8 what =
-    need 1 what;
-    let v = Char.code s.[!pos] in
-    incr pos;
-    v
-  in
-  let u16 what =
-    need 2 what;
-    let v = Char.code s.[!pos] lor (Char.code s.[!pos + 1] lsl 8) in
-    pos := !pos + 2;
-    v
+let put_u32 b pos n = Bytes.set_int32_le b pos (Int32.of_int n)
+
+(* Writes one field at [pos] and returns the offset after it. *)
+let put_field b pos (name, f) =
+  let nl = String.length name in
+  Bytes.set_uint8 b pos (tag_of f);
+  Bytes.set_uint16_le b (pos + 1) nl;
+  Bytes.blit_string name 0 b (pos + 3) nl;
+  let pos = pos + 3 + nl in
+  match f with
+  | Int n ->
+      Bytes.set_int64_le b pos (Int64.of_int n);
+      pos + 8
+  | Float x ->
+      Bytes.set_int64_le b pos (Int64.bits_of_float x);
+      pos + 8
+  | Str s ->
+      put_u32 b pos (String.length s);
+      Bytes.blit_string s 0 b (pos + 4) (String.length s);
+      pos + 4 + String.length s
+  | Floats v ->
+      put_u32 b pos (Array.length v);
+      for k = 0 to Array.length v - 1 do
+        Bytes.set_int64_le b (pos + 4 + (8 * k)) (Int64.bits_of_float v.(k))
+      done;
+      pos + 4 + (8 * Array.length v)
+  | Ints v ->
+      put_u32 b pos (Array.length v);
+      for k = 0 to Array.length v - 1 do
+        Bytes.set_int64_le b (pos + 4 + (8 * k)) (Int64.of_int v.(k))
+      done;
+      pos + 4 + (8 * Array.length v)
+
+(* [b] must have [encoded_size payload] bytes of room from [pos]. *)
+let encode_at b pos payload = ignore (List.fold_left (put_field b) pos payload)
+
+let encode_framed ~header ~trailer payload =
+  let n = encoded_size payload in
+  let b = Bytes.create (header + n + trailer) in
+  encode_at b header payload;
+  (b, fnv_bytes fnv_offset b header n)
+
+let encode payload =
+  let b = Bytes.create (encoded_size payload) in
+  encode_at b 0 payload;
+  Bytes.unsafe_to_string b
+
+let decode ?(pos = 0) ?len s =
+  let stop = match len with Some l -> pos + l | None -> String.length s in
+  if pos < 0 || stop < pos || stop > String.length s then
+    invalid_arg "Ckpt.decode: range outside the string";
+  let p = ref pos in
+  (* Claims the next [k] bytes and returns their offset.  [k] is checked
+     against what is left before anything is read or allocated, so a
+     count from the bytes never sizes an allocation they cannot back. *)
+  let take k what =
+    if k > stop - !p then corrupt "checkpoint payload truncated in %s" what;
+    let at = !p in
+    p := at + k;
+    at
   in
   let u32 what =
-    need 4 what;
-    let v = ref 0 in
-    for k = 3 downto 0 do
-      v := (!v lsl 8) lor Char.code s.[!pos + k]
-    done;
-    pos := !pos + 4;
-    !v
+    Int32.to_int (String.get_int32_le s (take 4 what)) land 0xffff_ffff
   in
-  let i64 what =
-    need 8 what;
-    let v = String.get_int64_le s !pos in
-    pos := !pos + 8;
-    v
-  in
-  let str len what =
-    need len what;
-    let v = String.sub s !pos len in
-    pos := !pos + len;
-    v
-  in
+  let i64 what = String.get_int64_le s (take 8 what) in
+  let str len what = String.sub s (take len what) len in
   let fields = ref [] in
-  while !pos < n do
-    let tag = u8 "field tag" in
-    let name = str (u16 "field name length") "field name" in
+  while !p < stop do
+    let tag = String.get_uint8 s (take 1 "field tag") in
+    let name_len = String.get_uint16_le s (take 2 "field name length") in
+    let name = str name_len "field name" in
     let f =
       match tag with
       | 0 -> Int (Int64.to_int (i64 name))
@@ -162,10 +166,20 @@ let decode s =
       | 2 -> Str (str (u32 name) name)
       | 3 ->
           let c = u32 name in
-          Floats (Array.init c (fun _ -> Int64.float_of_bits (i64 name)))
+          let at = take (8 * c) name in
+          let v = Array.create_float c in
+          for k = 0 to c - 1 do
+            v.(k) <- Int64.float_of_bits (String.get_int64_le s (at + (8 * k)))
+          done;
+          Floats v
       | 4 ->
           let c = u32 name in
-          Ints (Array.init c (fun _ -> Int64.to_int (i64 name)))
+          let at = take (8 * c) name in
+          let v = Array.make c 0 in
+          for k = 0 to c - 1 do
+            v.(k) <- Int64.to_int (String.get_int64_le s (at + (8 * k)))
+          done;
+          Ints v
       | t -> corrupt "unknown field tag %d for %S" t name
     in
     fields := (name, f) :: !fields
@@ -218,6 +232,8 @@ let read_file path =
       let n = in_channel_length ic in
       really_input_string ic n)
 
+(* Checks the header and checksum of a whole file image and returns the
+   payload's offset and length with its verified checksum. *)
 let parse_file path raw =
   let fail what = corrupt "%s: %s" path what in
   let line_end from =
@@ -241,37 +257,42 @@ let parse_file path raw =
     | Some n when n >= 0 -> n
     | _ -> fail "malformed payload length"
   in
-  if String.length raw - e3 - 1 <> len then
+  let pos = e3 + 1 in
+  if String.length raw - pos <> len then
     corrupt "%s: truncated checkpoint (payload has %d of %d bytes)" path
-      (String.length raw - e3 - 1)
-      len;
-  let body = String.sub raw (e3 + 1) len in
-  if hex64 (fnv_string body) <> sum then
+      (String.length raw - pos) len;
+  if hex64 (fnv1a64 raw ~pos ~len) <> sum then
     corrupt "%s: checksum mismatch — checkpoint is damaged, refusing to load"
       path;
-  body
+  (pos, len, sum)
 
 let read_with_checksum ~path =
-  let body = parse_file path (read_file path) in
-  let payload = decode body in
+  let raw = read_file path in
+  let pos, len, sum = parse_file path raw in
+  let payload = decode ~pos ~len raw in
   ( {
       algorithm = get_str payload "ckpt.algorithm";
       iteration = get_int payload "ckpt.iteration";
       payload;
     },
-    hex64 (fnv_string body) )
+    sum )
 
 let read ~path = fst (read_with_checksum ~path)
 
+(* The whole file in one buffer, sized up front: the payload is encoded
+   and hashed in place, then the three header lines, whose length does
+   not depend on the hash, are written in front of it. *)
 let render ~algorithm ~iteration payload =
-  let body =
-    encode
-      (("ckpt.algorithm", Str algorithm)
-      :: ("ckpt.iteration", Int iteration)
-      :: payload)
+  let payload =
+    ("ckpt.algorithm", Str algorithm) :: ("ckpt.iteration", Int iteration)
+    :: payload
   in
-  Printf.sprintf "%s\n%s\n%d\n%s" version (hex64 (fnv_string body))
-    (String.length body) body
+  let len = encoded_size payload in
+  let head h = Printf.sprintf "%s\n%s\n%d\n" version (hex64 h) len in
+  let header = String.length (head 0L) in
+  let b, h = encode_framed ~header ~trailer:0 payload in
+  Bytes.blit_string (head h) 0 b 0 header;
+  Bytes.unsafe_to_string b
 
 let write_raw path data =
   let tmp = path ^ ".tmp" in
@@ -299,12 +320,10 @@ let write ~path ~algorithm ~iteration payload =
   let data = render ~algorithm ~iteration payload in
   let rec attempt n =
     let tmp = write_raw path data in
-    let ok =
-      match parse_file tmp (read_file tmp) with
-      | _ -> true
-      | exception Corrupt _ -> false
-    in
-    if ok then begin
+    (* stronger than re-parsing the file: any byte that differs from
+       the rendered image forces a rewrite, not only one the checksum
+       catches *)
+    if String.equal (read_file tmp) data then begin
       Sys.rename tmp path;
       Kf_obs.Counter.incr writes
     end

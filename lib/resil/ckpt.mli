@@ -12,9 +12,11 @@
 
     The payload is a sequence of tagged fields ([name], kind, value);
     floats travel as IEEE-754 bit patterns so a restored solver resumes
-    {e bit-exactly}. Writes are atomic (temp file + rename) and
-    verified by re-reading before the rename — an injected or real
-    truncation is healed by rewriting, never published. Reads fail with
+    {e bit-exactly}. Writes are atomic (temp file + rename): the file
+    is rendered into one buffer, hashed once, and the temp file's bytes
+    are read back and compared with that buffer before the rename — an
+    injected or real truncation, or any other differing byte, is healed
+    by rewriting, never published. Reads fail with
     {!Corrupt} (clear message, no partial state) on version skew,
     length mismatch, or checksum mismatch. *)
 
@@ -41,9 +43,11 @@ val path_var : string Kf_obs.Env.t
     [--checkpoint] is absent. *)
 
 val write : path:string -> algorithm:string -> iteration:int -> payload -> unit
-(** Atomic, verified write. Raises [Sys_error] on I/O failure and
-    {!Corrupt} if the file still fails verification after bounded
-    rewrite attempts. *)
+(** Atomic, verified write: the temp file must read back byte for byte
+    as rendered, or it is rewritten (at most 3 attempts, each counted in
+    [resil.ckpt_rewrites]). Raises [Sys_error] on I/O failure and
+    {!Corrupt} if the file still fails verification after the last
+    attempt. *)
 
 val read : path:string -> t
 (** Raises {!Corrupt} on any malformed/damaged file, [Sys_error] if
@@ -63,12 +67,31 @@ val get_floats : payload -> string -> float array
 val get_ints : payload -> string -> int array
 val find : payload -> string -> field option
 
+val fnv1a64 : string -> pos:int -> len:int -> int64
+(** FNV-1a 64 of [len] bytes of the string from [pos]: the checksum of
+    checkpoint files and [Kf_dist.Wire] frames. *)
+
 val checksum_floats : float array -> string
-(** FNV-1a 64 over the IEEE-754 bit patterns, as 16 hex digits — the
-    CLI's model fingerprint for provable resume equality. *)
+(** FNV-1a 64 over the little-endian IEEE-754 bit patterns, as 16 hex
+    digits — the CLI's model fingerprint for provable resume
+    equality. *)
+
+val encoded_size : payload -> int
+(** Byte length of the payload encoding. Raises [Invalid_argument] on a
+    field name longer than 65535 bytes. *)
 
 val encode : payload -> string
 (** The raw payload encoding (exposed for tests). *)
 
-val decode : string -> payload
-(** Inverse of {!encode}; raises {!Corrupt} on malformed bytes. *)
+val encode_framed : header:int -> trailer:int -> payload -> Bytes.t * int64
+(** [encode_framed ~header ~trailer p] is [(b, h)]: a fresh buffer of
+    [header + encoded_size p + trailer] bytes with the encoding of [p]
+    at offset [header], and [h] the {!fnv1a64} of the encoded bytes.
+    The caller fills the first [header] and last [trailer] bytes — how
+    checkpoint files and wire frames are built without a copy. *)
+
+val decode : ?pos:int -> ?len:int -> string -> payload
+(** Inverse of {!encode}, over [len] bytes from [pos] (default: the
+    whole string). Raises {!Corrupt} on malformed bytes, before
+    allocating for any count the bytes cannot back, and
+    [Invalid_argument] if the range lies outside the string. *)

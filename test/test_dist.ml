@@ -155,6 +155,45 @@ let expect_corrupt label frame =
   | _ -> Alcotest.fail (label ^ ": expected Corrupt")
   | exception Wire.Corrupt _ -> ()
 
+(* Golden bytes: frames stay byte-identical across codec changes, so a
+   coordinator and workers built from different commits still agree. *)
+let test_frame_bytes_stable () =
+  let frame = Wire.encode (Wire.X_y { mid = 11; y = [| 1.; 2.; 3. |] }) in
+  let hex =
+    String.concat ""
+      (List.init (String.length frame) (fun i ->
+           Printf.sprintf "%02x" (Char.code frame.[i])))
+  in
+  Alcotest.(check int) "frame size" 68 (String.length frame);
+  Alcotest.(check string) "frame bytes"
+    ("6b662d646973742f31052e0000000003006d69640b0000000000000003010079030000"
+   ^ "00000000000000f03f00000000000000400000000000000840f0e50a2fa78a8edc")
+    hex;
+  Alcotest.(check string) "trailing FNV" "dc8e8aa72f0ae5f0"
+    (Printf.sprintf "%016Lx" (String.get_int64_le frame 60))
+
+(* A checksum-valid X_y frame whose 27-byte payload holds a Floats field
+   claiming 0xFFFFFFFF elements: a typed error, not a 34 GB array. *)
+let test_frame_oversized_count () =
+  let payload = "\003\008\000logreg.w\255\255\255\255" ^ String.make 12 '\000' in
+  let len = String.length payload in
+  let b = Buffer.create 64 in
+  Buffer.add_string b "kf-dist/1";
+  Buffer.add_char b '\005';
+  Buffer.add_int32_le b (Int32.of_int len);
+  Buffer.add_string b payload;
+  Buffer.add_int64_le b (Kf_resil.Ckpt.fnv1a64 payload ~pos:0 ~len);
+  let frame = Buffer.contents b in
+  let before = Gc.allocated_bytes () in
+  (match Wire.decode frame with
+  | _ -> Alcotest.fail "decoded a count the frame cannot back"
+  | exception Wire.Corrupt msg ->
+      Alcotest.(check bool) ("payload error: " ^ msg) true
+        (Astring.String.is_prefix ~affix:"frame payload" msg));
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) (Printf.sprintf "allocated %.0f bytes" bytes) true
+    (bytes < 1e6)
+
 let test_corrupt_frames () =
   let frame = Wire.encode (Wire.Partial { w = [| 1.5; -2.25 |]; compute_ns = 3 }) in
   (* flip one payload byte: the checksum must catch it *)
@@ -421,6 +460,9 @@ let suite =
     Alcotest.test_case "histograms cross the wire" `Quick
       test_histogram_roundtrip;
     Alcotest.test_case "damaged frames are rejected" `Quick test_corrupt_frames;
+    Alcotest.test_case "frame bytes are stable" `Quick test_frame_bytes_stable;
+    Alcotest.test_case "frame with an oversized count is rejected" `Quick
+      test_frame_oversized_count;
     Alcotest.test_case "netmodel alpha-beta arithmetic" `Quick
       test_netmodel_xfer;
     Alcotest.test_case "netmodel mode choice" `Quick test_netmodel_choose_mode;

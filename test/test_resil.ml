@@ -444,6 +444,89 @@ let test_ckpt_write_self_heals () =
   Alcotest.(check int) "healed file loads" 32
     (Array.length (Ckpt.get_floats t.Ckpt.payload "w"))
 
+(* ---- format stability and allocation bounds ---- *)
+
+(* Known answers: the FNV-1a 64 reference vectors, then golden values
+   that pin the kf-ckpt/1 bytes, so files written by older builds still
+   load and weights checksums stay comparable across commits. *)
+let test_fnv_known_answers () =
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check string) (Printf.sprintf "fnv1a64 %S" s) want
+        (Printf.sprintf "%016Lx" (Ckpt.fnv1a64 s ~pos:0 ~len:(String.length s))))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8") ];
+  Alcotest.(check string) "range of a longer string" "85944171f73967e8"
+    (Printf.sprintf "%016Lx" (Ckpt.fnv1a64 "xxfoobarxx" ~pos:2 ~len:6));
+  Alcotest.(check string) "checksum_floats" "10f3c9269c894751"
+    (Ckpt.checksum_floats [| 1.0; nan; -0.0; 7.25e-300 |])
+
+let test_ckpt_file_bytes_stable () =
+  with_tmp @@ fun path ->
+  write_sample path;
+  let raw = read_all path in
+  Alcotest.(check int) "file size" 350 (String.length raw);
+  Alcotest.(check string) "header" "kf-ckpt/1\ne129d48536bbca32\n319"
+    (String.sub raw 0 30)
+
+(* A Floats (tag 3) or Ints (tag 4) field claiming 0xFFFFFFFF elements,
+   backed by 12 bytes: 27 bytes that once asked for a 34 GB array. *)
+let oversized_count tag =
+  String.make 1 (Char.chr tag) ^ "\008\000logreg.w\255\255\255\255"
+  ^ String.make 12 '\000'
+
+let allocated f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (r, Gc.allocated_bytes () -. before)
+
+let test_ckpt_decode_oversized_count () =
+  List.iter
+    (fun tag ->
+      let payload = oversized_count tag in
+      Alcotest.(check int) "payload size" 27 (String.length payload);
+      let outcome, bytes =
+        allocated (fun () ->
+            match Ckpt.decode payload with
+            | _ -> None
+            | exception Ckpt.Corrupt msg -> Some msg)
+      in
+      (match outcome with
+      | None -> Alcotest.failf "tag %d: decode accepted a count it cannot back" tag
+      | Some msg ->
+          Alcotest.(check bool) ("names the field: " ^ msg) true
+            (Astring.String.is_infix ~affix:"logreg.w" msg));
+      Alcotest.(check bool)
+        (Printf.sprintf "tag %d: allocated %.0f bytes" tag bytes)
+        true (bytes < 1e6))
+    [ 3; 4 ]
+
+(* logreg-wide's checkpoint: 150,000 weights and 20,000 margins. *)
+let test_ckpt_allocation_bounded () =
+  with_tmp @@ fun path ->
+  let rng = Rng.create 7 in
+  let payload =
+    [
+      ("logreg.w", Ckpt.Floats (Gen.vector rng 150_000));
+      ("logreg.margins", Ckpt.Floats (Gen.vector rng 20_000));
+      ("logreg.loss", Ckpt.Float 0.25);
+    ]
+  in
+  let write () = Ckpt.write ~path ~algorithm:"logreg" ~iteration:3 payload in
+  write ();
+  let size = float_of_int (Unix.stat path).Unix.st_size in
+  let (), w = allocated write in
+  let t, r = allocated (fun () -> Ckpt.read ~path) in
+  Alcotest.(check bool) "read back" true
+    (bits_equal (Ckpt.get_floats payload "logreg.w")
+       (Ckpt.get_floats t.Ckpt.payload "logreg.w"));
+  Alcotest.(check bool)
+    (Printf.sprintf "write allocates %.2fx the file" (w /. size))
+    true (w <= 3.0 *. size);
+  Alcotest.(check bool)
+    (Printf.sprintf "read allocates %.2fx the file" (r /. size))
+    true (r <= 3.0 *. size)
+
 (* ---- kill/resume equality, all six algorithms ---- *)
 
 let mk_regression seed =
@@ -616,6 +699,13 @@ let suite =
     Alcotest.test_case "version skew rejected" `Quick test_ckpt_version_skew;
     Alcotest.test_case "injected write truncation self-heals" `Quick
       test_ckpt_write_self_heals;
+    Alcotest.test_case "FNV-1a 64 known answers" `Quick test_fnv_known_answers;
+    Alcotest.test_case "checkpoint file bytes are stable" `Quick
+      test_ckpt_file_bytes_stable;
+    Alcotest.test_case "decode refuses counts the bytes cannot back" `Quick
+      test_ckpt_decode_oversized_count;
+    Alcotest.test_case "checkpoint write and read allocate <= 3x the file"
+      `Quick test_ckpt_allocation_bounded;
     Alcotest.test_case "kill/resume LR-CG bit-exact" `Quick test_resume_lr;
     Alcotest.test_case "kill/resume GLM bit-exact" `Quick test_resume_glm;
     Alcotest.test_case "kill/resume LogReg bit-exact" `Quick
