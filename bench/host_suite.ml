@@ -1,24 +1,22 @@
 (* Host-backend benchmark (Bechamel): sequential reference vs the fused
-   multicore kernels vs the parallel-library composition, swept across
-   matrix shapes x domain counts x variants x tile sizes.  Unlike
-   bench/main.exe these are *real* wall-clock execution times — the
-   host backend is the one engine that does not simulate.
+   multicore kernel vs the parallel-library composition, swept across
+   matrix shapes x domain counts.  Unlike bench/main.exe these are
+   *real* wall-clock execution times — the host backend is the one
+   engine that does not simulate.
 
-   Two shapes bracket the variant chooser:
+   Two shapes stress the per-domain accumulators differently:
    - the tall shape (many rows, 1k columns) is the bandwidth-bound
-     regime where per-domain dense accumulators are cache-cheap;
-   - the wide shape (hundreds of thousands of columns) is where
-     full-width accumulators blow the L2 budget and the blocked
-     owner-computes kernel takes over.
+     regime where each domain's full-width accumulator is cache-cheap;
+   - the wide shape (tens to hundreds of thousands of columns) is where
+     the accumulators and their tree merge outgrow the L2.
 
    Usage:
      dune exec bench/host_suite.exe            # full shapes (~1M+ nnz)
      dune exec bench/host_suite.exe -- --small # CI-sized quick run
 
    Emits BENCH_host.json in the working directory, including the full
-   domain-count scaling curve per shape and a tile-size sweep; the
-   recommended domain count is the argmax of measured throughput, not a
-   hardware heuristic. *)
+   domain-count scaling curve per shape; the recommended domain count
+   is the argmax of measured throughput, not a hardware heuristic. *)
 
 open Bechamel
 open Toolkit
@@ -28,9 +26,7 @@ type case = {
   id : string;
   shape : string;  (* "tall" | "wide" *)
   domains : int;
-  variant : string;
-      (* "sequential", "dense-acc", "blocked", "library" *)
-  tile_cols : int option;  (* Some tc only for tile-sweep cases *)
+  variant : string;  (* "sequential", "dense-acc", "library" *)
   run : unit -> Vec.t;
 }
 
@@ -54,14 +50,14 @@ let make_shape ~sname ~suffix ~rows ~cols ~density ~seed =
 let pattern_args sd run =
   run ~alpha:2.0 sd.x ?v:(Some sd.v) sd.y ?beta:(Some 0.5) ?z:(Some sd.z) ()
 
-let run_host sd ~pool ?variant ?tile_cols () =
-  Fusion.Host_fused.pattern_sparse ~pool ?variant ?tile_cols ~alpha:2.0 sd.x
-    ~v:sd.v sd.y ~beta:0.5 ~z:sd.z ()
+let run_host sd ~pool =
+  Fusion.Host_fused.pattern_sparse ~pool ~alpha:2.0 sd.x ~v:sd.v sd.y ~beta:0.5
+    ~z:sd.z ()
 
 let shape_cases sd pools =
   let sfx = sd.suffix in
-  let case ~id ~domains ~variant ?tile_cols run =
-    { id; shape = sd.sname; domains; variant; tile_cols; run }
+  let case ~id ~domains ~variant run =
+    { id; shape = sd.sname; domains; variant; run }
   in
   let seq =
     case
@@ -69,51 +65,20 @@ let shape_cases sd pools =
       ~domains:1 ~variant:"sequential"
       (fun () -> pattern_args sd Blas.pattern_sparse)
   in
-  let forced name variant (d, pool) =
-    case
-      ~id:(Printf.sprintf "%s:d=%d%s" name d sfx)
-      ~domains:d
-      ~variant:(Fusion.Host_fused.variant_name variant)
-      (fun () -> run_host sd ~pool ~variant ())
-  in
-  let per_pool ((d, pool) as dp) =
+  let per_pool (d, pool) =
     [
-      (* what the dispatcher actually picks for this shape/domain count *)
       case
         ~id:(Printf.sprintf "host-fused:d=%d%s" d sfx)
         ~domains:d
-        ~variant:
-          (Fusion.Host_fused.variant_name
-             (Fusion.Host_fused.choose_variant ~domains:d ~cols:sd.x.Csr.cols
-                ()))
-        (fun () -> run_host sd ~pool ());
-      forced "host-densacc" Fusion.Host_fused.Dense_acc dp;
-      forced "host-blocked" Fusion.Host_fused.Blocked dp;
+        ~variant:(Fusion.Host_fused.variant_name Fusion.Host_fused.Dense_acc)
+        (fun () -> run_host sd ~pool);
       case
         ~id:(Printf.sprintf "host-library:d=%d%s" d sfx)
         ~domains:d ~variant:"library"
         (fun () -> pattern_args sd (Blas.par_pattern_sparse ~pool));
     ]
   in
-  (* tile-size sweep: the blocked kernel at the widest pool, from tiny
-     tiles (segment overhead dominates) up to one whole-width tile. *)
-  let tile_sweep =
-    match List.rev pools with
-    | [] -> []
-    | (d, pool) :: _ ->
-        let cols = sd.x.Csr.cols in
-        List.map
-          (fun tc ->
-            case
-              ~id:(Printf.sprintf "host-blocked:d=%d:tc=%d%s" d tc sfx)
-              ~domains:d ~variant:"blocked" ~tile_cols:tc
-              (fun () ->
-                run_host sd ~pool ~variant:Fusion.Host_fused.Blocked
-                  ~tile_cols:tc ()))
-          (List.sort_uniq compare
-             [ max 64 (cols / 16); max 64 (cols / 4); cols ])
-  in
-  (seq :: List.concat_map per_pool pools) @ tile_sweep
+  seq :: List.concat_map per_pool pools
 
 let build_cases ~small =
   let tall =
@@ -160,27 +125,16 @@ let measure_case case =
   | Some ns -> ns /. 1e6 (* ms per run *)
   | None -> Float.nan
 
-(* Re-measure the heaviest blocked case with tracing (and a Host_stats
-   sink) turned on: the delta against the normal measurement bounds what
-   the observability layer costs when it is actually recording — and,
-   since every number above ran with the instrumentation compiled in but
-   off, the off-state cost is already priced into the headline
-   results. *)
+(* Re-measure the fused kernel at 4 domains on the tall shape with
+   tracing (and a Host_stats sink) turned on: the delta against the
+   normal measurement bounds what the observability layer costs when it
+   is actually recording — and, since every number above ran with the
+   instrumentation compiled in but off, the off-state cost is already
+   priced into the headline results. *)
 let measure_tracing_overhead measured =
-  let pick variant =
-    match
-      List.sort
-        (fun (a, _) (b, _) -> compare b.domains a.domains)
-        (List.filter
-           (fun (c, _) -> c.variant = variant && c.tile_cols = None)
-           measured)
-    with
-    | best :: _ -> Some best
-    | [] -> None
-  in
-  match (pick "blocked", pick "dense-acc") with
-  | None, None -> None
-  | Some (case, off_ms), _ | None, Some (case, off_ms) ->
+  match List.find_opt (fun (c, _) -> c.id = "host-fused:d=4") measured with
+  | None -> None
+  | Some (case, off_ms) ->
       Kf_obs.Trace.enable ();
       let stats = Kf_obs.Host_stats.create ~domains:case.domains in
       let on_ms =
@@ -224,10 +178,7 @@ let () =
   let scaling shape =
     List.filter_map
       (fun (c, ms) ->
-        if
-          c.shape = shape && c.tile_cols = None
-          && String.length c.id >= 10
-          && String.sub c.id 0 10 = "host-fused"
+        if c.shape = shape && String.starts_with ~prefix:"host-fused" c.id
         then Some (c, ms)
         else None)
       measured
@@ -266,23 +217,6 @@ let () =
              ])
          (scaling shape))
   in
-  let tile_sweep_json =
-    Kf_obs.Json.List
-      (List.filter_map
-         (fun (c, ms) ->
-           match c.tile_cols with
-           | None -> None
-           | Some tc ->
-               Some
-                 (Kf_obs.Json.Obj
-                    [
-                      ("shape", Kf_obs.Json.Str c.shape);
-                      ("domains", Kf_obs.Json.Int c.domains);
-                      ("tile_cols", Kf_obs.Json.Int tc);
-                      ("ms", Kf_obs.Json.Float ms);
-                    ]))
-         measured)
-  in
   let meta =
     Kf_obs.Json.Obj
       [
@@ -291,13 +225,8 @@ let () =
         ( "domain_counts",
           Kf_obs.Json.List
             (List.map (fun d -> Kf_obs.Json.Int d) domain_counts) );
-        ("l2_bytes", Kf_obs.Json.Int (Par.Tune.l2_bytes ()));
-        ("l2_source", Kf_obs.Json.Str (Par.Tune.l2_source ()));
-        ("tile_rows_default", Kf_obs.Json.Int (Par.Tune.tile_rows ()));
-        ("tile_cols_default", Kf_obs.Json.Int (Par.Tune.tile_cols ()));
         ("scaling_tall", scaling_json "tall");
         ("scaling_wide", scaling_json "wide");
-        ("tile_sweep", tile_sweep_json);
         ( "tracing_overhead",
           match tracing with
           | None -> Kf_obs.Json.Null
@@ -320,10 +249,6 @@ let () =
         ("shape", Kf_obs.Json.Str case.shape);
         ("domains", Kf_obs.Json.Int case.domains);
         ("variant", Kf_obs.Json.Str case.variant);
-        ( "tile_cols",
-          match case.tile_cols with
-          | None -> Kf_obs.Json.Null
-          | Some tc -> Kf_obs.Json.Int tc );
         ("ms", Kf_obs.Json.Float ms);
         ("speedup_vs_sequential", Kf_obs.Json.Float (seq /. ms));
       ]

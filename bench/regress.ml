@@ -69,9 +69,8 @@ let req what = function
   | None -> fail_usage (Printf.sprintf "missing %s" what)
 
 (* Key parts are best-effort: a field a suite doesn't emit for some
-   cells (e.g. tile_cols on sparse variants) becomes "-" rather than an
-   error, keeping keys stable as long as the remaining parts
-   disambiguate. *)
+   cells becomes "-" rather than an error, keeping keys stable as long
+   as the remaining parts disambiguate. *)
 let part_of j k = Option.value (str j k) ~default:"-"
 
 let host_metrics doc =
@@ -79,8 +78,8 @@ let host_metrics doc =
     (fun r ->
       let part k = part_of r k in
       let key =
-        Printf.sprintf "host:%s:%s:d%s:%s:tc%s" (part "name") (part "shape")
-          (part "domains") (part "variant") (part "tile_cols")
+        Printf.sprintf "host:%s:%s:d%s:%s" (part "name") (part "shape")
+          (part "domains") (part "variant")
       in
       Option.map
         (fun ms -> { key; value = ms; dir = Lower_better; scale = 1.0 })

@@ -65,9 +65,8 @@ let domains_arg =
 (* The shared pool reads KF_DOMAINS lazily on first use, so setting the
    variable before any host-engine work takes effect process-wide.  A
    count beyond the recommended domain count (oversubscription: domains
-   time-share cores and the owner-computes kernels lose their cache
-   affinity) earns a warning but still runs, since CI boxes
-   under-report cores. *)
+   time-share cores and their accumulators lose their cache affinity)
+   earns a warning but still runs, since CI boxes under-report cores. *)
 let warn_oversubscribed n =
   let rec_n = Domain.recommended_domain_count () in
   if n > rec_n then

@@ -304,14 +304,13 @@ let execute ?cluster kind ~op ~input ~meta ~engine ~reference branch =
 
 (* --- Equation-1 ops ------------------------------------------------------- *)
 
-(* [layout] is the host variant's name, or "row-disjoint" for the graph
-   kernels. *)
+(* [layout] is "dense-acc" for the Equation-1 kernels, or
+   "row-disjoint" for the graph kernels. *)
 let host_used ~kernel ~pool layout =
   Printf.sprintf "host %s [%s, %d domain%s]" kernel layout (Par.Pool.size pool)
     (if Par.Pool.size pool = 1 then "" else "s")
 
-let host_variant pool cols =
-  Host_fused.choose_variant ~domains:(Par.Pool.size pool) ~cols ()
+let eq1_layout = Host_fused.variant_name Host_fused.Dense_acc
 
 (* Library composition for the trailing BLAS-1 work: w <- alpha*w, then
    optionally w <- w + beta*z (two more kernel launches). *)
@@ -341,14 +340,14 @@ let xt_y ?(engine = Fused) ?pool ?cluster device input y ~alpha =
       On_cluster (fun c -> Kf_dist.Cluster.xt_y_dense c x ~y ~alpha)
   | Host, Sparse x ->
       let pool = host_pool pool in
-      let variant = host_variant pool x.Matrix.Csr.cols in
       On_host
-        ( host_used ~kernel:"fused X^T*p" ~pool (Host_fused.variant_name variant),
+        ( host_used ~kernel:"fused X^T*p" ~pool eq1_layout,
           pool,
-          fun () -> Host_fused.xt_p ~pool ~variant ~alpha x y )
+          fun () -> Host_fused.xt_p ~pool ~alpha x y )
   | Host, Dense x ->
       (* Mirrors the Fused/Library dense dispatch: X^T*y is a single
-         pass already, so the "library" gemv_t is used, parallelised. *)
+         pass already, so the "library" gemv_t is used, parallelised
+         (the same per-domain-accumulator kernel as the fused ops). *)
       let pool = host_pool pool in
       On_host
         ( Printf.sprintf "host par_gemv_t [%d domains]" (Par.Pool.size pool),
@@ -428,20 +427,16 @@ let pattern ?(engine = Fused) ?pool ?cluster device input ~y ?v ?beta_z ~alpha
         (fun c -> Kf_dist.Cluster.pattern_dense c x ~y ?v ?beta_z ~alpha ())
   | Host, Sparse x ->
       let pool = host_pool pool in
-      let variant = host_variant pool x.Matrix.Csr.cols in
       On_host
-        ( host_used ~kernel:"fused sparse" ~pool (Host_fused.variant_name variant),
+        ( host_used ~kernel:"fused sparse" ~pool eq1_layout,
           pool,
-          fun () ->
-            Host_fused.pattern_sparse ~pool ~variant ~alpha x ?v y ?beta ?z () )
+          fun () -> Host_fused.pattern_sparse ~pool ~alpha x ?v y ?beta ?z () )
   | Host, Dense x ->
       let pool = host_pool pool in
-      let variant = host_variant pool x.Matrix.Dense.cols in
       On_host
-        ( host_used ~kernel:"fused dense" ~pool (Host_fused.variant_name variant),
+        ( host_used ~kernel:"fused dense" ~pool eq1_layout,
           pool,
-          fun () ->
-            Host_fused.pattern_dense ~pool ~variant ~alpha x ?v y ?beta ?z () )
+          fun () -> Host_fused.pattern_dense ~pool ~alpha x ?v y ?beta ?z () )
   | Fused, Sparse x ->
       let w, reports, plan =
         Fused_sparse.pattern device x ~y ?v ?beta_z ~alpha ()

@@ -10,7 +10,7 @@
       paper's [TL] register-unrolling trick) before any store;
     - {b shared memory -> per-domain buffers}: every domain owns a
       private dense [Bigarray] accumulator for [w], the stand-in for
-      the per-block shared-memory buffer ([Dense_acc] variant);
+      the per-block shared-memory buffer;
     - {b global atomics -> tree merge}: per-domain buffers are combined
       by a log-depth tree reduce on the pool, the stand-in for the
       inter-block atomic sweep.
@@ -19,44 +19,31 @@
     ([Par.Partition.by_prefix] over [row_off]), mirroring the tuner's
     Equation-5 coarsening so domains finish together.
 
-    Past half an L2 per domain ({!Par.Tune.prefer_owner_computes}) the
-    per-domain accumulators plus merge stop paying and the kernels
-    switch to the {b blocked owner-computes} variant: a row-blocked
-    parallel pass materialises the per-row scalars [p], then each
-    domain scatters only into the column tiles it owns ([Matrix.Tiles]
-    for CSR, [Matrix.Blas.owner_gemv_t] column stripes for dense),
-    sized from the L2 ({!Par.Tune.tile_rows}/{!Par.Tune.tile_cols}) so
-    a tile's slice of [w] stays L2-resident.  Ownership is exclusive, so the
-    merge — and its O(domains * cols) traffic — disappears, and the
-    pattern epilogue [alpha * w + beta * z] folds into each owner's
-    final write.
+    The loops are {!Matrix.Blas.par_xt_sparse} and
+    {!Matrix.Blas.par_xt_dense}, which the parallel library baseline
+    ([Matrix.Blas.par_csrmv_t], [par_gemv_t]) runs too; this module
+    adds argument validation, the degenerate-shape short cut, the
+    fault point and the variant record.
 
     All entry points compute real results only (no simulator): they are
     the "runs as fast as the hardware allows" backend and are verified
     to match [Matrix.Blas.pattern_sparse]/[pattern_dense] within
     floating-point reassociation error. *)
 
-type variant =
-  | Dense_acc  (** per-domain dense accumulators + tree merge *)
-  | Blocked
-      (** owner-computes column tiles, cached segment layout, no merge *)
+type variant = Dense_acc  (** per-domain dense accumulators + tree merge *)
 
 val variants : variant list
-(** Every variant: [[Dense_acc; Blocked]]. *)
+(** Every variant: [[Dense_acc]]. *)
 
 val variant_name : variant -> string
-(** ["dense-acc"] or ["blocked"]. *)
+(** ["dense-acc"]. *)
 
 val choose_variant : domains:int -> cols:int -> unit -> variant
-(** [Dense_acc] while [8 * cols * domains] fits half an L2 per domain,
-    else [Blocked] ({!Par.Tune.prefer_owner_computes}).  Pass
-    [?variant] to the kernels below to force one. *)
+(** Always [Dense_acc], whatever the shape. *)
 
 val pattern_sparse :
   ?pool:Par.Pool.t ->
   ?variant:variant ->
-  ?tile_rows:int ->
-  ?tile_cols:int ->
   alpha:float ->
   Matrix.Csr.t ->
   ?v:Matrix.Vec.t ->
@@ -67,21 +54,16 @@ val pattern_sparse :
   Matrix.Vec.t
 (** Fused multicore [alpha * X^T (v .* (X y)) + beta * z] for CSR [x]:
     each domain streams its rows once, computing the row dot product and
-    scattering it back in the same pass ([Dense_acc]), or runs the
-    two-pass blocked owner-computes kernel ([Blocked]).  Argument
-    conventions (and validation) match [Matrix.Blas.pattern_sparse].
-    [variant] defaults to {!choose_variant}; [tile_rows]/[tile_cols]
-    override the L2-derived {!Par.Tune} tile sizes for the blocked
-    variant.  Each row's scalar is computed inline in the row loop, so
-    what a call allocates on the minor heap does not grow with the row
-    count.  Degenerate shapes ([rows = 0], [cols = 0] or [nnz = 0])
-    return [beta * z] (or zeros) without touching the pool. *)
+    scattering it back in the same pass.  Argument conventions (and
+    validation) match [Matrix.Blas.pattern_sparse].  Each row's scalar
+    is computed inline in the row loop, so what a call allocates on the
+    minor heap does not grow with the row count.  Degenerate shapes
+    ([rows = 0], [cols = 0] or [nnz = 0]) return [beta * z] (or zeros)
+    without touching the pool. *)
 
 val pattern_dense :
   ?pool:Par.Pool.t ->
   ?variant:variant ->
-  ?tile_rows:int ->
-  ?tile_cols:int ->
   alpha:float ->
   Matrix.Dense.t ->
   ?v:Matrix.Vec.t ->
@@ -96,15 +78,14 @@ val pattern_dense :
 val xt_p :
   ?pool:Par.Pool.t ->
   ?variant:variant ->
-  ?tile_rows:int ->
-  ?tile_cols:int ->
   alpha:float ->
   Matrix.Csr.t ->
   Matrix.Vec.t ->
   Matrix.Vec.t
 (** [xt_p ~alpha x p = alpha * X^T p] — Algorithm 1's host analogue,
     where the per-row scalar arrives precomputed and only the scatter
-    (with its hierarchical aggregation) remains. *)
+    (with its hierarchical aggregation) remains.  With [alpha = 1.0] it
+    equals [Matrix.Blas.par_csrmv_t] on the same pool bit for bit. *)
 
 (** {1 FusedMM graph kernels}
 

@@ -4,8 +4,8 @@
     see {!Worker}) connected over Unix-domain socketpairs.  Matrices
     are sharded by rows with [Par.Partition.by_prefix] (nnz-balanced
     for CSR), shipped once, and cached on both sides under a matrix id
-    keyed by physical identity — a training loop re-uses its shards
-    across iterations the way [Matrix.Tiles] re-uses layouts.
+    keyed by physical identity, so a training loop ships its shards
+    once and re-uses them across iterations.
 
     Every op follows the same protocol: scatter the per-worker inputs,
     compute on each shard with the sequential reference BLAS, gather

@@ -89,20 +89,20 @@ let pattern_dense ~alpha x ?v y ?beta ?z () =
    Parallel versions of the four matrix-vector products sharing one
    domain pool, so the unfused "library" baseline is as parallel as the
    fused host kernels and the comparison between them stays honest.
-   Row-major products partition rows disjointly; transposed products
-   are owner-computes — each worker reduces only the column slice it
-   owns (dense: a uniform column stripe; sparse: nnz-weighted column
-   tiles via [Tiles]) — so the per-worker full-width accumulators and
-   the tree merge they needed are gone.  Inner loops are 4-way
-   unrolled over unsafe accesses, the host analogue of the paper's TL
-   register-unrolling trick. *)
+   Row-major products partition rows disjointly.  Transposed products
+   aggregate the way the fused host kernels do, through the same two
+   kernels ([par_xt_sparse], [par_xt_dense]): per-domain accumulators
+   plus a tree merge.  Inner loops are 4-way unrolled over unsafe
+   accesses, the host analogue of the paper's TL register-unrolling
+   trick. *)
 
 let get_pool = function Some p -> p | None -> Par.Pool.default ()
 
 (* Unrolled dot products.  Four independent accumulators hide FP-add
    latency; the combine order differs from the sequential reference by
-   reassociation only (tests allow 1e-9 relative). *)
-let unrolled_dot data base (y : float array) n =
+   reassociation only (tests allow 1e-9 relative).  Inlined into every
+   row loop below, so no row pays for a call returning a boxed float. *)
+let[@inline] unrolled_dot data base (y : float array) n =
   let acc0 = ref 0.0 and acc1 = ref 0.0 in
   let acc2 = ref 0.0 and acc3 = ref 0.0 in
   let c = ref 0 in
@@ -128,7 +128,7 @@ let unrolled_dot data base (y : float array) n =
   done;
   !acc
 
-let unrolled_sparse_dot values col_idx lo hi (y : float array) =
+let[@inline] unrolled_sparse_dot values col_idx lo hi (y : float array) =
   let acc0 = ref 0.0 and acc1 = ref 0.0 in
   let acc2 = ref 0.0 and acc3 = ref 0.0 in
   let i = ref lo in
@@ -176,120 +176,6 @@ let par_gemv ?pool (x : Dense.t) y =
       done);
   out
 
-(* Owner-computes dense X^T p: each worker owns a uniform column stripe
-   [c_lo, c_hi), accumulates into a stripe-local Bigarray walking its
-   column tiles over row blocks (so the streamed X block plus the w
-   tile stay in L2), and writes only its own slice of the result —
-   optionally folding the pattern epilogue [alpha * w + beta * z] into
-   that final write.  [credit] accounts rows via a uniform bookkeeping
-   split and elements as [rows * stripe_width], which sums exactly to
-   the matrix totals across workers. *)
-let owner_gemv_t ~pool ?tile_rows ?tile_cols ~credit ~alpha ?beta_z
-    (x : Dense.t) p ~out =
-  let workers = Par.Pool.size pool in
-  let trows =
-    match tile_rows with
-    | Some n when n >= 1 -> n
-    | _ -> Par.Tune.tile_rows ()
-  in
-  let tcols =
-    match tile_cols with
-    | Some n when n >= 1 -> n
-    | _ -> Par.Tune.tile_cols ()
-  in
-  let cb = Par.Partition.uniform ~n:x.cols ~parts:workers in
-  let rb = Par.Partition.uniform ~n:x.rows ~parts:workers in
-  let data = x.data and cols = x.cols and rows = x.rows in
-  if Kf_obs.Host_stats.profiling () then begin
-    Kf_obs.Host_stats.record_alloc ~bytes:(8 * cols);
-    Kf_obs.Host_stats.record_tiles
-      ~count:(Stdlib.max workers ((cols + tcols - 1) / tcols));
-    Kf_obs.Host_stats.record_merge_bytes_saved
-      ~bytes:((workers - 1) * cols * 8 * 3)
-  end;
-  Par.Pool.run_workers pool (fun wid ->
-      let c_lo = cb.(wid) and c_hi = cb.(wid + 1) in
-      let width = c_hi - c_lo in
-      if width > 0 then begin
-        let w =
-          Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout width
-        in
-        Bigarray.Array1.fill w 0.0;
-        if credit && Kf_obs.Host_stats.profiling () then
-          Kf_obs.Host_stats.add_work
-            ~rows:(rb.(wid + 1) - rb.(wid))
-            ~nnz:(rows * width);
-        let ct = ref c_lo in
-        while !ct < c_hi do
-          let ct_hi = Stdlib.min c_hi (!ct + tcols) in
-          let rb0 = ref 0 in
-          while !rb0 < rows do
-            let rb_hi = Stdlib.min rows (!rb0 + trows) in
-            for r = !rb0 to rb_hi - 1 do
-              let pr = Array.unsafe_get p r in
-              if pr <> 0.0 then begin
-                let base = r * cols in
-                let c = ref !ct in
-                while !c + 4 <= ct_hi do
-                  let c0 = !c in
-                  let j0 = c0 - c_lo in
-                  Bigarray.Array1.unsafe_set w j0
-                    (Bigarray.Array1.unsafe_get w j0
-                    +. (Array.unsafe_get data (base + c0) *. pr));
-                  Bigarray.Array1.unsafe_set w (j0 + 1)
-                    (Bigarray.Array1.unsafe_get w (j0 + 1)
-                    +. (Array.unsafe_get data (base + c0 + 1) *. pr));
-                  Bigarray.Array1.unsafe_set w (j0 + 2)
-                    (Bigarray.Array1.unsafe_get w (j0 + 2)
-                    +. (Array.unsafe_get data (base + c0 + 2) *. pr));
-                  Bigarray.Array1.unsafe_set w (j0 + 3)
-                    (Bigarray.Array1.unsafe_get w (j0 + 3)
-                    +. (Array.unsafe_get data (base + c0 + 3) *. pr));
-                  c := c0 + 4
-                done;
-                while !c < ct_hi do
-                  let j = !c - c_lo in
-                  Bigarray.Array1.unsafe_set w j
-                    (Bigarray.Array1.unsafe_get w j
-                    +. (Array.unsafe_get data (base + !c) *. pr));
-                  incr c
-                done
-              end
-            done;
-            rb0 := rb_hi
-          done;
-          ct := ct_hi
-        done;
-        match beta_z with
-        | None ->
-            for c = c_lo to c_hi - 1 do
-              Array.unsafe_set out c
-                (alpha *. Bigarray.Array1.unsafe_get w (c - c_lo))
-            done
-        | Some (beta, z) ->
-            for c = c_lo to c_hi - 1 do
-              Array.unsafe_set out c
-                ((alpha *. Bigarray.Array1.unsafe_get w (c - c_lo))
-                +. (beta *. Array.unsafe_get z c))
-            done
-      end)
-
-let par_gemv_t ?pool ?tile_rows ?tile_cols (x : Dense.t) p =
-  if Array.length p <> x.rows then
-    invalid_arg "Blas.par_gemv_t: dimension mismatch";
-  let pool = get_pool pool in
-  let workers = Par.Pool.size pool in
-  if workers = 1 || x.rows = 0 || x.cols = 0 then begin
-    if Kf_obs.Host_stats.profiling () then
-      Kf_obs.Host_stats.add_work ~rows:x.rows ~nnz:(x.rows * x.cols);
-    gemv_t x p
-  end
-  else begin
-    let out = Array.make x.cols 0.0 in
-    owner_gemv_t ~pool ?tile_rows ?tile_cols ~credit:true ~alpha:1.0 x p ~out;
-    out
-  end
-
 let par_csrmv ?pool (x : Csr.t) y =
   if Array.length y <> x.cols then
     invalid_arg "Blas.par_csrmv: dimension mismatch";
@@ -309,34 +195,222 @@ let par_csrmv ?pool (x : Csr.t) y =
       done);
   out
 
-let par_csrmv_t ?pool ?tile_cols (x : Csr.t) p =
+(* ---- per-domain-accumulator X^T kernels ------------------------------
+   The one way a host kernel aggregates [X^T s]: every domain owns a
+   private dense [Bigarray] accumulator for the whole output (the
+   stand-in for the GPU's per-block shared-memory buffer), scatters its
+   rows into it, and a log-depth tree reduce on the pool combines the
+   accumulators (the stand-in for the inter-block atomic sweep). *)
+
+type row_scalar = Dot of Vec.t | Scaled_dot of Vec.t * Vec.t | Given of Vec.t
+
+(* The accumulator helpers below take the Bigarray as a parameter, so
+   the element kind must be pinned by annotation: a bare parameter is
+   still a type variable when its binding is compiled, and the compiler
+   then emits generic (C-call) accessors instead of unboxed float64
+   loads — a silent ~4x slowdown on the hot loops. *)
+type acc = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* Tree-merge step over Bigarray accumulators, 4-way unrolled. *)
+let merge_add_ba ~(dst : acc) ~(src : acc) =
+  let n = Bigarray.Array1.dim dst in
+  let i = ref 0 in
+  while !i + 4 <= n do
+    let i0 = !i in
+    Bigarray.Array1.unsafe_set dst i0
+      (Bigarray.Array1.unsafe_get dst i0 +. Bigarray.Array1.unsafe_get src i0);
+    Bigarray.Array1.unsafe_set dst (i0 + 1)
+      (Bigarray.Array1.unsafe_get dst (i0 + 1)
+      +. Bigarray.Array1.unsafe_get src (i0 + 1));
+    Bigarray.Array1.unsafe_set dst (i0 + 2)
+      (Bigarray.Array1.unsafe_get dst (i0 + 2)
+      +. Bigarray.Array1.unsafe_get src (i0 + 2));
+    Bigarray.Array1.unsafe_set dst (i0 + 3)
+      (Bigarray.Array1.unsafe_get dst (i0 + 3)
+      +. Bigarray.Array1.unsafe_get src (i0 + 3));
+    i := i0 + 4
+  done;
+  while !i < n do
+    Bigarray.Array1.unsafe_set dst !i
+      (Bigarray.Array1.unsafe_get dst !i +. Bigarray.Array1.unsafe_get src !i);
+    incr i
+  done
+
+(* Convert the merged accumulator into the caller's result, folding
+   [alpha] and [beta * z] into the one write pass. *)
+let finalize_ba ~alpha ~beta_z (m : acc) ~cols =
+  let out = Array.make cols 0.0 in
+  (match beta_z with
+  | None ->
+      for c = 0 to cols - 1 do
+        Array.unsafe_set out c (alpha *. Bigarray.Array1.unsafe_get m c)
+      done
+  | Some (beta, z) ->
+      for c = 0 to cols - 1 do
+        Array.unsafe_set out c
+          ((alpha *. Bigarray.Array1.unsafe_get m c)
+          +. (beta *. Array.unsafe_get z c))
+      done);
+  out
+
+let fresh_acc cols =
+  let w = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout cols in
+  Bigarray.Array1.fill w 0.0;
+  w
+
+(* Observability: accumulator allocations and merge traffic are
+   recorded from the coordinating domain (single-writer tallies);
+   per-worker rows/nnz are credited inside the worker closures, each
+   writing only its own slot.  Every recording entry point is a no-op
+   one-flag check unless a Host_stats sink is installed. *)
+let record_accs ~count ~elems =
+  if Kf_obs.Host_stats.profiling () then
+    for _ = 1 to count do
+      Kf_obs.Host_stats.record_alloc ~bytes:(8 * elems)
+    done
+
+let record_merge_traffic ~workers ~cols =
+  (* each of the (workers - 1) pairwise tree merges reads dst + src and
+     writes dst: 24 bytes per element. *)
+  if Kf_obs.Host_stats.profiling () then
+    Kf_obs.Host_stats.record_merge_bytes ~bytes:((workers - 1) * cols * 8 * 3)
+
+(* Run [scatter wid w] on every worker into its own fresh accumulator,
+   tree-merge them and write [alpha * w + beta * z]. *)
+let accumulate_and_merge pool ~cols ~alpha ~beta_z scatter =
+  let workers = Par.Pool.size pool in
+  record_accs ~count:workers ~elems:cols;
+  let parts =
+    Par.Pool.map_workers pool (fun wid ->
+        let w = fresh_acc cols in
+        scatter wid w;
+        w)
+  in
+  let merged = Par.Pool.reduce pool ~merge:merge_add_ba parts in
+  record_merge_traffic ~workers ~cols;
+  finalize_ba ~alpha ~beta_z merged ~cols
+
+(* Scatter the rows [rlo, rhi) of [x] into [w], each row's scalar
+   computed inline from [src]. *)
+let sparse_scatter_rows_ba (x : Csr.t) ~src ~(w : acc) ~rlo ~rhi =
+  let values = x.values and col_idx = x.col_idx and row_off = x.row_off in
+  for r = rlo to rhi - 1 do
+    let s = Array.unsafe_get row_off r
+    and e = Array.unsafe_get row_off (r + 1) in
+    if e > s then begin
+      let pr =
+        match src with
+        | Dot y -> unrolled_sparse_dot values col_idx s e y
+        | Scaled_dot (y, v) ->
+            unrolled_sparse_dot values col_idx s e y *. Array.unsafe_get v r
+        | Given p -> Array.unsafe_get p r
+      in
+      if pr <> 0.0 then begin
+        let i = ref s in
+        while !i + 4 <= e do
+          let i0 = !i in
+          let c0 = Array.unsafe_get col_idx i0
+          and v0 = Array.unsafe_get values i0 in
+          let c1 = Array.unsafe_get col_idx (i0 + 1)
+          and v1 = Array.unsafe_get values (i0 + 1) in
+          let c2 = Array.unsafe_get col_idx (i0 + 2)
+          and v2 = Array.unsafe_get values (i0 + 2) in
+          let c3 = Array.unsafe_get col_idx (i0 + 3)
+          and v3 = Array.unsafe_get values (i0 + 3) in
+          Bigarray.Array1.unsafe_set w c0
+            (Bigarray.Array1.unsafe_get w c0 +. (v0 *. pr));
+          Bigarray.Array1.unsafe_set w c1
+            (Bigarray.Array1.unsafe_get w c1 +. (v1 *. pr));
+          Bigarray.Array1.unsafe_set w c2
+            (Bigarray.Array1.unsafe_get w c2 +. (v2 *. pr));
+          Bigarray.Array1.unsafe_set w c3
+            (Bigarray.Array1.unsafe_get w c3 +. (v3 *. pr));
+          i := i0 + 4
+        done;
+        while !i < e do
+          let c = Array.unsafe_get col_idx !i in
+          Bigarray.Array1.unsafe_set w c
+            (Bigarray.Array1.unsafe_get w c
+            +. (Array.unsafe_get values !i *. pr));
+          incr i
+        done
+      end
+    end
+  done
+
+(* nnz-balanced row ranges, one per domain. *)
+let par_xt_sparse ~pool src ~alpha ~beta_z (x : Csr.t) =
+  let bounds =
+    Par.Partition.by_prefix ~prefix:x.row_off ~parts:(Par.Pool.size pool) ()
+  in
+  accumulate_and_merge pool ~cols:x.cols ~alpha ~beta_z (fun wid w ->
+      let rlo = bounds.(wid) and rhi = bounds.(wid + 1) in
+      if Kf_obs.Host_stats.profiling () then
+        Kf_obs.Host_stats.add_work ~rows:(rhi - rlo)
+          ~nnz:(x.row_off.(rhi) - x.row_off.(rlo));
+      sparse_scatter_rows_ba x ~src ~w ~rlo ~rhi)
+
+(* Axpy of one dense row into the Bigarray accumulator, 4-way
+   unrolled; inlined, so [pr] is not boxed on the way in. *)
+let[@inline] dense_axpy_row_ba data ~base ~pr ~(w : acc) ~cols =
+  let c = ref 0 in
+  while !c + 4 <= cols do
+    let c0 = !c in
+    Bigarray.Array1.unsafe_set w c0
+      (Bigarray.Array1.unsafe_get w c0
+      +. (Array.unsafe_get data (base + c0) *. pr));
+    Bigarray.Array1.unsafe_set w (c0 + 1)
+      (Bigarray.Array1.unsafe_get w (c0 + 1)
+      +. (Array.unsafe_get data (base + c0 + 1) *. pr));
+    Bigarray.Array1.unsafe_set w (c0 + 2)
+      (Bigarray.Array1.unsafe_get w (c0 + 2)
+      +. (Array.unsafe_get data (base + c0 + 2) *. pr));
+    Bigarray.Array1.unsafe_set w (c0 + 3)
+      (Bigarray.Array1.unsafe_get w (c0 + 3)
+      +. (Array.unsafe_get data (base + c0 + 3) *. pr));
+    c := c0 + 4
+  done;
+  while !c < cols do
+    Bigarray.Array1.unsafe_set w !c
+      (Bigarray.Array1.unsafe_get w !c
+      +. (Array.unsafe_get data (base + !c) *. pr));
+    incr c
+  done
+
+(* Uniform row ranges, one per domain. *)
+let par_xt_dense ~pool src ~alpha ~beta_z (x : Dense.t) =
+  let bounds = Par.Partition.uniform ~n:x.rows ~parts:(Par.Pool.size pool) in
+  let data = x.data and cols = x.cols in
+  accumulate_and_merge pool ~cols ~alpha ~beta_z (fun wid w ->
+      let rlo = bounds.(wid) and rhi = bounds.(wid + 1) in
+      if Kf_obs.Host_stats.profiling () then
+        Kf_obs.Host_stats.add_work ~rows:(rhi - rlo) ~nnz:((rhi - rlo) * cols);
+      for r = rlo to rhi - 1 do
+        let base = r * cols in
+        let pr =
+          match src with
+          | Dot y -> unrolled_dot data base y cols
+          | Scaled_dot (y, v) ->
+              unrolled_dot data base y cols *. Array.unsafe_get v r
+          | Given p -> Array.unsafe_get p r
+        in
+        if pr <> 0.0 then dense_axpy_row_ba data ~base ~pr ~w ~cols
+      done)
+
+let par_gemv_t ?pool (x : Dense.t) p =
+  if Array.length p <> x.rows then
+    invalid_arg "Blas.par_gemv_t: dimension mismatch";
+  par_xt_dense ~pool:(get_pool pool) (Given p) ~alpha:1.0 ~beta_z:None x
+
+let par_csrmv_t ?pool (x : Csr.t) p =
   if Array.length p <> x.rows then
     invalid_arg "Blas.par_csrmv_t: dimension mismatch";
-  let pool = get_pool pool in
-  let workers = Par.Pool.size pool in
-  if workers = 1 || x.rows = 0 || x.cols = 0 || Csr.nnz x = 0 then begin
-    if Kf_obs.Host_stats.profiling () then
-      Kf_obs.Host_stats.add_work ~rows:x.rows
-        ~nnz:(x.row_off.(x.rows) - x.row_off.(0));
-    csrmv_t x p
-  end
-  else begin
-    let t = Tiles.layout ?tile_cols ~parts:workers x in
-    let out = Array.make x.cols 0.0 in
-    Tiles.scatter ~pool ~credit:true t x ~p ~alpha:1.0 ~out ();
-    out
-  end
+  par_xt_sparse ~pool:(get_pool pool) (Given p) ~alpha:1.0 ~beta_z:None x
 
 let par_pattern_sparse ?pool ~alpha x ?v y ?beta ?z () =
   let p = par_csrmv ?pool x y in
   let p = match v with None -> p | Some v -> Vec.mul_elementwise v p in
   let w = par_csrmv_t ?pool x p in
-  finish_pattern ~alpha ~beta ~z w
-
-let par_pattern_dense ?pool ~alpha x ?v y ?beta ?z () =
-  let p = par_gemv ?pool x y in
-  let p = match v with None -> p | Some v -> Vec.mul_elementwise v p in
-  let w = par_gemv_t ?pool x p in
   finish_pattern ~alpha ~beta ~z w
 
 type op_class = Pattern_op | Blas1_op | Other_op

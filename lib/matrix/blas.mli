@@ -54,46 +54,20 @@ val finish_pattern :
     "parallel library" baseline of the host backend: the same operator
     chain as the sequential reference, parallelised operator by
     operator, with no fusion across operators.  Row-major products
-    partition rows disjointly; transposed products are blocked and
-    owner-computes — each worker reduces only the column slice it owns
-    (dense: a uniform column stripe walked in row blocks; sparse:
-    nnz-weighted column tiles via {!Tiles}) — eliminating the
-    per-worker full-width accumulators and tree merge the old scheme
-    paid.  Inner loops are 4-way unrolled over unsafe accesses.
-    Results match the sequential functions up to floating-point
-    summation order.  Tile sizes default to the L2-derived
-    {!Par.Tune} values ({!Par.Tune.tile_rows}/{!Par.Tune.tile_cols}). *)
+    partition rows disjointly.  Transposed products run {!par_xt_sparse}
+    and {!par_xt_dense}, the kernels the fused host backend runs too.
+    Inner loops are 4-way unrolled over unsafe accesses, and no row's
+    dot product allocates.  Results match the sequential functions up
+    to floating-point summation order; with a pool of one domain the
+    transposed products equal {!csrmv_t} and {!gemv_t} bit for bit. *)
 
 val par_gemv : ?pool:Par.Pool.t -> Dense.t -> Vec.t -> Vec.t
 
-val par_gemv_t :
-  ?pool:Par.Pool.t -> ?tile_rows:int -> ?tile_cols:int -> Dense.t -> Vec.t ->
-  Vec.t
+val par_gemv_t : ?pool:Par.Pool.t -> Dense.t -> Vec.t -> Vec.t
 
 val par_csrmv : ?pool:Par.Pool.t -> Csr.t -> Vec.t -> Vec.t
 
-val par_csrmv_t : ?pool:Par.Pool.t -> ?tile_cols:int -> Csr.t -> Vec.t -> Vec.t
-
-val owner_gemv_t :
-  pool:Par.Pool.t ->
-  ?tile_rows:int ->
-  ?tile_cols:int ->
-  credit:bool ->
-  alpha:float ->
-  ?beta_z:float * Vec.t ->
-  Dense.t ->
-  Vec.t ->
-  out:Vec.t ->
-  unit
-(** The owner-computes dense transposed product underlying
-    {!par_gemv_t}, exposed so the fused host kernel can reuse it with
-    the pattern epilogue [alpha * w + beta * z] folded into each
-    worker's final write of its owned stripe.  [out] is fully
-    overwritten.  [credit] controls {!Kf_obs.Host_stats} rows/nnz
-    accounting — callers that already credited the matrix in an
-    earlier pass must pass [false].  Requires [workers >= 1]; with
-    zero-size shapes it writes nothing (callers handle degenerate
-    shapes). *)
+val par_csrmv_t : ?pool:Par.Pool.t -> Csr.t -> Vec.t -> Vec.t
 
 val par_pattern_sparse :
   ?pool:Par.Pool.t ->
@@ -102,10 +76,46 @@ val par_pattern_sparse :
 (** [pattern_sparse] as an unfused chain of multicore library calls —
     the honest parallel baseline for the fused host kernels. *)
 
-val par_pattern_dense :
-  ?pool:Par.Pool.t ->
-  alpha:float -> Dense.t -> ?v:Vec.t -> Vec.t -> ?beta:float -> ?z:Vec.t ->
-  unit -> Vec.t
+(** {1 Per-domain-accumulator transposed kernels}
+
+    The one way a host kernel aggregates [X^T s], shared by the parallel
+    BLAS above and the fused host backend ([Fusion.Host_fused]).  Each
+    domain takes a contiguous range of rows (nnz-balanced by
+    [Par.Partition.by_prefix] for CSR, [Par.Partition.uniform] for
+    dense), computes each row's scalar [s.(r)] inline, and scatters
+    [s.(r) * X.(r)] into a private full-width accumulator.  A tree
+    reduce on the pool ({!Par.Pool.reduce}) merges the accumulators, and
+    one final pass writes [alpha * w + beta * z].  Host_stats records
+    one accumulator of [8 * cols] bytes per domain and [24 * cols] merge
+    bytes per pairwise merge.  No argument is validated here: the
+    callers check lengths. *)
+
+(** Where a row's scalar comes from: a dot product with [y]
+    (Algorithm 2's first walk), that dot scaled by [v.(r)], or a
+    precomputed [p.(r)] (Algorithm 1). *)
+type row_scalar =
+  | Dot of Vec.t
+  | Scaled_dot of Vec.t * Vec.t
+  | Given of Vec.t
+
+val par_xt_sparse :
+  pool:Par.Pool.t ->
+  row_scalar ->
+  alpha:float ->
+  beta_z:(float * Vec.t) option ->
+  Csr.t ->
+  Vec.t
+(** [par_xt_sparse ~pool src ~alpha ~beta_z x] is
+    [alpha * X^T s + beta * z], where [s.(r)] comes from [src]. *)
+
+val par_xt_dense :
+  pool:Par.Pool.t ->
+  row_scalar ->
+  alpha:float ->
+  beta_z:(float * Vec.t) option ->
+  Dense.t ->
+  Vec.t
+(** Dense-row analogue of {!par_xt_sparse}. *)
 
 (** {1 Instrumented timing for Table 2}
 

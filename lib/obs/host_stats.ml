@@ -10,8 +10,6 @@ type t = {
   mutable merge_passes : int;
   mutable merge_ops : int;
   mutable merge_bytes : int;
-  mutable merge_bytes_saved : int;
-  mutable tiles : int;
   mutable layout_builds : int;
   mutable variant : string;
 }
@@ -30,8 +28,6 @@ let create ~domains =
     merge_passes = 0;
     merge_ops = 0;
     merge_bytes = 0;
-    merge_bytes_saved = 0;
-    tiles = 0;
     layout_builds = 0;
     variant = "";
   }
@@ -97,19 +93,6 @@ let record_merge_bytes ~bytes =
   | None -> ()
   | Some t -> t.merge_bytes <- t.merge_bytes + bytes
 
-let record_merge_bytes_saved ~bytes =
-  match current () with
-  | None -> ()
-  | Some t -> t.merge_bytes_saved <- t.merge_bytes_saved + bytes
-
-let record_tiles ~count =
-  match current () with None -> () | Some t -> t.tiles <- t.tiles + count
-
-let record_layout_build () =
-  match current () with
-  | None -> ()
-  | Some t -> t.layout_builds <- t.layout_builds + 1
-
 let set_variant v =
   match current () with None -> () | Some t -> t.variant <- v
 
@@ -146,8 +129,6 @@ let accumulate ~into t =
   into.merge_passes <- into.merge_passes + t.merge_passes;
   into.merge_ops <- into.merge_ops + t.merge_ops;
   into.merge_bytes <- into.merge_bytes + t.merge_bytes;
-  into.merge_bytes_saved <- into.merge_bytes_saved + t.merge_bytes_saved;
-  into.tiles <- into.tiles + t.tiles;
   into.layout_builds <- into.layout_builds + t.layout_builds;
   if t.variant <> "" then into.variant <- t.variant
 
@@ -180,8 +161,6 @@ let to_json t =
       ("merge_passes", Json.Int t.merge_passes);
       ("merge_ops", Json.Int t.merge_ops);
       ("merge_bytes", Json.Int t.merge_bytes);
-      ("merge_bytes_saved", Json.Int t.merge_bytes_saved);
-      ("tiles", Json.Int t.tiles);
       ("layout_builds", Json.Int t.layout_builds);
       ("load_imbalance", Json.Float (load_imbalance t));
     ]
@@ -198,8 +177,7 @@ let pp fmt t =
   Format.fprintf fmt
     "  jobs=%d acc_allocations=%d acc_bytes=%d merge_passes=%d merge_ops=%d@,"
     t.jobs t.acc_allocations t.acc_bytes t.merge_passes t.merge_ops;
-  Format.fprintf fmt
-    "  merge_bytes=%d merge_bytes_saved=%d tiles=%d layout_builds=%d@,"
-    t.merge_bytes t.merge_bytes_saved t.tiles t.layout_builds;
+  Format.fprintf fmt "  merge_bytes=%d layout_builds=%d@," t.merge_bytes
+    t.layout_builds;
   Format.fprintf fmt "  load imbalance %.3f (max busy / mean busy)@]"
     (load_imbalance t)

@@ -8,7 +8,7 @@
     (partition balance), accumulator allocations and bytes (the
     [Dense_acc] working set), tree-merge passes and merges (the
     inter-block aggregation analogue), pool jobs dispatched, and which
-    fused variant the dispatcher chose.
+    host kernel ran.
 
     A [t] is installed as the ambient {e sink} for the duration of one
     executor operation; [Par.Pool], [Fusion.Host_fused] and the
@@ -37,13 +37,9 @@ type t = {
   mutable merge_ops : int;  (** pairwise merges across all rounds *)
   mutable merge_bytes : int;
       (** bytes moved by accumulator tree merges ([Dense_acc]) *)
-  mutable merge_bytes_saved : int;
-      (** merge bytes the owner-computes blocked kernel eliminated
-          relative to per-domain dense accumulators *)
-  mutable tiles : int;  (** column tiles scattered ([Blocked]) *)
   mutable layout_builds : int;
-      (** column-tile segment layouts built (cache misses; a steady
-          state of 0 per op means the inspector cost is amortized) *)
+      (** always 0: no host kernel builds a layout any more; the field
+          stays because the repository benchmark reads it *)
   mutable variant : string;
       (** dispatched variant name, e.g. ["dense-acc"]; [""] until set *)
 }
@@ -83,13 +79,6 @@ val record_merge_op : unit -> unit
 
 val record_merge_bytes : bytes:int -> unit
 (** Bytes read+written by accumulator merges (coordinator only). *)
-
-val record_merge_bytes_saved : bytes:int -> unit
-(** Merge traffic the blocked kernel avoided (coordinator only). *)
-
-val record_tiles : count:int -> unit
-
-val record_layout_build : unit -> unit
 
 val set_variant : string -> unit
 

@@ -25,14 +25,3 @@ let by_prefix ?(item_cost = 1) ~prefix ~parts () =
     bounds.(k) <- !lo
   done;
   bounds
-
-(* Ownership maps for owner-computes kernels: item [i] (a column tile)
-   weighs [weights.(i)] (its nnz), plus the fixed per-item cost. *)
-let by_weights ?item_cost ~weights ~parts () =
-  let n = Array.length weights in
-  let prefix = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    if weights.(i) < 0 then invalid_arg "Partition.by_weights: negative weight";
-    prefix.(i + 1) <- prefix.(i) + weights.(i)
-  done;
-  by_prefix ?item_cost ~prefix ~parts ()

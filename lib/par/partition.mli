@@ -21,14 +21,3 @@ val by_prefix : ?item_cost:int -> prefix:int array -> parts:int -> unit -> int a
     the split nnz-balanced.  [item_cost] (default 1) models the fixed
     per-row overhead, so runs of empty rows still spread across parts.
     Same bounds convention as {!uniform}. *)
-
-val by_weights :
-  ?item_cost:int -> weights:int array -> parts:int -> unit -> int array
-(** [by_weights ~weights ~parts ()] splits [\[0, Array.length weights)]
-    so each part carries a near-equal share of [weights] (plus the fixed
-    [item_cost] per item, default 1).  This is the ownership map for
-    owner-computes kernels: item [i] is a column tile, its weight the
-    tile's non-zero count, and part [k] owns tiles
-    [\[b.(k), b.(k+1))] exclusively — no two parts ever write the same
-    output slice, so the tree merge disappears.  Weights must be
-    non-negative.  Same bounds convention as {!uniform}. *)

@@ -77,8 +77,7 @@ let host_of_bench_json json =
           (fun acc r ->
             match (member "variant" r, Option.bind (member "ms" r) num,
                    Option.bind (member "domains" r) num) with
-            | Some (Str ("dense-acc" | "blocked")), Some ms,
-              Some d
+            | Some (Str "dense-acc"), Some ms, Some d
               when ms > 0.0 && d > 1.0 ->
                 Float.max acc (seq_ms /. ms /. d)
             | _ -> acc)
@@ -197,11 +196,6 @@ let host_matrix_share ctx m =
       float_of_int ((!max_nnz * 12) + (m.shape.rows / ctx.domains * 4))
   | _ -> float_of_int (matrix_bytes m.shape) /. float_of_int (max 1 ctx.domains)
 
-(* Which host variant would the dispatcher pick for this shape?  Pricing
-   asks the real chooser so plan selection and execution agree. *)
-let host_variant ctx s =
-  Fusion.Host_fused.choose_variant ~domains:(max 1 ctx.domains) ~cols:s.cols ()
-
 let ceil_log2 n =
   let rec go acc v = if v >= n then acc else go (acc + 1) (v * 2) in
   go 0 1
@@ -301,25 +295,15 @@ let xt_y_ms ctx m =
         ~gather_bytes:(dist_gather_bytes ctx s)
         ~passes:1
         ~vec_bytes:(((s.rows / w) + s.cols) * 8)
-  | Fusion.Executor.Host -> (
+  | Fusion.Executor.Host ->
+      (* per-domain full-width accumulators (zeroed + written) plus the
+         tree merge's critical path: ceil(log2 d) pairwise merges at 24
+         bytes per element. *)
       let d = max 1 ctx.domains in
-      match host_variant ctx s with
-      | Fusion.Host_fused.Blocked ->
-          (* owner-computes scatter: one matrix walk, each domain gathers
-             p but writes only its owned slice of w — no merge. *)
-          host_job_ms ctx.host
-            ~max_share:(host_matrix_share ctx m
-                        +. float_of_int (s.rows * 8)
-                        +. float_of_int (s.cols * 8 / d))
-      | Fusion.Host_fused.Dense_acc ->
-          (* per-domain full-width accumulators (zeroed + written) plus
-             the tree merge's critical path: ceil(log2 d) pairwise
-             merges at 24 bytes per element. *)
-          host_job_ms ctx.host
-            ~max_share:(host_matrix_share ctx m
-                        +. float_of_int (s.rows * 8 / d)
-                        +. float_of_int
-                             ((s.cols * 8) + (s.cols * 24 * ceil_log2 d))))
+      host_job_ms ctx.host
+        ~max_share:(host_matrix_share ctx m
+                    +. float_of_int (s.rows * 8 / d)
+                    +. float_of_int ((s.cols * 8) + (s.cols * 24 * ceil_log2 d)))
   | Fusion.Executor.Fused | Fusion.Executor.Library ->
       let occ, large_n = fused_occupancy ctx.device s in
       let grid = device_fill ctx.device occ in
@@ -373,34 +357,19 @@ let fused_ms ctx m (inst : Fusion.Pattern.instantiation) =
       +. xt_y_ms ctx m
       +. (if with_z then vec_ms ctx ~n:s.cols ~reads:2 ~writes:1 ~flops:(2 * s.cols)
           else 0.0)
-  | Fusion.Executor.Host -> (
+  | Fusion.Executor.Host ->
+      (* one matrix walk with per-domain accumulators, then the merge
+         critical path. *)
       let d = max 1 ctx.domains in
       let vec_bytes =
         (if with_fm then s.cols * 8 else s.rows * 8)
         + (if with_v then s.rows * 8 else 0)
         + if with_z then s.cols * 8 else 0
       in
-      match host_variant ctx s with
-      | Fusion.Host_fused.Blocked ->
-          (* two pipelined jobs: a row-blocked pass materialising p,
-             then the owner-computes scatter (second matrix walk, owned
-             w slices, no merge).  Each job pays its own dispatch. *)
-          let share = host_matrix_share ctx m in
-          host_job_ms ctx.host
-            ~max_share:(share
-                        +. float_of_int ((vec_bytes + (s.rows * 8)) / d))
-          +. host_job_ms ctx.host
-               ~max_share:(share
-                           +. float_of_int (s.rows * 8)
-                           +. float_of_int (s.cols * 8 / d))
-      | Fusion.Host_fused.Dense_acc ->
-          (* one matrix walk with per-domain accumulators, then the
-             merge critical path. *)
-          host_job_ms ctx.host
-            ~max_share:(host_matrix_share ctx m
-                        +. float_of_int (vec_bytes / d)
-                        +. float_of_int
-                             ((s.cols * 8) + (s.cols * 24 * ceil_log2 d))))
+      host_job_ms ctx.host
+        ~max_share:(host_matrix_share ctx m
+                    +. float_of_int (vec_bytes / d)
+                    +. float_of_int ((s.cols * 8) + (s.cols * 24 * ceil_log2 d)))
   | Fusion.Executor.Fused ->
       if s.dense && s.cols > 8 * Fusion.Tuning.max_dense_thread_load then
         (* the executor's documented fallback: two cuBLAS launches *)

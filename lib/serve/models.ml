@@ -9,7 +9,11 @@
      service's weights atomically).  An evicted model is not gone: its
      service re-materialises the weights from the model file on the
      next batch (the provider installed here), so eviction costs
-     latency, never correctness.
+     latency, never correctness.  Re-materialising re-admits: the
+     provider makes the model resident, evicting the LRU victim, and
+     publishes the weights before it releases the registry mutex, so
+     the budget still holds after an in-flight batch reloads a model
+     evicted under it.
 
    - {e hot-swap}: each model's checkpoint path is watched
      ({!Kf_resil.Reload}); a verified new generation swaps atomically
@@ -23,9 +27,10 @@
 
    Lock order: the registry mutex guards the memmgr and per-entry
    bookkeeping only; it is never held across a [Service] call that
-   blocks ([submit] runs after the residency touch, outside the lock),
-   and [on_evict] — which runs under the lock — only flips the
-   service's atomic weight cell. *)
+   blocks ([submit] runs after the residency touch, outside the lock).
+   Under the lock, [on_evict] only flips the evicted service's atomic
+   weight cell and the provider only publishes through [Service.swap],
+   which does not block either. *)
 
 type spec = {
   name : string;
@@ -114,6 +119,7 @@ let create ?engine ?pool ?config ?max_resident_bytes device specs =
     Sysml.Memmgr.create ~on_evict
       { device with Gpu_sim.Device.global_mem_bytes = budget_bytes }
   in
+  let mu = Mutex.create () in
   let entries =
     List.map
       (fun s ->
@@ -151,13 +157,20 @@ let create ?engine ?pool ?config ?max_resident_bytes device specs =
           }
         in
         (* the provider runs in the scheduler domain when a batch finds
-           the weights evicted: re-read the file, verify, count *)
+           the weights evicted: re-read the file and verify it, then
+           re-admit and publish under the registry mutex, so no other
+           admission can evict the model between the two *)
         Service.set_provider svc (fun () ->
             let ck, sum = Kf_resil.Ckpt.read_with_checksum ~path:e.e_path in
             let _, weights = Kf_ml.Registry.of_ckpt ck in
+            Mutex.protect mu (fun () ->
+                ignore
+                  (Sysml.Memmgr.ensure_resident mm ~key:e.e_name
+                     ~bytes:e.e_bytes ~needs_conversion:false);
+                ignore (Service.swap svc ~checksum:sum weights);
+                Kf_obs.Metrics.set e.m_resident (float_of_int e.e_bytes));
             Atomic.incr e.e_remats;
-            Kf_obs.Metrics.inc e.m_remats;
-            (weights, sum));
+            Kf_obs.Metrics.inc e.m_remats);
         (s.name, e))
       specs
   in
@@ -167,7 +180,7 @@ let create ?engine ?pool ?config ?max_resident_bytes device specs =
       mm;
       budget_bytes;
       entries;
-      mu = Mutex.create ();
+      mu;
       watcher = None;
       watching = false;
     }

@@ -9,7 +9,10 @@
       budget cannot hold evicts the least-recently-used one (its
       service's weights unload atomically).  Eviction never loses
       requests: the next batch re-materialises the weights from the
-      model file through the service's provider.
+      model file through the service's provider, which re-admits the
+      model first (evicting the LRU victim), so a batch already in
+      flight for an evicted model does not push residency past the
+      budget.
 
     - {b zero-downtime hot-swap} — every model's checkpoint file is
       watched ({!Kf_resil.Reload}); a candidate is fully read and its

@@ -130,7 +130,7 @@ type t = {
   ctrl : Controller.params option;  (** [Some] iff [cfg.adaptive] *)
   live : live option Atomic.t;  (** [None] = weights evicted *)
   gen_counter : int Atomic.t;  (** next generation number *)
-  mutable provider : (unit -> Kf_ml.Algorithm.weights * string) option;
+  mutable provider : (unit -> unit) option;
   mu : Mutex.t;  (** guards [queue], [stopped], [accepted], [shed], controller *)
   nonempty : Condition.t;  (** wakes the scheduler *)
   timer_cv : Condition.t;  (** parks the window timer while it has no job *)
@@ -295,7 +295,7 @@ let set_provider t f = t.provider <- Some f
 
 (* The scheduler's read of the weight cell.  An evicted model
    re-materialises through the provider (installed by the registry
-   layer) and re-publishes before the batch runs; the bounded retry
+   layer), which publishes before the batch runs; the bounded retry
    covers an unload racing the re-publication.  Raising here is
    deliberate: it funnels into [execute]'s retry-then-Failed path, so a
    model with no weights and no provider answers requests [Failed]
@@ -312,8 +312,7 @@ let rec acquire t attempts =
             (Printf.sprintf "service %s: weights evicted and no provider"
                t.model)
       | Some f ->
-          let weights, checksum = f () in
-          ignore (swap t ~checksum weights);
+          f ();
           acquire t (attempts - 1))
 
 (* --- batch assembly ------------------------------------------------------ *)

@@ -133,11 +133,12 @@ val live_checksum : t -> string option
 (** Checksum of the weights currently serving (the swap-equality
     witness hot-swap tests compare against the checkpoint's). *)
 
-val set_provider : t -> (unit -> Kf_ml.Algorithm.weights * string) -> unit
+val set_provider : t -> (unit -> unit) -> unit
 (** Install the re-materialisation source consulted when a batch finds
-    the weights unloaded: returns [(weights, checksum)] (the registry
-    layer re-reads the model's checkpoint).  A provider that raises
-    fails the batch, not the scheduler. *)
+    the weights unloaded: it publishes weights through {!swap} (the
+    registry layer re-reads the model's checkpoint and re-admits the
+    model to its byte budget first).  A provider that raises fails the
+    batch, not the scheduler. *)
 
 type stats = {
   accepted : int;

@@ -1,6 +1,6 @@
 (* Host multicore backend: results must match the sequential reference
-   across random matrices x domain counts {1,2,4} x both aggregation
-   variants, within floating-point reassociation error (1e-9 relative). *)
+   across random matrices x domain counts {1,2,4}, within floating-point
+   reassociation error (1e-9 relative). *)
 open Matrix
 
 let pool1 = lazy (Par.Pool.create ~size:1 ())
@@ -43,6 +43,23 @@ let sparse_case =
       let* alpha = float_range (-2.0) 2.0 in
       return (seed, rows, cols, density, with_v, with_bz, alpha))
 
+(* A wide shape, 140,000 columns, at 2 and 4 domains: there each
+   domain's full-width accumulator and the tree merge outgrow a 2 MiB
+   L2. *)
+let wide_pools () = List.filter (fun (d, _) -> d > 1) (pools ())
+
+let wide_sparse () =
+  Gen.sparse_uniform (Rng.create 140) ~rows:40 ~cols:140_000 ~density:1e-4
+
+(* [QCheck_alcotest.to_alcotest test], then [wide ()] in the same case. *)
+let with_wide_case test wide =
+  let name, speed, run = QCheck_alcotest.to_alcotest test in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      Alcotest.(check bool) "wide case" true (wide ()) )
+
 let test_sparse_matches =
   QCheck.Test.make ~count:60 ~name:"host pattern_sparse == Blas.pattern_sparse"
     sparse_case
@@ -69,6 +86,21 @@ let test_sparse_matches =
                 reference w)
             variants)
         (pools ()))
+
+let wide_sparse_matches () =
+  let x = wide_sparse () in
+  let rng = Rng.create 141 in
+  let y = Gen.vector rng x.Csr.cols and v = Gen.vector rng x.Csr.rows in
+  let z = Gen.vector rng x.Csr.cols in
+  let reference = Blas.pattern_sparse ~alpha:1.5 x ~v y ~beta:0.75 ~z () in
+  List.for_all
+    (fun (d, pool) ->
+      close
+        ~what:(Printf.sprintf "wide sparse d=%d" d)
+        reference
+        (Fusion.Host_fused.pattern_sparse ~pool ~alpha:1.5 x ~v y ~beta:0.75 ~z
+           ()))
+    (wide_pools ())
 
 let test_dense_matches =
   QCheck.Test.make ~count:40 ~name:"host pattern_dense == Blas.pattern_dense"
@@ -97,6 +129,21 @@ let test_dense_matches =
             variants)
         (pools ()))
 
+let wide_dense_matches () =
+  let rng = Rng.create 142 in
+  let x = Gen.dense rng ~rows:8 ~cols:140_000 in
+  let y = Gen.vector rng x.Dense.cols and v = Gen.vector rng x.Dense.rows in
+  let z = Gen.vector rng x.Dense.cols in
+  let reference = Blas.pattern_dense ~alpha:1.5 x ~v y ~beta:0.75 ~z () in
+  List.for_all
+    (fun (d, pool) ->
+      close
+        ~what:(Printf.sprintf "wide dense d=%d" d)
+        reference
+        (Fusion.Host_fused.pattern_dense ~pool ~alpha:1.5 x ~v y ~beta:0.75 ~z
+           ()))
+    (wide_pools ())
+
 let test_xt_p_matches =
   QCheck.Test.make ~count:40 ~name:"host xt_p == alpha * Blas.csrmv_t"
     sparse_case
@@ -119,64 +166,56 @@ let test_xt_p_matches =
             variants)
         (pools ()))
 
-(* The blocked kernel must agree with the sequential reference whatever
-   the tile geometry: single-column tiles (maximal segment overhead),
-   small and medium tiles, and a width that does not divide the column
-   count (remainder tile), across row-block heights including 1. *)
-let tile_case =
-  QCheck.make
-    ~print:(fun (seed, r, c, d, tr, tc, bz) ->
-      Printf.sprintf
-        "seed=%d rows=%d cols=%d density=%.3f tile_rows=%d tile_cols=%d bz=%b"
-        seed r c d tr tc bz)
-    QCheck.Gen.(
-      let* seed = int_bound 10_000 in
-      let* rows = int_range 1 80 in
-      let* cols = int_range 1 70 in
-      let* density = float_range 0.01 0.4 in
-      let* tile_rows = oneofl [ 1; 8; 64; 33 ] in
-      let* tile_cols = oneofl [ 1; 8; 64; 23 ] in
-      let* with_bz = bool in
-      return (seed, rows, cols, density, tile_rows, tile_cols, with_bz))
+let wide_xt_p_matches () =
+  let x = wide_sparse () in
+  let p = Gen.vector (Rng.create 143) x.Csr.rows in
+  let reference = Blas.csrmv_t x p in
+  Vec.scal (-0.5) reference;
+  List.for_all
+    (fun (d, pool) ->
+      close
+        ~what:(Printf.sprintf "wide xt_p d=%d" d)
+        reference
+        (Fusion.Host_fused.xt_p ~pool ~alpha:(-0.5) x p))
+    (wide_pools ())
 
-let test_blocked_tile_sizes =
-  QCheck.Test.make ~count:80
-    ~name:"blocked kernel == reference across tile sizes" tile_case
-    (fun (seed, rows, cols, density, tile_rows, tile_cols, with_bz) ->
+(* The fused X^T*p and the parallel library's transposed product run one
+   kernel, so on the same pool they agree bit for bit. *)
+let same_bits ~what a b =
+  if Array.length a <> Array.length b then
+    QCheck.Test.fail_reportf "%s: length %d <> %d" what (Array.length a)
+      (Array.length b);
+  Array.iteri
+    (fun i ai ->
+      if Int64.bits_of_float ai <> Int64.bits_of_float b.(i) then
+        QCheck.Test.fail_reportf "%s: w.(%d) = %h vs %h" what i ai b.(i))
+    a;
+  true
+
+let xt_p_is_par_csrmv_t ~pools x p =
+  List.for_all
+    (fun (d, pool) ->
+      same_bits
+        ~what:(Printf.sprintf "d=%d" d)
+        (Fusion.Host_fused.xt_p ~pool ~alpha:1.0 x p)
+        (Blas.par_csrmv_t ~pool x p))
+    pools
+
+let test_xt_p_is_par_csrmv_t =
+  QCheck.Test.make ~count:40 ~name:"host xt_p == Blas.par_csrmv_t bit for bit"
+    sparse_case
+    (fun (seed, rows, cols, density, _v, _bz, _a) ->
       let rng = Rng.create seed in
       let x = Gen.sparse_uniform rng ~rows ~cols ~density in
-      let xd = Gen.dense rng ~rows ~cols in
-      let y = Gen.vector rng cols in
-      let beta = if with_bz then Some 0.75 else None in
-      let z = if with_bz then Some (Gen.vector rng cols) else None in
-      let ref_sparse = Blas.pattern_sparse ~alpha:1.5 x y ?beta ?z () in
-      let ref_dense = Blas.pattern_dense ~alpha:1.5 xd y ?beta ?z () in
-      List.for_all
-        (fun (d, pool) ->
-          let tag k =
-            Printf.sprintf "blocked %s d=%d tr=%d tc=%d" k d tile_rows
-              tile_cols
-          in
-          close ~what:(tag "sparse") ref_sparse
-            (Fusion.Host_fused.pattern_sparse ~pool
-               ~variant:Fusion.Host_fused.Blocked ~tile_rows ~tile_cols
-               ~alpha:1.5 x y ?beta ?z ())
-          && close ~what:(tag "dense") ref_dense
-               (Fusion.Host_fused.pattern_dense ~pool
-                  ~variant:Fusion.Host_fused.Blocked ~tile_rows ~tile_cols
-                  ~alpha:1.5 xd y ?beta ?z ())
-          && close ~what:(tag "par_csrmv_t")
-               (Blas.csrmv_t x (Gen.vector (Rng.create seed) rows))
-               (Blas.par_csrmv_t ~pool ~tile_cols x
-                  (Gen.vector (Rng.create seed) rows))
-          && close ~what:(tag "par_gemv_t")
-               (Blas.gemv_t xd (Gen.vector (Rng.create seed) rows))
-               (Blas.par_gemv_t ~pool ~tile_rows ~tile_cols xd
-                  (Gen.vector (Rng.create seed) rows)))
-        (pools ()))
+      xt_p_is_par_csrmv_t ~pools:(pools ()) x (Gen.vector rng rows))
+
+let wide_xt_p_is_par_csrmv_t () =
+  let x = wide_sparse () in
+  xt_p_is_par_csrmv_t ~pools:(pools ()) x
+    (Gen.vector (Rng.create 144) x.Csr.rows)
 
 (* Zero-row / zero-column / empty-nnz shapes short-circuit to the
-   epilogue in every variant (and in the blocked parallel BLAS). *)
+   epilogue (and the parallel BLAS returns zeros on them). *)
 let test_degenerate_shapes () =
   let empty ~rows ~cols =
     Csr.create ~rows ~cols ~values:[||] ~col_idx:[||]
@@ -272,48 +311,26 @@ let test_executor_host_engine () =
     (Astring.String.is_infix ~affix:"host fused sparse"
        r.Fusion.Executor.engine_used)
 
-let test_host_variant_auto_switch () =
-  (* The accumulator budget is half an L2 per domain: once a domain's
-     [w] (8 bytes a column) outgrows it, multi-domain runs switch to the
-     owner-computes blocked variant; while it fits they keep per-domain
-     dense accumulators; a single domain never needs either. *)
-  let budget_cols = Par.Tune.l2_bytes () / 16 in
-  let choose ~domains ~cols =
-    Fusion.Host_fused.choose_variant ~domains ~cols ()
-  in
-  Alcotest.(check bool) "past half an L2 -> blocked" true
-    (choose ~domains:4 ~cols:(budget_cols + 1) = Fusion.Host_fused.Blocked);
-  Alcotest.(check bool) "within half an L2 -> dense-acc" true
-    (choose ~domains:4 ~cols:budget_cols = Fusion.Host_fused.Dense_acc);
-  Alcotest.(check bool) "one domain -> dense-acc at any width" true
-    (choose ~domains:1 ~cols:(100 * budget_cols) = Fusion.Host_fused.Dense_acc)
-
-let test_blocked_stats_counters () =
-  (* The blocked kernel reports its tile structure and the merge
-     traffic it eliminated, and still satisfies the rows/nnz
-     conservation invariant. *)
+let test_par_csrmv_t_stats () =
+  (* Each of 4 domains allocates one full-width accumulator, the tree
+     merge reads and writes 24 bytes per column in each of its 3
+     pairwise merges, and the domains' rows and nnz add up to the
+     matrix's. *)
   let rng = Rng.create 11 in
   let x = Gen.sparse_uniform rng ~rows:400 ~cols:300 ~density:0.05 in
-  let y = Gen.vector rng 300 in
-  let pool = Lazy.force pool4 in
+  let p = Gen.vector rng 400 in
   let stats = Kf_obs.Host_stats.create ~domains:4 in
-  let reference = Blas.pattern_sparse ~alpha:1.0 x y () in
   let w =
     Kf_obs.Host_stats.with_sink stats (fun () ->
-        Fusion.Host_fused.pattern_sparse ~pool
-          ~variant:Fusion.Host_fused.Blocked ~tile_cols:64 ~alpha:1.0 x y ())
+        Blas.par_csrmv_t ~pool:(Lazy.force pool4) x p)
   in
   Alcotest.(check bool) "result matches reference" true
-    (Vec.approx_equal ~tol:1e-9 w reference);
-  Alcotest.(check string) "variant recorded" "blocked"
-    stats.Kf_obs.Host_stats.variant;
-  Alcotest.(check bool) "tiles scattered" true
-    (stats.Kf_obs.Host_stats.tiles > 0);
-  Alcotest.(check bool) "layout built" true
-    (stats.Kf_obs.Host_stats.layout_builds >= 1);
-  Alcotest.(check bool) "merge traffic eliminated" true
-    (stats.Kf_obs.Host_stats.merge_bytes_saved > 0);
-  Alcotest.(check int) "no merge traffic incurred" 0
+    (Vec.approx_equal ~tol:1e-9 w (Blas.csrmv_t x p));
+  Alcotest.(check int) "one accumulator per domain" 4
+    stats.Kf_obs.Host_stats.acc_allocations;
+  Alcotest.(check int) "accumulator bytes" (4 * 8 * 300)
+    stats.Kf_obs.Host_stats.acc_bytes;
+  Alcotest.(check int) "merge bytes" (3 * 24 * 300)
     stats.Kf_obs.Host_stats.merge_bytes;
   Alcotest.(check int) "rows conserved" 400
     (Kf_obs.Host_stats.total_rows stats);
@@ -341,42 +358,51 @@ let test_session_host_lr () =
   Alcotest.(check bool) "host wall-clock accumulated" true
     (host.Kf_ml.Linreg_cg.gpu_ms >= 0.0)
 
-(* The Equation-1 kernels compute each row's scalar inline: a call's
-   minor-heap allocation must not grow with the row count (one boxed
-   float per row would be 60k words here).  Arrays of more than 256
-   words go straight to the major heap, so the [Blocked] variant's
-   per-row scalar array does not count.  Only native code unboxes
-   floats. *)
+(* The Equation-1 kernels and the parallel BLAS compute each row's
+   scalar inline: a call's minor-heap allocation must not grow with the
+   row count (one boxed float per row would be 60k words here).  Arrays
+   of more than 256 words go straight to the major heap, so the result
+   vectors do not count.  [Gc.minor] makes every domain publish its
+   tally, so [quick_stat] counts the pool's other domains too.  Only
+   native code unboxes floats. *)
 let test_eq1_no_per_row_allocation () =
   if Sys.backend_type = Sys.Native then begin
-    let pool = Lazy.force pool1 in
+    let minor_words () =
+      Gc.minor ();
+      (Gc.quick_stat ()).Gc.minor_words
+    in
     let words f =
       ignore (f ());
-      let before = Gc.minor_words () in
+      let before = minor_words () in
       ignore (f ());
-      Gc.minor_words () -. before
+      minor_words () -. before
     in
     let case rows =
       let rng = Rng.create rows in
       let x = Gen.sparse_uniform rng ~rows ~cols:16 ~density:0.125 in
-      (x, Gen.vector rng 16, Gen.vector rng rows, Gen.vector rng rows)
+      let xd = Gen.dense rng ~rows ~cols:16 in
+      (x, xd, Gen.vector rng 16, Gen.vector rng rows)
     in
     let small = case 300 and large = case 30_000 in
     List.iter
-      (fun variant ->
+      (fun (d, pool) ->
         let kernels =
           [
             ( "pattern_sparse",
-              fun (x, y, _, _) ->
-                Fusion.Host_fused.pattern_sparse ~pool ~variant ~alpha:1.0 x y
-                  () );
+              fun (x, _, y, _) ->
+                Fusion.Host_fused.pattern_sparse ~pool ~alpha:1.0 x y () );
             ( "pattern_sparse ~v",
-              fun (x, y, v, _) ->
-                Fusion.Host_fused.pattern_sparse ~pool ~variant ~alpha:1.0 x ~v
-                  y () );
+              fun (x, _, y, v) ->
+                Fusion.Host_fused.pattern_sparse ~pool ~alpha:1.0 x ~v y () );
+            ( "pattern_dense ~v",
+              fun (_, xd, y, v) ->
+                Fusion.Host_fused.pattern_dense ~pool ~alpha:1.0 xd ~v y () );
             ( "xt_p",
-              fun (x, _, _, p) ->
-                Fusion.Host_fused.xt_p ~pool ~variant ~alpha:1.0 x p );
+              fun (x, _, _, p) -> Fusion.Host_fused.xt_p ~pool ~alpha:1.0 x p );
+            ("par_csrmv", fun (x, _, y, _) -> Blas.par_csrmv ~pool x y);
+            ("par_gemv", fun (_, xd, y, _) -> Blas.par_gemv ~pool xd y);
+            ("par_csrmv_t", fun (x, _, _, p) -> Blas.par_csrmv_t ~pool x p);
+            ("par_gemv_t", fun (_, xd, _, p) -> Blas.par_gemv_t ~pool xd p);
           ]
         in
         List.iter
@@ -384,27 +410,24 @@ let test_eq1_no_per_row_allocation () =
             let s = words (fun () -> k small)
             and l = words (fun () -> k large) in
             if l > s +. 64.0 then
-              Alcotest.failf "%s %s: %.0f words for %d rows vs %.0f for %d"
-                (Fusion.Host_fused.variant_name variant)
-                name l 30_000 s 300)
+              Alcotest.failf "%s d=%d: %.0f words for %d rows vs %.0f for %d"
+                name d l 30_000 s 300)
           kernels)
-      variants
+      [ (1, Lazy.force pool1); (2, Lazy.force pool2) ]
   end
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest test_sparse_matches;
-    QCheck_alcotest.to_alcotest test_dense_matches;
-    QCheck_alcotest.to_alcotest test_xt_p_matches;
+    with_wide_case test_sparse_matches wide_sparse_matches;
+    with_wide_case test_dense_matches wide_dense_matches;
+    with_wide_case test_xt_p_matches wide_xt_p_matches;
+    with_wide_case test_xt_p_is_par_csrmv_t wide_xt_p_is_par_csrmv_t;
     QCheck_alcotest.to_alcotest test_par_blas_matches;
-    QCheck_alcotest.to_alcotest test_blocked_tile_sizes;
     Alcotest.test_case "degenerate shapes across variants" `Quick
       test_degenerate_shapes;
     Alcotest.test_case "executor Host engine" `Quick test_executor_host_engine;
-    Alcotest.test_case "accumulator budget switches variant" `Quick
-      test_host_variant_auto_switch;
-    Alcotest.test_case "blocked kernel reports tile stats" `Quick
-      test_blocked_stats_counters;
+    Alcotest.test_case "par_csrmv_t reports accumulator stats" `Quick
+      test_par_csrmv_t_stats;
     Alcotest.test_case "LR-CG end-to-end on host" `Quick test_session_host_lr;
     Alcotest.test_case "Equation-1 kernels allocate nothing per row" `Quick
       test_eq1_no_per_row_allocation;

@@ -178,17 +178,6 @@ let test_partition_qcheck =
       done;
       !mono)
 
-let test_l2_source () =
-  (* [detected_l2] is lazy process-wide state, so only the coherence of
-     the pair is testable here; the env/sysfs/fallback branches are
-     covered by the probe being forced exactly once per process *)
-  let src = Par.Tune.l2_source () in
-  Alcotest.(check bool) "source names a known origin" true
-    (List.mem src [ "env"; "sysfs"; "fallback" ]);
-  Alcotest.(check bool) "l2 size is positive" true (Par.Tune.l2_bytes () > 0);
-  if src = "fallback" then
-    Alcotest.(check int) "fallback is 1 MiB" (1 lsl 20) (Par.Tune.l2_bytes ())
-
 let suite =
   [
     Alcotest.test_case "default size from KF_DOMAINS" `Quick
@@ -208,5 +197,4 @@ let suite =
     Alcotest.test_case "nnz-balanced partition: skewed load" `Quick
       test_partition_by_prefix_balanced;
     QCheck_alcotest.to_alcotest test_partition_qcheck;
-    Alcotest.test_case "L2 detection records its source" `Quick test_l2_source;
   ]

@@ -538,8 +538,7 @@ let test_unload_and_provider () =
   | Service.Failed _ -> ()
   | Service.Score _ -> Alcotest.fail "scored without resident weights");
   (* with a provider the next batch re-materialises bit-exactly *)
-  Service.set_provider svc (fun () ->
-      (w, Kf_ml.Algorithm.weights_checksum w));
+  Service.set_provider svc (fun () -> ignore (Service.swap svc w));
   let t = submit_exn svc (Service.Dense_row row) in
   Alcotest.(check bool)
     "re-materialised weights score bit-exactly" true
@@ -635,6 +634,43 @@ let test_models_lru_order () =
   probe_model registry "gamma" wg;
   Alcotest.(check bool)
     "residency never exceeds the budget" true
+    (Models.resident_bytes registry <= budget)
+
+(* A batch for a model the LRU has evicted re-materialises it, and that
+   re-admits the model: the least recently used of the others goes, so
+   residency stays within the budget.  The request goes straight to the
+   service, the way a batch queued before the eviction reaches it. *)
+let test_models_remat_readmits () =
+  with_model_dir @@ fun dir ->
+  let cols = 16 in
+  let mk name seed =
+    let path = Filename.concat dir (name ^ ".ckpt") in
+    let w = lr_weights ~cols seed in
+    write_ckpt path w;
+    ({ Models.name; path; slo = None }, w)
+  in
+  let (sa, wa), (sb, _), (sg, _) = (mk "alpha" 51, mk "beta" 52, mk "gamma" 53) in
+  let budget = 2 * 8 * cols in
+  let registry =
+    Models.create ~config:registry_config ~max_resident_bytes:budget device
+      [ sa; sb; sg ]
+  in
+  Fun.protect ~finally:(fun () -> Models.shutdown registry) @@ fun () ->
+  let resident () =
+    List.map (Models.resident registry) [ "alpha"; "beta"; "gamma" ]
+  in
+  Alcotest.(check (list bool))
+    "create leaves beta and gamma loaded" [ false; true; true ] (resident ());
+  let row = dense_row ~cols 919 in
+  let t = submit_exn (Models.service registry "alpha") (Service.Dense_row row) in
+  Alcotest.(check bool)
+    "alpha re-materialises and scores bit-exactly" true
+    (score_exn (Service.await t) = reference_score wa row);
+  Alcotest.(check (list bool))
+    "re-admitting alpha evicts beta, the LRU victim" [ true; false; true ]
+    (resident ());
+  Alcotest.(check bool)
+    "residency stays within the budget" true
     (Models.resident_bytes registry <= budget)
 
 let test_models_poll_outcomes () =
@@ -770,6 +806,8 @@ let suite =
       test_unload_and_provider;
     Alcotest.test_case "models: LRU residency order" `Quick
       test_models_lru_order;
+    Alcotest.test_case "models: re-materialisation re-admits" `Quick
+      test_models_remat_readmits;
     Alcotest.test_case "models: poll outcomes" `Quick test_models_poll_outcomes;
     Alcotest.test_case "models: per-model metric labels" `Quick
       test_models_metric_labels;
