@@ -126,25 +126,20 @@ let json_arg =
     & info [ "json" ] ~doc:"Emit the command's report as JSON on stdout.")
 
 (* Shared observability wrapper: tracing turns on when a trace file or
-   --profile asks for it; --profile additionally installs a run-wide
-   [Host_stats] aggregate that every host-engine op folds into.  The
-   artefacts are emitted even when the wrapped command raises, so a
-   failing run still leaves its trace behind.  [sample] (else
-   KF_TRACE_SAMPLE, with KF_TRACE_SEED) installs the deterministic
-   per-request trace sampler for every subcommand. *)
+   --profile asks for it, and so does the run's one [Host_stats] sink,
+   which every host-engine op records into: --profile prints it, and
+   the trace's [host.*] counter tracks sample it.  The artefacts are
+   emitted even when the wrapped command raises, so a failing run
+   still leaves its trace behind.  [sample] (else KF_TRACE_SAMPLE,
+   with KF_TRACE_SEED) installs the deterministic per-request trace
+   sampler for every subcommand. *)
 let with_obs ?sample ~trace ~profile f =
   Kf_obs.Trace.sample_of_env ?rate:sample ();
   let trace = flag_or_env trace Kf_obs.Trace.file_var in
   if trace = None && not profile then f ()
   else begin
     Kf_obs.Trace.enable ();
-    let agg =
-      if profile then
-        Some
-          (Kf_obs.Host_stats.create
-             ~domains:(Par.Pool.size (Par.Pool.default ())))
-      else None
-    in
+    let stats = Kf_obs.Host_stats.create ~domains:(Par.Pool.default_size ()) in
     let emit () =
       (match trace with
       | Some path ->
@@ -159,16 +154,11 @@ let with_obs ?sample ~trace ~profile f =
         List.iter
           (fun (name, v) -> Format.printf "  %-24s %d@." name v)
           (Kf_obs.Counter.all ());
-        match agg with
-        | Some stats when stats.Kf_obs.Host_stats.jobs > 0 ->
-            Format.printf "-- host engine --@.%a@." Kf_obs.Host_stats.pp stats
-        | _ -> ()
+        if stats.Kf_obs.Host_stats.jobs > 0 then
+          Format.printf "-- host engine --@.%a@." Kf_obs.Host_stats.pp stats
       end
     in
-    Fun.protect ~finally:emit (fun () ->
-        match agg with
-        | Some stats -> Kf_obs.Host_stats.with_sink stats f
-        | None -> f ())
+    Fun.protect ~finally:emit (fun () -> Kf_obs.Host_stats.with_sink stats f)
   end
 
 (* one spelling authority for engines: [--engine] and [KF_ENGINE] both
@@ -1219,7 +1209,6 @@ let script_cmd =
     setup_logs verbose;
     apply_domains domains;
     apply_workers workers;
-    Kf_plan.Compiler.install ();
     with_obs ~trace ~profile @@ fun () ->
     let program =
       match file with
@@ -1251,27 +1240,27 @@ let script_cmd =
         [ Sysml.Script.Matrix input; Sysml.Script.Vector targets ]
       end
     in
-    let mode =
-      if explain then Sysml.Runtime.Plan_explain
-      else if plan || dump_ir <> None then Sysml.Runtime.Plan_on
-      else Sysml.Runtime.Plan_off
-    in
-    (match dump_ir with
-    | Some path ->
-        let p = Option.get (Sysml.Runtime.planner ()) in
-        let doc =
-          p.Sysml.Runtime.plan_dump_ir ~positional device ~inputs:[] program
+    let r =
+      if not (plan || explain || dump_ir <> None) then
+        Sysml.Script.eval ~engine device ~inputs:[] ~positional program
+      else begin
+        (* compiled once: --dump-ir and --explain report the plan that
+           runs *)
+        let compiled =
+          Kf_plan.Compiler.compile ~engine ~positional device ~inputs:[]
+            program
         in
-        let oc = open_out path in
-        Kf_obs.Json.to_channel oc doc;
-        close_out oc;
-        Printf.printf "plan IR written to %s\n" path
-    | None -> ());
-    let r, explain_text =
-      Sysml.Runtime.eval_script ~mode ~engine device ~inputs:[] ~positional
-        program
+        Option.iter
+          (fun path ->
+            let oc = open_out path in
+            Kf_obs.Json.to_channel oc (Kf_plan.Compiler.to_json compiled);
+            close_out oc;
+            Printf.printf "plan IR written to %s\n" path)
+          dump_ir;
+        if explain then print_string (Kf_plan.Compiler.explain compiled);
+        Kf_plan.Compiler.execute compiled
+      end
     in
-    Option.iter print_string explain_text;
     Printf.printf "script finished: %.2f ms simulated device time, %d fused launches
 "
       r.Sysml.Script.gpu_ms r.Sysml.Script.fused_launches;

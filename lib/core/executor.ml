@@ -8,23 +8,12 @@ type engine = Fused | Library | Host | Dist
 
 type input = Sparse of Matrix.Csr.t | Dense of Matrix.Dense.t
 
-type profile = {
-  op : string;
-  decision : string;
-  p_rows : int;
-  p_cols : int;
-  p_nnz : int;
-  wall_ns : int;
-  host : Kf_obs.Host_stats.t option;
-}
-
 type result = {
   w : Matrix.Vec.t;
   reports : Sim.report list;
   time_ms : float;
   instantiation : Pattern.instantiation option;
   engine_used : string;
-  profile : profile;
 }
 
 (* The graph entry points return matrices (sparse S or dense Z) rather
@@ -37,7 +26,6 @@ type mat_result = {
   m_time_ms : float;
   m_desc : Pattern_family.descriptor option;
   m_engine_used : string;
-  m_profile : profile;
 }
 
 let rows = function
@@ -175,7 +163,7 @@ let recover ~faults ~op ~engine ~vec_of ~dispatch ~reference =
 type 'a run =
   | Simulated of string * 'a * Sim.report list
       (** engine_used, value and the simulated kernel reports *)
-  | On_host of string * Par.Pool.t * (unit -> 'a)
+  | On_host of string * (unit -> 'a)
       (** engine_used and the real multicore kernel *)
   | On_cluster of (Kf_dist.Cluster.t -> 'a)
       (** the sharded op; engine_used is read back from the cluster
@@ -184,7 +172,7 @@ type 'a run =
 
 (* How each public result record is built from the shared fields. *)
 type ('a, 'meta, 'r) kind = {
-  pack : 'meta -> 'a -> Sim.report list -> float -> string -> profile -> 'r;
+  pack : 'meta -> 'a -> Sim.report list -> float -> string -> 'r;
   vec_of : 'r -> Matrix.Vec.t;
   reference_used : string;
 }
@@ -192,8 +180,8 @@ type ('a, 'meta, 'r) kind = {
 let vector =
   {
     pack =
-      (fun instantiation w reports time_ms engine_used profile ->
-        { w; reports; time_ms; instantiation; engine_used; profile });
+      (fun instantiation w reports time_ms engine_used ->
+        { w; reports; time_ms; instantiation; engine_used });
     vec_of = (fun r -> r.w);
     reference_used = "reference sequential blas";
   }
@@ -201,8 +189,8 @@ let vector =
 let matrix =
   {
     pack =
-      (fun m_desc m_value m_reports m_time_ms m_engine_used m_profile ->
-        { m_value; m_reports; m_time_ms; m_desc; m_engine_used; m_profile });
+      (fun m_desc m_value m_reports m_time_ms m_engine_used ->
+        { m_value; m_reports; m_time_ms; m_desc; m_engine_used });
     vec_of =
       (fun r ->
         match r.m_value with
@@ -213,30 +201,18 @@ let matrix =
 
 (* Every public op is [branch] (what runs on each engine) plus a
    sequential [reference]; this is the rest, once.  [t0] is taken on
-   entry, so [wall_ns] covers dispatch plus execution on every engine
-   and across recovery attempts.  Simulated engines report the summed
-   kernel time as [time_ms]; the real ones (Host, Dist, the reference)
-   report measured wall-clock time and no kernel reports.  Host ops get
-   a fresh [Host_stats] installed as the ambient sink, so the pool, the
-   fused host kernels and the parallel BLAS record into it; it rides
-   back on [profile.host] and is folded into any enclosing sink (e.g.
-   the CLI's run-wide aggregate) that was shadowed meanwhile. *)
+   entry, so the [executor.<op>] span covers dispatch plus execution on
+   every engine and across recovery attempts.  Simulated engines report
+   the summed kernel time as [time_ms]; the real ones (Host, Dist, the
+   reference) report measured wall-clock time and no kernel reports.
+   Host kernels record into whatever [Host_stats] sink the caller
+   installed; after each host op the sink's running totals are sampled
+   onto the trace's [host.*] counter tracks. *)
 let execute ?cluster kind ~op ~input ~meta ~engine ~reference branch =
   let t0 = Kf_obs.Clock.now_ns () in
   (* [reports] present means simulated: [time_ms] is their sum. *)
-  let finish ~engine_used ~host ?reports value =
+  let finish ~engine_used ?reports value =
     let wall_ns = Kf_obs.Clock.now_ns () - t0 in
-    let profile =
-      {
-        op;
-        decision = engine_used;
-        p_rows = rows input;
-        p_cols = cols input;
-        p_nnz = nnz input;
-        wall_ns;
-        host;
-      }
-    in
     Kf_obs.Counter.incr ops_counter;
     if Kf_obs.Trace.enabled () then
       Kf_obs.Trace.complete
@@ -244,9 +220,9 @@ let execute ?cluster kind ~op ~input ~meta ~engine ~reference branch =
         ~args:
           [
             ("decision", engine_used);
-            ("rows", string_of_int profile.p_rows);
-            ("cols", string_of_int profile.p_cols);
-            ("nnz", string_of_int profile.p_nnz);
+            ("rows", string_of_int (rows input));
+            ("cols", string_of_int (cols input));
+            ("nnz", string_of_int (nnz input));
           ]
         ~ts_ns:t0 ~dur_ns:wall_ns ();
     match reports with
@@ -255,24 +231,19 @@ let execute ?cluster kind ~op ~input ~meta ~engine ~reference branch =
         Log.debug (fun m ->
             m "%s: %d kernel(s), %.3f ms" engine_used (List.length reports)
               time_ms);
-        kind.pack meta value reports time_ms engine_used profile
+        kind.pack meta value reports time_ms engine_used
     | None ->
         let time_ms = Kf_obs.Clock.ns_to_ms wall_ns in
         Log.debug (fun m -> m "%s: %.3f ms wall-clock" engine_used time_ms);
-        kind.pack meta value [] time_ms engine_used profile
+        kind.pack meta value [] time_ms engine_used
   in
   let rec dispatch engine =
     match branch engine with
     | Simulated (engine_used, value, reports) ->
-        finish ~engine_used ~host:None ~reports value
-    | On_host (engine_used, pool, kernel) ->
-        let stats = Kf_obs.Host_stats.create ~domains:(Par.Pool.size pool) in
-        let value = Kf_obs.Host_stats.with_sink stats kernel in
-        (match Kf_obs.Host_stats.current () with
-        | Some outer -> Kf_obs.Host_stats.accumulate ~into:outer stats
-        | None -> ());
-        let r = finish ~engine_used ~host:(Some stats) value in
-        Kf_obs.Host_stats.emit_trace_counters stats;
+        finish ~engine_used ~reports value
+    | On_host (engine_used, kernel) ->
+        let r = finish ~engine_used (kernel ()) in
+        Kf_obs.Host_stats.emit_trace_counters ();
         Kf_obs.Counter.incr host_ops_counter;
         r
     | On_cluster sharded -> (
@@ -284,7 +255,7 @@ let execute ?cluster kind ~op ~input ~meta ~engine ~reference branch =
         with
         | c, value ->
             let r =
-              finish ~engine_used:(Kf_dist.Cluster.describe c) ~host:None value
+              finish ~engine_used:(Kf_dist.Cluster.describe c) value
             in
             Kf_obs.Counter.incr dist_ops_counter;
             r
@@ -300,7 +271,7 @@ let execute ?cluster kind ~op ~input ~meta ~engine ~reference branch =
   else
     recover ~faults ~op ~engine ~vec_of:kind.vec_of ~dispatch
       ~reference:(fun () ->
-        finish ~engine_used:kind.reference_used ~host:None (reference ()))
+        finish ~engine_used:kind.reference_used (reference ()))
 
 (* --- Equation-1 ops ------------------------------------------------------- *)
 
@@ -342,7 +313,6 @@ let xt_y ?(engine = Fused) ?pool ?cluster device input y ~alpha =
       let pool = host_pool pool in
       On_host
         ( host_used ~kernel:"fused X^T*p" ~pool eq1_layout,
-          pool,
           fun () -> Host_fused.xt_p ~pool ~alpha x y )
   | Host, Dense x ->
       (* Mirrors the Fused/Library dense dispatch: X^T*y is a single
@@ -351,7 +321,6 @@ let xt_y ?(engine = Fused) ?pool ?cluster device input y ~alpha =
       let pool = host_pool pool in
       On_host
         ( Printf.sprintf "host par_gemv_t [%d domains]" (Par.Pool.size pool),
-          pool,
           fun () ->
             let w = Matrix.Blas.par_gemv_t ~pool x y in
             Matrix.Vec.scal alpha w;
@@ -429,13 +398,11 @@ let pattern ?(engine = Fused) ?pool ?cluster device input ~y ?v ?beta_z ~alpha
       let pool = host_pool pool in
       On_host
         ( host_used ~kernel:"fused sparse" ~pool eq1_layout,
-          pool,
           fun () -> Host_fused.pattern_sparse ~pool ~alpha x ?v y ?beta ?z () )
   | Host, Dense x ->
       let pool = host_pool pool in
       On_host
         ( host_used ~kernel:"fused dense" ~pool eq1_layout,
-          pool,
           fun () -> Host_fused.pattern_dense ~pool ~alpha x ?v y ?beta ?z () )
   | Fused, Sparse x ->
       let w, reports, plan =
@@ -476,13 +443,11 @@ let x_y ?(engine = Fused) ?pool ?cluster device input y =
       let pool = host_pool pool in
       On_host
         ( Printf.sprintf "host par_csrmv [%d domains]" (Par.Pool.size pool),
-          pool,
           fun () -> Matrix.Blas.par_csrmv ~pool x y )
   | Host, Dense x ->
       let pool = host_pool pool in
       On_host
         ( Printf.sprintf "host par_gemv [%d domains]" (Par.Pool.size pool),
-          pool,
           fun () -> Matrix.Blas.par_gemv ~pool x y )
   | (Fused | Library), Sparse x ->
       let w, reports = Gpulibs.Cusparse.csrmv device x y in
@@ -510,7 +475,6 @@ let fusedmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device inst
       On_host
         ( host_used ~kernel:("fusedmm " ^ Fusedmm.inst_key inst) ~pool
             "row-disjoint",
-          pool,
           fun () -> Dense (Host_fused.fusedmm ~pool ~semiring inst g h) )
   | Fused ->
       let z, reports, _plan = Fusedmm.sim_fused device semiring inst g h in
@@ -549,7 +513,6 @@ let sddmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device
       let pool = host_pool pool in
       On_host
         ( host_used ~kernel:"sddmm" ~pool "row-disjoint",
-          pool,
           fun () -> Sparse (Host_fused.sddmm ~pool ~semiring g h) )
   | Fused | Library ->
       (* one kernel either way: there is nothing to fuse until the
@@ -570,7 +533,6 @@ let spmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device
       let pool = host_pool pool in
       On_host
         ( host_used ~kernel:"spmm" ~pool "row-disjoint",
-          pool,
           fun () -> Dense (Host_fused.spmm ~pool ~semiring s h) )
   | Fused | Library ->
       let z, reports, _ = Fusedmm.sim_spmm device semiring s h in

@@ -49,28 +49,18 @@ val engine_var : engine Kf_obs.Env.t
 
 type input = Sparse of Matrix.Csr.t | Dense of Matrix.Dense.t
 
-(** Unified per-operation observability record, populated for {e all
-    four} engines.  When tracing is enabled ([Kf_obs.Trace]) the same
-    information is also recorded as an ["executor.<op>"] span, so the
-    Chrome trace and the in-process profile agree by construction. *)
-type profile = {
-  op : string;
-      (** ["xt_y"], ["pattern"], ["x_y"], ["fusedmm"], ["sddmm"] or
-          ["spmm"] *)
-  decision : string;  (** the dispatch decision, same as [engine_used] *)
-  p_rows : int;
-  p_cols : int;
-  p_nnz : int;  (** stored non-zeros; dense inputs report rows*cols *)
-  wall_ns : int;
-      (** wall-clock spent in the call: simulation time for the
-          simulated engines, real execution time for [Host] and
-          [Dist] *)
-  host : Kf_obs.Host_stats.t option;
-      (** present exactly when the [Host] kernels ran (including
-          [Dist] deferring to them): per-domain busy/idle time, rows/nnz
-          processed, accumulator and tree-merge accounting — the CPU
-          analogue of [Gpu.Stats] *)
-}
+(** {1 Observability}
+
+    Every op, on every engine, bumps the [executor.ops] counter
+    ([executor.host_ops]/[executor.dist_ops] when those engines ran)
+    and, when tracing is enabled ([Kf_obs.Trace]), records one
+    ["executor.<op>"] span whose [decision] argument is [engine_used]
+    and whose [rows], [cols] and [nnz] arguments describe the input;
+    its duration is [time_ms] on the [Host] and [Dist] engines.  The
+    host kernels record per-domain work into the [Kf_obs.Host_stats]
+    sink the caller installed, if any; the executor installs none.
+    After each host op, while {!Kf_obs.Trace.emitting}, the sink's
+    running totals are sampled onto the [host.*] counter tracks. *)
 
 type result = {
   w : Matrix.Vec.t;
@@ -83,7 +73,6 @@ type result = {
   engine_used : string;
       (** human-readable description of the dispatch decision, e.g.
           ["fused sparse (large-n)"] or ["cublas gemv + gemv_t"] *)
-  profile : profile;
 }
 
 val rows : input -> int
@@ -157,7 +146,6 @@ type mat_result = {
           SDDMM, which is a building block rather than an
           instantiation *)
   m_engine_used : string;
-  m_profile : profile;
 }
 
 val fusedmm :

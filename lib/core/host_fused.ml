@@ -37,11 +37,10 @@ let degenerate ~alpha ~beta ~z ~cols =
   Matrix.Blas.finish_pattern ~alpha ~beta ~z (Array.make cols 0.0)
 
 (* Shared start of the Equation-1 kernels: the armed fault point (it
-   only fires under the executor's recovery scope), then the pool; the
-   variant is recorded in the ambient Host_stats. *)
-let prologue ~point ?pool ?(variant = Dense_acc) () =
+   only fires under the executor's recovery scope), then the pool.  The
+   kernels ignore [?variant]: [Dense_acc] is the only one. *)
+let prologue ~point ?pool () =
   Kf_resil.Fault.check Kf_resil.Fault.Launch ~point;
-  Kf_obs.Host_stats.set_variant (variant_name variant);
   get_pool pool
 
 let row_scalar ~v y =
@@ -49,32 +48,32 @@ let row_scalar ~v y =
   | None -> Matrix.Blas.Dot y
   | Some v -> Matrix.Blas.Scaled_dot (y, v)
 
-let pattern_sparse ?pool ?variant ~alpha (x : Matrix.Csr.t) ?v y ?beta ?z () =
+let pattern_sparse ?pool ?variant:_ ~alpha (x : Matrix.Csr.t) ?v y ?beta ?z () =
   check_args ~rows:x.rows ~cols:x.cols ~v ~y ~z
     ~name:"Host_fused.pattern_sparse";
   if x.rows = 0 || x.cols = 0 || Matrix.Csr.nnz x = 0 then
     degenerate ~alpha ~beta ~z ~cols:x.cols
   else
-    let pool = prologue ~point:"host_fused.sparse" ?pool ?variant () in
+    let pool = prologue ~point:"host_fused.sparse" ?pool () in
     Matrix.Blas.par_xt_sparse ~pool (row_scalar ~v y) ~alpha
       ~beta_z:(epilogue_of ~beta ~z) x
 
-let xt_p ?pool ?variant ~alpha (x : Matrix.Csr.t) p =
+let xt_p ?pool ?variant:_ ~alpha (x : Matrix.Csr.t) p =
   if Array.length p <> x.rows then
     invalid_arg "Host_fused.xt_p: p must have one element per row";
   if x.rows = 0 || x.cols = 0 || Matrix.Csr.nnz x = 0 then
     degenerate ~alpha ~beta:None ~z:None ~cols:x.cols
   else
-    let pool = prologue ~point:"host_fused.sparse" ?pool ?variant () in
+    let pool = prologue ~point:"host_fused.sparse" ?pool () in
     Matrix.Blas.par_xt_sparse ~pool (Matrix.Blas.Given p) ~alpha ~beta_z:None
       x
 
-let pattern_dense ?pool ?variant ~alpha (x : Matrix.Dense.t) ?v y ?beta ?z () =
+let pattern_dense ?pool ?variant:_ ~alpha (x : Matrix.Dense.t) ?v y ?beta ?z () =
   check_args ~rows:x.rows ~cols:x.cols ~v ~y ~z
     ~name:"Host_fused.pattern_dense";
   if x.rows = 0 || x.cols = 0 then degenerate ~alpha ~beta ~z ~cols:x.cols
   else
-    let pool = prologue ~point:"host_fused.dense" ?pool ?variant () in
+    let pool = prologue ~point:"host_fused.dense" ?pool () in
     Matrix.Blas.par_xt_dense ~pool (row_scalar ~v y) ~alpha
       ~beta_z:(epilogue_of ~beta ~z) x
 
@@ -265,11 +264,9 @@ let[@inline] sample_rows ~edge (g : Matrix.Csr.t) (h : Matrix.Dense.t) values
   done
 
 (* Shared start of the graph kernels: the armed fault point, then the
-   pool; the variant recorded in the ambient Host_stats is always the
-   row-disjoint one. *)
+   pool. *)
 let graph_prologue pool =
   Kf_resil.Fault.check Kf_resil.Fault.Launch ~point:"host_fused.graph";
-  Kf_obs.Host_stats.set_variant "row-disjoint";
   get_pool pool
 
 let fusedmm ?pool ?(semiring = Semiring.plain) inst (g : Matrix.Csr.t)

@@ -22,8 +22,8 @@
     The loops are {!Matrix.Blas.par_xt_sparse} and
     {!Matrix.Blas.par_xt_dense}, which the parallel library baseline
     ([Matrix.Blas.par_csrmv_t], [par_gemv_t]) runs too; this module
-    adds argument validation, the degenerate-shape short cut, the
-    fault point and the variant record.
+    adds argument validation, the degenerate-shape short cut and the
+    fault point.
 
     All entry points compute real results only (no simulator): they are
     the "runs as fast as the hardware allows" backend and are verified

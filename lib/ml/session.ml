@@ -18,8 +18,6 @@ type t = {
   mutable launches : int;
   mutable iters : int;
   mutable timeline_rev : iteration list;
-  mutable host_stats : Kf_obs.Host_stats.t option;
-      (* lazily created aggregate over every Host op issued here *)
   mutable ckpt : ckpt_cfg option;
   mutable state_fn : (unit -> Kf_resil.Ckpt.payload) option;
 }
@@ -42,7 +40,6 @@ let create ?(engine = Fusion.Executor.Fused) ?pool ?cluster device ~algorithm =
     launches = 0;
     iters = 0;
     timeline_rev = [];
-    host_stats = None;
     ckpt = None;
     state_fn = None;
   }
@@ -54,19 +51,11 @@ let engine t = t.engine
 let algorithm t = Fusion.Pattern.Trace.algorithm t.trace
 
 (* The one accounting path for every executor op, whichever result
-   record carries it: device time and launches, the op's Host stats
-   folded into the session aggregate, and — for pattern instances of
-   any family — the trace entry. *)
-let absorb t ~time_ms ~reports ~(profile : Fusion.Executor.profile) desc =
+   record carries it: device time and launches, and — for pattern
+   instances of any family — the trace entry. *)
+let absorb t ~time_ms ~reports desc =
   t.gpu_ms <- t.gpu_ms +. time_ms;
   t.launches <- t.launches + List.length reports;
-  (match (profile.host, t.host_stats) with
-  | None, _ -> ()
-  | Some stats, Some agg -> Kf_obs.Host_stats.accumulate ~into:agg stats
-  | Some stats, None ->
-      let agg = Kf_obs.Host_stats.create ~domains:stats.domains in
-      t.host_stats <- Some agg;
-      Kf_obs.Host_stats.accumulate ~into:agg stats);
   match desc with
   | Some d ->
       t.pattern_ms <- t.pattern_ms +. time_ms;
@@ -74,13 +63,12 @@ let absorb t ~time_ms ~reports ~(profile : Fusion.Executor.profile) desc =
   | None -> ()
 
 let absorb_result t (r : Fusion.Executor.result) =
-  absorb t ~time_ms:r.time_ms ~reports:r.reports ~profile:r.profile
+  absorb t ~time_ms:r.time_ms ~reports:r.reports
     (Option.map Fusion.Pattern.descriptor r.instantiation);
   r.w
 
 let absorb_mat t (r : Fusion.Executor.mat_result) =
-  absorb t ~time_ms:r.m_time_ms ~reports:r.m_reports ~profile:r.m_profile
-    r.m_desc;
+  absorb t ~time_ms:r.m_time_ms ~reports:r.m_reports r.m_desc;
   r.m_value
 
 let xt_y t input y ~alpha =
@@ -290,8 +278,6 @@ let iteration_json it =
     ]
 
 let timeline_json t = Kf_obs.Json.List (List.map iteration_json (timeline t))
-
-let host_stats t = t.host_stats
 
 let gpu_ms t = t.gpu_ms
 

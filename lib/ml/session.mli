@@ -7,7 +7,9 @@ open Gpu_sim
     or library engine), accumulates simulated GPU time and kernel-launch
     counts, and records every pattern instantiation in a
     {!Fusion.Pattern.Trace} — the raw material from which Table 1 is
-    regenerated and Tables 5/6 are timed. *)
+    regenerated and Tables 5/6 are timed.  Host-engine work records
+    into whatever [Kf_obs.Host_stats] sink the caller installed; the
+    session keeps no host aggregate of its own. *)
 
 type t
 
@@ -83,10 +85,6 @@ val resume : t -> path:string -> Kf_resil.Ckpt.payload
 val iteration_json : iteration -> Kf_obs.Json.t
 
 val timeline_json : t -> Kf_obs.Json.t
-
-val host_stats : t -> Kf_obs.Host_stats.t option
-(** Aggregate of every [Host]-engine operation issued through this
-    session ([None] if there were none). *)
 
 (** {1 Pattern operations} (traced) *)
 

@@ -11,7 +11,6 @@ type t = {
   mutable merge_ops : int;
   mutable merge_bytes : int;
   mutable layout_builds : int;
-  mutable variant : string;
 }
 
 let create ~domains =
@@ -29,7 +28,6 @@ let create ~domains =
     merge_ops = 0;
     merge_bytes = 0;
     layout_builds = 0;
-    variant = "";
   }
 
 let worker_slot = Domain.DLS.new_key (fun () -> 0)
@@ -55,10 +53,10 @@ let add_work ~rows ~nnz =
       t.rows.(s) <- t.rows.(s) + rows;
       t.nnz.(s) <- t.nnz.(s) + nnz
 
-(* [jobs]/[merge_*]/[acc_*]/[variant] are only mutated from the
-   coordinating domain (pool jobs are issued one at a time), so plain
-   mutable fields suffice; per-worker arrays are written one slot per
-   worker. *)
+(* [jobs]/[merge_*]/[acc_*] are plain mutable fields written by the
+   domain that submitted the job, and per-worker arrays one slot per
+   worker: exact while one domain at a time issues host work.  Host
+   work issued from several domains at once may lose counts. *)
 let record_job ~wall_ns ~busy_ns =
   match current () with
   | None -> ()
@@ -93,9 +91,6 @@ let record_merge_bytes ~bytes =
   | None -> ()
   | Some t -> t.merge_bytes <- t.merge_bytes + bytes
 
-let set_variant v =
-  match current () with None -> () | Some t -> t.variant <- v
-
 let sum a = Array.fold_left ( + ) 0 a
 
 let total_rows t = sum t.rows
@@ -115,34 +110,18 @@ let load_imbalance t =
       float_of_int (Array.fold_left Stdlib.max 0 t.busy_ns) /. mean
   end
 
-let accumulate ~into t =
-  let n = Stdlib.min into.domains t.domains in
-  for i = 0 to n - 1 do
-    into.busy_ns.(i) <- into.busy_ns.(i) + t.busy_ns.(i);
-    into.idle_ns.(i) <- into.idle_ns.(i) + t.idle_ns.(i);
-    into.rows.(i) <- into.rows.(i) + t.rows.(i);
-    into.nnz.(i) <- into.nnz.(i) + t.nnz.(i)
-  done;
-  into.jobs <- into.jobs + t.jobs;
-  into.acc_allocations <- into.acc_allocations + t.acc_allocations;
-  into.acc_bytes <- into.acc_bytes + t.acc_bytes;
-  into.merge_passes <- into.merge_passes + t.merge_passes;
-  into.merge_ops <- into.merge_ops + t.merge_ops;
-  into.merge_bytes <- into.merge_bytes + t.merge_bytes;
-  into.layout_builds <- into.layout_builds + t.layout_builds;
-  if t.variant <> "" then into.variant <- t.variant
-
 let per_domain_series a =
   Array.to_list
     (Array.mapi (fun i v -> (Printf.sprintf "d%d" i, float_of_int v)) a)
 
-let emit_trace_counters t =
-  if Trace.enabled () then begin
-    Trace.counter_sample "host.busy_ns" (per_domain_series t.busy_ns);
-    Trace.counter_sample "host.idle_ns" (per_domain_series t.idle_ns);
-    Trace.counter_sample "host.rows" (per_domain_series t.rows);
-    Trace.counter_sample "host.nnz" (per_domain_series t.nnz)
-  end
+let emit_trace_counters () =
+  match current () with
+  | Some t when Trace.emitting () ->
+      Trace.counter_sample "host.busy_ns" (per_domain_series t.busy_ns);
+      Trace.counter_sample "host.idle_ns" (per_domain_series t.idle_ns);
+      Trace.counter_sample "host.rows" (per_domain_series t.rows);
+      Trace.counter_sample "host.nnz" (per_domain_series t.nnz)
+  | _ -> ()
 
 let int_array a = Json.List (Array.to_list (Array.map (fun v -> Json.Int v) a))
 
@@ -150,7 +129,6 @@ let to_json t =
   Json.Obj
     [
       ("domains", Json.Int t.domains);
-      ("variant", Json.Str t.variant);
       ("jobs", Json.Int t.jobs);
       ("busy_ns", int_array t.busy_ns);
       ("idle_ns", int_array t.idle_ns);
@@ -167,9 +145,8 @@ let to_json t =
 
 let pp fmt t =
   let ms a i = Clock.ns_to_ms a.(i) in
-  Format.fprintf fmt "@[<v>host stats (%d domain%s%s):@," t.domains
-    (if t.domains = 1 then "" else "s")
-    (if t.variant = "" then "" else ", variant " ^ t.variant);
+  Format.fprintf fmt "@[<v>host stats (%d domain%s):@," t.domains
+    (if t.domains = 1 then "" else "s");
   for i = 0 to t.domains - 1 do
     Format.fprintf fmt "  d%-3d busy %8.3f ms  idle %8.3f ms  rows %9d  nnz %10d@,"
       i (ms t.busy_ns i) (ms t.idle_ns i) t.rows.(i) t.nnz.(i)

@@ -7,14 +7,15 @@
     (load imbalance), rows and non-zeros processed per domain
     (partition balance), accumulator allocations and bytes (the
     [Dense_acc] working set), tree-merge passes and merges (the
-    inter-block aggregation analogue), pool jobs dispatched, and which
-    host kernel ran.
+    inter-block aggregation analogue) and pool jobs dispatched.
 
-    A [t] is installed as the ambient {e sink} for the duration of one
-    executor operation; [Par.Pool], [Fusion.Host_fused] and the
-    parallel BLAS record into whichever sink is installed.  With no
-    sink installed every recording entry point is a single atomic load
-    — the host hot paths stay unperturbed when profiling is off.
+    A [t] is installed as the ambient {e sink} by whoever wants a
+    measurement — [kf --profile]/[--trace], a bench pass, a test — for
+    as long as it measures; [Par.Pool], [Fusion.Host_fused] and the
+    parallel BLAS record straight into it.  The library never installs
+    one.  With no sink installed every recording entry point is a
+    single atomic load — the host hot paths stay unperturbed when
+    profiling is off.
 
     Writers are addressed per worker: each pool worker publishes its
     worker id in {!worker_slot} (domain-local), and writes only its own
@@ -40,8 +41,6 @@ type t = {
   mutable layout_builds : int;
       (** always 0: no host kernel builds a layout any more; the field
           stays because the repository benchmark reads it *)
-  mutable variant : string;
-      (** dispatched variant name, e.g. ["dense-acc"]; [""] until set *)
 }
 
 val create : domains:int -> t
@@ -54,7 +53,10 @@ val worker_slot : int Domain.DLS.key
 
 val with_sink : t -> (unit -> 'a) -> 'a
 (** Install [t] as the ambient sink for the duration of the callback
-    (restoring the previous sink after, even on exceptions). *)
+    (restoring the previous sink after, even on exceptions).  The sink
+    is process-wide: host work on every domain records into it, and
+    sinks do not nest — install one per measurement.  Counts are exact
+    while one domain at a time issues host work. *)
 
 val current : unit -> t option
 
@@ -80,8 +82,6 @@ val record_merge_op : unit -> unit
 val record_merge_bytes : bytes:int -> unit
 (** Bytes read+written by accumulator merges (coordinator only). *)
 
-val set_variant : string -> unit
-
 (** {1 Derived views} *)
 
 val total_rows : t -> int
@@ -95,15 +95,12 @@ val load_imbalance : t -> float
     [1.0] is perfect balance; meaningless (returns [1.0]) when nothing
     ran.  Only workers that did any work count toward the mean. *)
 
-val accumulate : into:t -> t -> unit
-(** Fold [t]'s tallies into [into] (used to aggregate per-op stats into
-    a run-wide view); per-worker slots are added index-wise, the
-    variant of the latest non-empty [t] wins. *)
-
-val emit_trace_counters : t -> unit
-(** Record the per-domain series (busy ns, rows, nnz) as
-    {!Trace.counter_sample} events, keyed ["d0"], ["d1"], … — no-op
-    when tracing is disabled. *)
+val emit_trace_counters : unit -> unit
+(** Sample the installed sink's running per-domain totals (busy and
+    idle ns, rows, nnz) as four {!Trace.counter_sample} events
+    ([host.busy_ns], [host.idle_ns], [host.rows], [host.nnz]), keyed
+    ["d0"], ["d1"], … — no-op with no sink installed or when
+    {!Trace.emitting} is false. *)
 
 val to_json : t -> Json.t
 

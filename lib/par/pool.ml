@@ -2,10 +2,13 @@
    has no domainslib).  Workers park on [work_ready]; a job submission
    bumps [generation], installs the closure, and broadcasts; the caller
    doubles as worker 0 so a pool of size [s] spawns only [s - 1]
-   domains. *)
+   domains.  The pool holds one job at a time: [submit] is held from
+   installing a job to collecting its workers, so a second submitting
+   domain waits instead of overwriting [job] and [pending]. *)
 
 type t = {
   size : int;
+  submit : Mutex.t;
   m : Mutex.t;
   work_ready : Condition.t;
   work_done : Condition.t;
@@ -70,6 +73,7 @@ let make ~size ~is_default =
   let t =
     {
       size;
+      submit = Mutex.create ();
       m = Mutex.create ();
       work_ready = Condition.create ();
       work_done = Condition.create ();
@@ -133,11 +137,6 @@ let run_workers_plain t f =
     match failure with None -> () | Some exn -> raise exn
   end
 
-(* Observability wrapper: with no Host_stats sink installed and tracing
-   off this is one flag check per job on top of [run_workers_plain];
-   otherwise each worker times its own closure (one clock pair per
-   worker per job — far below kernel granularity) and the coordinator
-   derives per-worker idle time from the job's wall time. *)
 (* Deterministic domain-crash injection: decided on the coordinator at
    submission time (workers never consult the fault engine), the victim
    raises at closure entry and the failure rides the pool's normal
@@ -155,7 +154,12 @@ let maybe_crash t f =
   end
   else f
 
-let run_workers t f =
+(* Observability wrapper: with no Host_stats sink installed and tracing
+   off this is one flag check per job on top of [run_workers_plain];
+   otherwise each worker times its own closure (one clock pair per
+   worker per job — far below kernel granularity) and the coordinator
+   derives per-worker idle time from the job's wall time. *)
+let run_job t f =
   let f = if Kf_resil.Fault.active () then maybe_crash t f else f in
   let profiling = Kf_obs.Host_stats.profiling () in
   let tracing = Kf_obs.Trace.emitting () in
@@ -181,6 +185,11 @@ let run_workers t f =
         ~wall_ns:(Kf_obs.Clock.now_ns () - t0)
         ~busy_ns:busy
   end
+
+(* A pool of one runs the job inline and takes no lock. *)
+let run_workers t f =
+  if t.size = 1 then run_job t f
+  else Mutex.protect t.submit (fun () -> run_job t f)
 
 let map_workers t f =
   let out = Array.make t.size None in

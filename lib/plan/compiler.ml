@@ -279,17 +279,3 @@ let to_json t =
           ] );
       ("groups", Kf_obs.Json.List (List.map group_json t.ordered_groups));
     ]
-
-(* --- runtime registration ------------------------------------------------- *)
-
-let install () =
-  Sysml.Runtime.register_planner
-    {
-      Sysml.Runtime.plan_run =
-        (fun ?engine ?pool ?positional device ~inputs program ->
-          let t = compile ?engine ?pool ?positional device ~inputs program in
-          (execute t, explain t));
-      plan_dump_ir =
-        (fun ?positional device ~inputs program ->
-          to_json (compile ?positional device ~inputs program));
-    }

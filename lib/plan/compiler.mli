@@ -71,8 +71,3 @@ val chosen_instantiations : t -> Fusion.Pattern.instantiation list
 (** The Equation-1 groups' instantiations, in step order.  Groups from
     other families are omitted; use {!chosen_descriptors} for the
     family-generic view. *)
-
-val install : unit -> unit
-(** Register this compiler as {!Sysml.Runtime}'s planner, enabling
-    [Runtime.eval_script] with [Plan_on]/[Plan_explain] (and the [kf
-    script --plan] CLI path). *)

@@ -32,12 +32,14 @@ type rule = {
   mutable fires : int;
 }
 
-(* Configuration is written once (coordinator thread) and read from the
-   same thread at every fault point; pool workers never consult it, so
-   plain mutable state is safe. *)
+(* Configuration is written once (coordinator thread) and read at every
+   fault point; pool workers never consult it.  The recovery scope is
+   per domain: two domains issuing guarded ops at once (services on a
+   shared pool) must neither lose each other's depth nor arm each
+   other's unguarded calls. *)
 let rules : rule list ref = ref []
 let configured = ref false
-let armed_depth = ref 0
+let armed_depth = Domain.DLS.new_key (fun () -> ref 0)
 let injected = Kf_obs.Counter.make "resil.faults_injected"
 
 let splitmix64 st =
@@ -189,10 +191,11 @@ let with_config spec f =
     f
 
 let with_arm f =
-  incr armed_depth;
-  Fun.protect ~finally:(fun () -> decr armed_depth) f
+  let depth = Domain.DLS.get armed_depth in
+  incr depth;
+  Fun.protect ~finally:(fun () -> decr depth) f
 
-let armed () = !armed_depth > 0
+let armed () = !(Domain.DLS.get armed_depth) > 0
 
 (* Which kinds only make sense inside a recovery scope. *)
 let needs_arm = function
@@ -231,7 +234,7 @@ let rule_fires r =
 let decide kind ~point =
   ensure_configured ();
   if !rules = [] then None
-  else if needs_arm kind && !armed_depth = 0 then None
+  else if needs_arm kind && not (armed ()) then None
   else
     List.fold_left
       (fun acc r ->

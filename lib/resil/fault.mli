@@ -69,7 +69,8 @@ val with_config : string -> (unit -> 'a) -> 'a
 
 val with_arm : (unit -> 'a) -> 'a
 (** Mark the dynamic extent of [f] as a recovery scope: [launch], [nan],
-    [inf] and [crash] rules may fire inside it. Nests. *)
+    [inf] and [crash] rules may fire inside it. Nests.  The scope
+    belongs to the calling domain: other domains stay unarmed. *)
 
 val armed : unit -> bool
 

@@ -100,51 +100,6 @@ let standalone ?(max_iterations = 100) ?measure_iterations device
       Option.map (fun t -> t /. fused_total_ms) amortized_total_ms;
   }
 
-(* --- planned script execution --------------------------------------------
-
-   The plan compiler lives in a separate library ([kf_plan]) that depends
-   on this one, so the runtime cannot call it directly; instead the
-   compiler registers itself here and [eval_script] dispatches on the
-   requested mode. *)
-
-type plan_mode = Plan_off | Plan_on | Plan_explain
-
-type planner = {
-  plan_run :
-    ?engine:Fusion.Executor.engine ->
-    ?pool:Par.Pool.t ->
-    ?positional:Script.value list ->
-    Device.t ->
-    inputs:(string * Script.value) list ->
-    Script.stmt list ->
-    Script.run * string;
-  plan_dump_ir :
-    ?positional:Script.value list ->
-    Device.t ->
-    inputs:(string * Script.value) list ->
-    Script.stmt list ->
-    Kf_obs.Json.t;
-}
-
-let registered_planner : planner option ref = ref None
-
-let register_planner p = registered_planner := Some p
-
-let planner () = !registered_planner
-
-let eval_script ?(mode = Plan_off) ?engine ?pool ?positional device ~inputs
-    program =
-  match (mode, !registered_planner) with
-  | Plan_off, _ ->
-      (Script.eval ?engine ?pool ?positional device ~inputs program, None)
-  | (Plan_on | Plan_explain), Some p ->
-      let run, explain =
-        p.plan_run ?engine ?pool ?positional device ~inputs program
-      in
-      (run, if mode = Plan_explain then Some explain else None)
-  | (Plan_on | Plan_explain), None ->
-      invalid_arg "Runtime.eval_script: no plan compiler registered"
-
 type systemml = {
   sm_iterations : int;
   cpu_total_ms : float;

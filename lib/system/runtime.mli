@@ -38,55 +38,6 @@ val standalone :
     simulated; device time is extrapolated linearly to [max_iterations]
     (every iteration launches identical kernels on identical data). *)
 
-(** {1 Planned script execution}
-
-    The fusion plan compiler (library [kf_plan]) sits above this library
-    in the dependency graph, so it cannot be called directly from here;
-    it registers a {!planner} at start-up ([Kf_plan.Compiler.install])
-    and {!eval_script} routes DML programs through it on demand. *)
-
-type plan_mode =
-  | Plan_off  (** eval-time recognition ({!Script.eval}) *)
-  | Plan_on  (** compile to a plan, then execute it *)
-  | Plan_explain  (** as [Plan_on], also produce the explain report *)
-
-type planner = {
-  plan_run :
-    ?engine:Fusion.Executor.engine ->
-    ?pool:Par.Pool.t ->
-    ?positional:Script.value list ->
-    Device.t ->
-    inputs:(string * Script.value) list ->
-    Script.stmt list ->
-    Script.run * string;
-      (** compile and execute a program; also returns the explain
-          report *)
-  plan_dump_ir :
-    ?positional:Script.value list ->
-    Device.t ->
-    inputs:(string * Script.value) list ->
-    Script.stmt list ->
-    Kf_obs.Json.t;  (** compile only; the plan IR as JSON *)
-}
-
-val register_planner : planner -> unit
-
-val planner : unit -> planner option
-
-val eval_script :
-  ?mode:plan_mode ->
-  ?engine:Fusion.Executor.engine ->
-  ?pool:Par.Pool.t ->
-  ?positional:Script.value list ->
-  Device.t ->
-  inputs:(string * Script.value) list ->
-  Script.stmt list ->
-  Script.run * string option
-(** Run a DML program under [mode] (default: {!Plan_off}).
-    {!Plan_off} delegates to {!Script.eval}; the planned modes require a
-    registered planner (raises [Invalid_argument] otherwise).  The
-    second component is the explain report under {!Plan_explain}. *)
-
 type systemml = {
   sm_iterations : int;
   cpu_total_ms : float;  (** SystemML CPU backend *)

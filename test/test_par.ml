@@ -178,6 +178,35 @@ let test_partition_qcheck =
       done;
       !mono)
 
+(* Two domains submitting to one pool at once, as two services on the
+   shared default pool do: each job must run whole on every worker, and
+   each submitter must get its own result back. *)
+let test_concurrent_submitters () =
+  with_pool 2 @@ fun pool ->
+  let x =
+    Matrix.Gen.sparse_uniform (Matrix.Rng.create 3) ~rows:2000 ~cols:256
+      ~density:0.05
+  in
+  let submitter seed () =
+    let y = Matrix.Gen.vector (Matrix.Rng.create seed) 256 in
+    let expected = Matrix.Blas.csrmv x y in
+    let agrees got =
+      Array.for_all2
+        (fun g e -> Float.abs (g -. e) <= 1e-12 *. (1.0 +. Float.abs e))
+        got expected
+    in
+    let ok = ref 0 in
+    for _ = 1 to 500 do
+      if agrees (Matrix.Blas.par_csrmv ~pool x y) then incr ok
+    done;
+    !ok
+  in
+  let other = Domain.spawn (submitter 1) in
+  let mine = submitter 2 () in
+  let theirs = Domain.join other in
+  Alcotest.(check int) "every result agrees with Blas.csrmv" 1000
+    (mine + theirs)
+
 let suite =
   [
     Alcotest.test_case "default size from KF_DOMAINS" `Quick
@@ -193,6 +222,8 @@ let suite =
     Alcotest.test_case "exceptions propagate, pool survives" `Quick
       test_exception_propagates;
     Alcotest.test_case "tree reduce sums all parts" `Quick test_reduce_tree;
+    Alcotest.test_case "two domains submit to one pool" `Quick
+      test_concurrent_submitters;
     Alcotest.test_case "uniform partition bounds" `Quick test_partition_uniform;
     Alcotest.test_case "nnz-balanced partition: skewed load" `Quick
       test_partition_by_prefix_balanced;
