@@ -81,6 +81,14 @@ bench-check: bench-host-small bench-plan-small bench-serve-small \
 	dune exec bench/regress.exe -- --baseline bench/baselines --fresh . \
 	  --threshold $(BENCH_THRESHOLD)
 
+# Bit-exactness gate: re-run the 24 `kf train --json` runs in
+# test/golden/train_checksums.tsv (8 algorithms x fused, host on 1 and
+# on 2 domains) and print every row whose weights checksum differs.
+golden-check:
+	dune build bin/kf.exe
+	sh test/golden/check.sh _build/default/bin/kf.exe \
+	  test/golden/train_checksums.tsv
+
 examples:
 	for e in quickstart linear_regression spam_filter page_quality \
 	         autotune_explorer out_of_core insurance_claims; do \
@@ -92,4 +100,4 @@ clean:
 .PHONY: all test test-verbose bench bench-full bench-host bench-host-small \
 	bench-plan bench-plan-small bench-resil bench-resil-small \
 	bench-serve bench-serve-small bench-dist bench-dist-small \
-	bench-baseline bench-check examples clean
+	bench-baseline bench-check golden-check examples clean

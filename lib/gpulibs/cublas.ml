@@ -97,8 +97,10 @@ let axpy device a x y =
     Sim.run device (vector_launch n) ~name:"cublas_daxpy" (fun ctx ->
         charge_vector_stream ctx ~loads_elts:(2 * n) ~stores_elts:n;
         Sim.flops ctx (2 * n);
-        let out = Array.copy y in
-        Matrix.Vec.axpy a x out;
+        let out = Array.create_float n in
+        for i = 0 to n - 1 do
+          out.(i) <- (a *. x.(i)) +. y.(i)
+        done;
         out)
   in
   (result, [ report ])

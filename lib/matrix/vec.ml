@@ -42,19 +42,39 @@ let sum x =
   done;
   !acc
 
+(* The element-wise constructors write one loop into a fresh float
+   array: no closure call and no boxed float per element. *)
+
 let mul_elementwise v p =
   check_same_length "mul_elementwise" v p;
-  Array.init (Array.length v) (fun i -> v.(i) *. p.(i))
+  let out = Array.create_float (Array.length v) in
+  for i = 0 to Array.length v - 1 do
+    out.(i) <- v.(i) *. p.(i)
+  done;
+  out
 
 let add x y =
   check_same_length "add" x y;
-  Array.init (Array.length x) (fun i -> x.(i) +. y.(i))
+  let out = Array.create_float (Array.length x) in
+  for i = 0 to Array.length x - 1 do
+    out.(i) <- x.(i) +. y.(i)
+  done;
+  out
 
 let sub x y =
   check_same_length "sub" x y;
-  Array.init (Array.length x) (fun i -> x.(i) -. y.(i))
+  let out = Array.create_float (Array.length x) in
+  for i = 0 to Array.length x - 1 do
+    out.(i) <- x.(i) -. y.(i)
+  done;
+  out
 
-let scale a x = Array.map (fun xi -> a *. xi) x
+let scale a x =
+  let out = Array.create_float (Array.length x) in
+  for i = 0 to Array.length x - 1 do
+    out.(i) <- a *. x.(i)
+  done;
+  out
 
 let max_abs_diff x y =
   check_same_length "max_abs_diff" x y;

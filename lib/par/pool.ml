@@ -96,15 +96,25 @@ let create ?size () =
 
 let size t = t.size
 
-let global = ref None
+(* Read without a lock once set; the first callers create it under
+   [global_lock], re-checking inside, so domains that race to the first
+   call share one pool (the default pool is never shut down, so a
+   second one's workers would never be joined). *)
+let global = Atomic.make None
+
+let global_lock = Mutex.create ()
 
 let default () =
-  match !global with
+  match Atomic.get global with
   | Some t -> t
   | None ->
-      let t = make ~size:(default_size ()) ~is_default:true in
-      global := Some t;
-      t
+      Mutex.protect global_lock (fun () ->
+          match Atomic.get global with
+          | Some t -> t
+          | None ->
+              let t = make ~size:(default_size ()) ~is_default:true in
+              Atomic.set global (Some t);
+              t)
 
 let shutdown t =
   if t.is_default then invalid_arg "Pool.shutdown: cannot shut down the default pool";

@@ -32,7 +32,8 @@ val size : t -> int
 val default : unit -> t
 (** A process-wide shared pool, created lazily with {!default_size}
     workers on first use.  This is what the executor and parallel BLAS
-    use when no explicit pool is given. *)
+    use when no explicit pool is given.  Domains that make the first
+    call at the same time get the same pool. *)
 
 val shutdown : t -> unit
 (** Join and discard the worker domains.  The pool must not be used

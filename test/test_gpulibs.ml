@@ -181,6 +181,13 @@ let test_cpu_dense_roofline () =
   let t2 = Gpulibs.Cpu_model.gemv_ms cpu ~rows:10_000 ~cols:200 in
   Alcotest.(check bool) "scales with columns" true (t2 > 1.5 *. t1)
 
+let prop_axpy_bits =
+  QCheck.Test.make ~name:"cublas axpy = a*x + y per element, bit for bit"
+    ~count:300 Test_vec.scalar_and_pair (fun (a, x, y) ->
+      let out, _ = Gpulibs.Cublas.axpy device a x y in
+      Test_vec.same_bits out
+        (Array.init (Array.length x) (fun i -> (a *. x.(i)) +. y.(i))))
+
 let suite =
   [
     Alcotest.test_case "cusparse csrmv correct" `Quick test_csrmv_correct;
@@ -214,4 +221,5 @@ let suite =
     Alcotest.test_case "cpu pattern composition" `Quick
       test_cpu_pattern_composition;
     Alcotest.test_case "cpu dense roofline" `Quick test_cpu_dense_roofline;
+    QCheck_alcotest.to_alcotest prop_axpy_bits;
   ]

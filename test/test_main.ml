@@ -2,6 +2,7 @@ let () =
   (* Dist workers are re-execs of this binary: if we are one, serve and
      exit before Alcotest touches argv. *)
   Kf_dist.Worker.maybe_run ();
+  Test_par.maybe_run_pool_race ();
   Alcotest.run "kernel_fusion"
     [
       ("vec", Test_vec.suite);

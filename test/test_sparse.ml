@@ -176,6 +176,168 @@ let prop_mixture_within_bounds =
       x.Csr.rows = rows && x.Csr.cols = cols
       && Csr.max_row_nnz x <= 5)
 
+(* In-place generators against the tuple-building oracle (Gen_oracle):
+   the same CSR bit for bit, the same Rng state afterwards (the next
+   [Rng.bits] agrees), and the same exception where the oracle raises.
+   Shapes cover rows = 0, cols 0 and 1, density 0 and 1, nnz_per_row
+   and hot_cols beyond cols, bandwidth 0 and beyond cols, and rows long
+   enough for the heapsort path.  Negative dimensions are outside the
+   contract and not drawn. *)
+
+let outcome make seed =
+  let rng = Rng.create seed in
+  match make rng with
+  | x -> Ok (x, Rng.bits rng)
+  | exception e -> Error e
+
+let same_outcome name seed oracle change =
+  match (outcome oracle seed, outcome change seed) with
+  | Ok ((a : Csr.t), next_a), Ok ((b : Csr.t), next_b) ->
+      let bits v = Array.map Int64.bits_of_float v in
+      if (a.rows, a.cols) <> (b.rows, b.cols) then
+        QCheck.Test.fail_reportf "%s: shape differs" name
+      else if a.row_off <> b.row_off then
+        QCheck.Test.fail_reportf "%s: row_off differs" name
+      else if a.col_idx <> b.col_idx then
+        QCheck.Test.fail_reportf "%s: col_idx differs" name
+      else if bits a.values <> bits b.values then
+        QCheck.Test.fail_reportf "%s: values differ" name
+      else if next_a <> next_b then
+        QCheck.Test.fail_reportf "%s: Rng state after the call differs" name
+      else true
+  | Error ea, Error eb ->
+      ea = eb
+      || QCheck.Test.fail_reportf "%s: oracle raised %s, change raised %s" name
+           (Printexc.to_string ea) (Printexc.to_string eb)
+  | Ok _, Error e ->
+      QCheck.Test.fail_reportf "%s: change raised %s" name
+        (Printexc.to_string e)
+  | Error e, Ok _ ->
+      QCheck.Test.fail_reportf "%s: oracle raised %s, change returned" name
+        (Printexc.to_string e)
+
+let gen_seed = QCheck.Gen.(0 -- 1_000_000)
+
+let gen_rows = QCheck.Gen.(frequency [ (1, return 0); (6, 1 -- 40) ])
+
+let gen_cols =
+  QCheck.Gen.(frequency [ (1, return 0); (2, return 1); (6, 2 -- 200) ])
+
+(* In [0, 1] with both ends, plus out-of-range values that must raise. *)
+let gen_fraction =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return 0.0);
+        (1, return 1.0);
+        (5, float_bound_inclusive 1.0);
+        (1, oneofl [ -0.25; 1.5 ]);
+      ])
+
+let differential name gen ~print oracle change =
+  QCheck.Test.make ~name:("in-place = tuple oracle: " ^ name) ~count:300
+    (QCheck.make ~print QCheck.Gen.(pair gen_seed gen))
+    (fun (seed, args) ->
+      same_outcome name seed (fun rng -> oracle rng args)
+        (fun rng -> change rng args))
+
+let prop_gen_uniform_differential =
+  differential "sparse_uniform"
+    QCheck.Gen.(triple gen_rows gen_cols gen_fraction)
+    ~print:QCheck.Print.(pair int (triple int int float))
+    (fun rng (rows, cols, density) ->
+      Gen_oracle.sparse_uniform rng ~rows ~cols ~density)
+    (fun rng (rows, cols, density) -> Gen.sparse_uniform rng ~rows ~cols ~density)
+
+let prop_gen_bernoulli_differential =
+  differential "sparse_bernoulli"
+    QCheck.Gen.(triple gen_rows gen_cols gen_fraction)
+    ~print:QCheck.Print.(pair int (triple int int float))
+    (fun rng (rows, cols, density) ->
+      Gen_oracle.sparse_bernoulli rng ~rows ~cols ~density)
+    (fun rng (rows, cols, density) ->
+      Gen.sparse_bernoulli rng ~rows ~cols ~density)
+
+let prop_gen_powerlaw_differential =
+  differential "sparse_powerlaw"
+    QCheck.Gen.(
+      quad gen_rows gen_cols (-1 -- 80)
+        (frequency
+           [
+             (3, return None);
+             (3, map Option.some (float_range 0.3 3.0));
+             (1, return (Some (-1.0)));
+           ]))
+    ~print:
+      QCheck.Print.(pair int (quad int int int (option float)))
+    (fun rng (rows, cols, nnz_per_row, exponent) ->
+      Gen_oracle.sparse_powerlaw rng ~rows ~cols ~nnz_per_row ?exponent ())
+    (fun rng (rows, cols, nnz_per_row, exponent) ->
+      Gen.sparse_powerlaw rng ~rows ~cols ~nnz_per_row ?exponent ())
+
+let prop_gen_mixture_differential =
+  differential "sparse_mixture"
+    QCheck.Gen.(
+      let* rows = gen_rows and* cols = gen_cols in
+      let* nnz_per_row = -1 -- 80 and* hot_fraction = gen_fraction in
+      let* hot_cols = -1 -- (cols + 10) in
+      return (rows, cols, nnz_per_row, hot_fraction, hot_cols))
+    ~print:(fun (seed, (rows, cols, nnz_per_row, hot_fraction, hot_cols)) ->
+      Printf.sprintf
+        "seed %d rows %d cols %d nnz_per_row %d hot_fraction %g hot_cols %d"
+        seed rows cols nnz_per_row hot_fraction hot_cols)
+    (fun rng (rows, cols, nnz_per_row, hot_fraction, hot_cols) ->
+      Gen_oracle.sparse_mixture rng ~rows ~cols ~nnz_per_row ~hot_fraction
+        ~hot_cols ())
+    (fun rng (rows, cols, nnz_per_row, hot_fraction, hot_cols) ->
+      Gen.sparse_mixture rng ~rows ~cols ~nnz_per_row ~hot_fraction ~hot_cols
+        ())
+
+let prop_gen_banded_differential =
+  differential "sparse_banded"
+    QCheck.Gen.(
+      let* rows = gen_rows and* cols = gen_cols in
+      let* bandwidth =
+        frequency [ (1, return (-1)); (1, return 0); (6, 0 -- (cols + 10)) ]
+      in
+      return (rows, cols, bandwidth))
+    ~print:QCheck.Print.(pair int (triple int int int))
+    (fun rng (rows, cols, bandwidth) ->
+      Gen_oracle.sparse_banded rng ~rows ~cols ~bandwidth)
+    (fun rng (rows, cols, bandwidth) ->
+      Gen.sparse_banded rng ~rows ~cols ~bandwidth)
+
+(* Bytes the major heap takes for [make ()]: direct allocations plus
+   promotions out of the minor heap. *)
+let major_bytes_allocated make =
+  let before = (Gc.quick_stat ()).major_words in
+  let x = make () in
+  let after = (Gc.quick_stat ()).major_words in
+  (x, (after -. before) *. float_of_int (Sys.word_size / 8))
+
+let csr_array_bytes (x : Csr.t) =
+  float_of_int (8 * ((2 * Csr.nnz x) + x.rows + 1))
+
+(* Building in place allocates the final arrays (sparse_mixture: arrays
+   sized for rows x nnz_per_row, trimmed once) and a cols-byte scratch;
+   building boxed (column, value) tuples per row took 3.9-4.0x the CSR.
+   The bound is 2.5x the CSR plus the scratch plus 64 KiB for what the
+   minor heap promotes meanwhile. *)
+let test_gen_major_heap_bound () =
+  let check name ~cols make =
+    let x, bytes = major_bytes_allocated make in
+    let csr = csr_array_bytes x in
+    let bound = (2.5 *. csr) +. float_of_int cols +. 65_536.0 in
+    if bytes > bound then
+      Alcotest.failf "%s: %.0f major-heap bytes for %.0f bytes of CSR (%.2fx)"
+        name bytes csr (bytes /. csr)
+  in
+  check "sparse_uniform" ~cols:1024 (fun () ->
+      Gen.sparse_uniform (Rng.create 11) ~rows:20_000 ~cols:1024 ~density:0.01);
+  check "sparse_mixture" ~cols:50_000 (fun () ->
+      Gen.sparse_mixture (Rng.create 12) ~rows:10_000 ~cols:50_000
+        ~nnz_per_row:28 ~hot_fraction:0.3 ~hot_cols:5_000 ())
+
 let suite =
   [
     Alcotest.test_case "create validates" `Quick test_create_valid;
@@ -205,4 +367,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dense_roundtrip;
     QCheck_alcotest.to_alcotest prop_csc_roundtrip;
     QCheck_alcotest.to_alcotest prop_mixture_within_bounds;
+    QCheck_alcotest.to_alcotest prop_gen_uniform_differential;
+    QCheck_alcotest.to_alcotest prop_gen_bernoulli_differential;
+    QCheck_alcotest.to_alcotest prop_gen_powerlaw_differential;
+    QCheck_alcotest.to_alcotest prop_gen_mixture_differential;
+    QCheck_alcotest.to_alcotest prop_gen_banded_differential;
+    Alcotest.test_case "generators stay within 2.5x CSR on the major heap"
+      `Quick test_gen_major_heap_bound;
   ]

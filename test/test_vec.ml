@@ -91,6 +91,44 @@ let prop_triangle_inequality =
       let x = Array.sub x 0 n and y = Array.sub y 0 n in
       Vec.nrm2 (Vec.add x y) <= Vec.nrm2 x +. Vec.nrm2 y +. 1e-6)
 
+(* Element-wise results against the per-element formula, bit for bit,
+   on vectors that mix ordinary values with NaN, signed zeros,
+   infinities and extremes, and on empty vectors. *)
+let special_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, float_range (-100.) 100.);
+        ( 1,
+          oneofl
+            [ Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity;
+              Float.min_float; Float.max_float ] );
+      ])
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* A scalar and two vectors of one length in [0, 40]. *)
+let scalar_and_pair =
+  QCheck.make
+    ~print:QCheck.Print.(triple float (array float) (array float))
+    QCheck.Gen.(
+      let* n = 0 -- 40 in
+      triple special_float (array_size (return n) special_float)
+        (array_size (return n) special_float))
+
+let prop_elementwise_bits =
+  QCheck.Test.make ~name:"element-wise ops = per-element formula, bit for bit"
+    ~count:300 scalar_and_pair (fun (a, x, y) ->
+      let each f = Array.init (Array.length x) (fun i -> f x.(i) y.(i)) in
+      same_bits (Vec.add x y) (each ( +. ))
+      && same_bits (Vec.sub x y) (each ( -. ))
+      && same_bits (Vec.mul_elementwise x y) (each ( *. ))
+      && same_bits (Vec.scale a x) (Array.map (fun xi -> a *. xi) x))
+
 let suite =
   [
     Alcotest.test_case "create is zeroed" `Quick test_create_zeroed;
@@ -110,4 +148,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_nrm2_nonneg;
     QCheck_alcotest.to_alcotest prop_axpy_linear;
     QCheck_alcotest.to_alcotest prop_triangle_inequality;
+    QCheck_alcotest.to_alcotest prop_elementwise_bits;
   ]
