@@ -6,19 +6,23 @@
      kf codegen print the generated CUDA for a dense plan
      kf train   fit an ML algorithm and report timings + pattern trace
      kf serve   micro-batched scoring service driven by synthetic clients
-     kf top     live terminal view of a serve --metrics-port endpoint *)
+     kf top     live terminal view of a serve --metrics-port endpoint
+     kf script  run a DML script, interpreted or through the plan compiler *)
 
 open Cmdliner
 open Matrix
 
 let device = Gpu_sim.Device.gtx_titan
 
-let setup_logs verbose =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
-
-let verbose_arg =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
+(* -v: evaluating the flag sets up logging *)
+let setup_logs =
+  let setup verbose =
+    Logs.set_reporter (Logs_fmt.reporter ());
+    Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
+  in
+  Term.(
+    const setup
+    $ Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging."))
 
 (* ---- shared arguments ---- *)
 
@@ -42,6 +46,40 @@ let dense_arg =
   Arg.(value & flag & info [ "dense" ] ~doc:"Use a dense matrix.")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.")
+
+(* The synthetic problem every data-generating subcommand shares. *)
+type problem = {
+  dense : bool;
+  rows : int;
+  cols : int;
+  density : float;
+  seed : int;
+}
+
+let problem_term =
+  Term.(
+    const (fun dense rows cols density seed ->
+        { dense; rows; cols; density; seed })
+    $ dense_arg $ rows_arg $ cols_arg $ density_arg $ seed_arg)
+
+let make_input p =
+  let rng = Rng.create p.seed in
+  if p.dense then Fusion.Executor.Dense (Gen.dense rng ~rows:p.rows ~cols:p.cols)
+  else
+    Fusion.Executor.Sparse
+      (Gen.sparse_uniform rng ~rows:p.rows ~cols:p.cols ~density:p.density)
+
+(* The input, and the targets a planted weight vector gives it: what
+   [kf train] fits and [kf script] binds to $1 and $2. *)
+let input_and_targets p =
+  let input = make_input p in
+  let truth = Gen.vector (Rng.create (p.seed + 2)) p.cols in
+  let targets =
+    match input with
+    | Fusion.Executor.Sparse x -> Blas.csrmv x truth
+    | Fusion.Executor.Dense x -> Blas.gemv x truth
+  in
+  (input, targets)
 
 let positive_int =
   let parse s =
@@ -67,7 +105,8 @@ let domains_arg =
    count beyond the recommended domain count (oversubscription: domains
    time-share cores and their accumulators lose their cache affinity)
    earns a warning but still runs, since CI boxes under-report cores. *)
-let warn_oversubscribed n =
+let apply_domains domains =
+  let n = match domains with Some n -> n | None -> Par.Pool.default_size () in
   let rec_n = Domain.recommended_domain_count () in
   if n > rec_n then
     Printf.eprintf
@@ -75,13 +114,8 @@ let warn_oversubscribed n =
        %d on this machine; extra domains will time-share cores and usually \
        slow the host engine down\n\
        %!"
-      n rec_n
-
-let apply_domains = function
-  | Some n ->
-      warn_oversubscribed n;
-      Unix.putenv "KF_DOMAINS" (string_of_int n)
-  | None -> warn_oversubscribed (Par.Pool.default_size ())
+      n rec_n;
+  Option.iter (fun n -> Unix.putenv "KF_DOMAINS" (string_of_int n)) domains
 
 let workers_arg =
   Arg.(
@@ -92,11 +126,6 @@ let workers_arg =
           "Worker-process count for the $(b,dist) engine (overrides the \
            $(b,KF_WORKERS) environment variable; default: the runtime's \
            recommended domain count).")
-
-(* Like KF_DOMAINS: the shared cluster reads KF_WORKERS lazily on first
-   use, so the flag just sets the variable. *)
-let apply_workers =
-  Option.iter (fun n -> Unix.putenv "KF_WORKERS" (string_of_int n))
 
 (* ---- observability ---- *)
 
@@ -120,6 +149,17 @@ let profile_arg =
            host-engine work — per-domain busy/idle/rows/nnz stats with \
            the load-imbalance ratio, after the command finishes.")
 
+type obs = { trace : string option; profile : bool }
+
+let obs_term =
+  Term.(const (fun trace profile -> { trace; profile }) $ trace_arg $ profile_arg)
+
+let print_instantiations trace =
+  print_endline "pattern instantiations:";
+  List.iter
+    (fun (d, n) -> Printf.printf "  %-28s x%d\n" d.Fusion.Pattern_family.label n)
+    (Fusion.Pattern.Trace.entries trace)
+
 let json_arg =
   Arg.(
     value & flag
@@ -133,7 +173,7 @@ let json_arg =
    still leaves its trace behind.  [sample] (else KF_TRACE_SAMPLE,
    with KF_TRACE_SEED) installs the deterministic per-request trace
    sampler for every subcommand. *)
-let with_obs ?sample ~trace ~profile f =
+let with_obs ?sample { trace; profile } f =
   Kf_obs.Trace.sample_of_env ?rate:sample ();
   let trace = flag_or_env trace Kf_obs.Trace.file_var in
   if trace = None && not profile then f ()
@@ -201,10 +241,18 @@ let engine_arg =
   in
   Term.(const resolve $ flag)
 
-let make_input ~dense ~rows ~cols ~density ~seed =
-  let rng = Rng.create seed in
-  if dense then Fusion.Executor.Dense (Gen.dense rng ~rows ~cols)
-  else Fusion.Executor.Sparse (Gen.sparse_uniform rng ~rows ~cols ~density)
+(* Where the work runs.  Like the pool, the shared cluster reads
+   KF_WORKERS lazily on first use, so evaluating the group sets both
+   counts, once, before the command body runs. *)
+type exec = { engine : Fusion.Executor.engine }
+
+let exec_term =
+  let apply engine domains workers =
+    apply_domains domains;
+    Option.iter (fun n -> Unix.putenv "KF_WORKERS" (string_of_int n)) workers;
+    { engine }
+  in
+  Term.(const apply $ engine_arg $ domains_arg $ workers_arg)
 
 (* ---- kf run ---- *)
 
@@ -218,18 +266,17 @@ let instantiation_arg =
               (X^T(v.(Xy))), or $(b,full).")
 
 let run_cmd =
-  let run verbose dense rows cols density seed inst domains host trace profile =
-    setup_logs verbose;
+  let run () p inst domains host obs =
     apply_domains domains;
-    with_obs ~trace ~profile @@ fun () ->
-    let input = make_input ~dense ~rows ~cols ~density ~seed in
-    let rng = Rng.create (seed + 1) in
-    let y = Gen.vector rng cols in
-    let v = Gen.vector rng rows in
-    let z = Gen.vector rng cols in
+    with_obs obs @@ fun () ->
+    let input = make_input p in
+    let rng = Rng.create (p.seed + 1) in
+    let y = Gen.vector rng p.cols in
+    let v = Gen.vector rng p.rows in
+    let z = Gen.vector rng p.cols in
     let exec engine =
       match inst with
-      | `Xty -> Fusion.Executor.xt_y ~engine device input (Gen.vector (Rng.create seed) rows) ~alpha:1.0
+      | `Xty -> Fusion.Executor.xt_y ~engine device input (Gen.vector (Rng.create p.seed) p.rows) ~alpha:1.0
       | `Xtxy -> Fusion.Executor.pattern ~engine device input ~y ~alpha:1.0 ()
       | `W -> Fusion.Executor.pattern ~engine device input ~y ~v ~alpha:1.0 ()
       | `Full ->
@@ -238,8 +285,9 @@ let run_cmd =
     in
     let f = exec Fusion.Executor.Fused in
     let l = exec Fusion.Executor.Library in
-    Printf.printf "input: %d x %d %s\n" rows cols
-      (if dense then "dense" else Printf.sprintf "sparse (density %g)" density);
+    Printf.printf "input: %d x %d %s\n" p.rows p.cols
+      (if p.dense then "dense"
+       else Printf.sprintf "sparse (density %g)" p.density);
     Printf.printf "fused engine:   %8.3f ms  (%s)\n" f.Fusion.Executor.time_ms
       f.Fusion.Executor.engine_used;
     Printf.printf "library engine: %8.3f ms  (%s)\n" l.Fusion.Executor.time_ms
@@ -273,9 +321,8 @@ let run_cmd =
          "Run a pattern instantiation with the simulated engines (and \
           optionally the real host backend).")
     Term.(
-      const run $ verbose_arg $ dense_arg $ rows_arg $ cols_arg $ density_arg
-      $ seed_arg $ instantiation_arg $ domains_arg $ host_flag $ trace_arg
-      $ profile_arg)
+      const run $ setup_logs $ problem_term $ instantiation_arg $ domains_arg
+      $ host_flag $ obs_term)
 
 (* ---- kf tune ---- *)
 
@@ -310,15 +357,14 @@ let sparse_plan_json ~mean_row_nnz (p : Fusion.Tuning.sparse_plan) =
       ])
 
 let tune_cmd =
-  let tune dense rows cols density seed json =
-    if dense then begin
-      let plan = Fusion.Tuning.dense_plan device ~rows ~cols in
+  let tune p json =
+    if p.dense then begin
+      let plan = Fusion.Tuning.dense_plan device ~rows:p.rows ~cols:p.cols in
       if json then Kf_obs.Json.to_channel stdout (dense_plan_json plan)
       else Format.printf "%a@." Fusion.Tuning.pp_dense_plan plan
     end
     else begin
-      let input = make_input ~dense ~rows ~cols ~density ~seed in
-      match input with
+      match make_input p with
       | Fusion.Executor.Sparse x ->
           let plan = Fusion.Tuning.sparse_plan device x in
           let mu = Csr.mean_row_nnz x in
@@ -334,9 +380,7 @@ let tune_cmd =
   in
   Cmd.v
     (Cmd.info "tune" ~doc:"Show the analytical launch plan (Section 3.3).")
-    Term.(
-      const tune $ dense_arg $ rows_arg $ cols_arg $ density_arg $ seed_arg
-      $ json_arg)
+    Term.(const tune $ problem_term $ json_arg)
 
 (* ---- kf codegen ---- *)
 
@@ -430,16 +474,15 @@ let max_iterations_arg =
 
 (* The registry is the single source of truth for what can be trained
    and served: no per-algorithm match anywhere in this file. *)
-let algo_enum = List.map (fun n -> (n, n)) Kf_ml.Registry.names
-
-let algo_doc =
-  String.concat ", " (List.map (Printf.sprintf "$(b,%s)") Kf_ml.Registry.names)
-
 let algo_arg =
+  let names = Kf_ml.Registry.names in
   Arg.(
     value
-    & opt (enum algo_enum) "lr"
-    & info [ "a"; "algorithm" ] ~doc:(Printf.sprintf "One of %s." algo_doc))
+    & opt (enum (List.map (fun n -> (n, n)) names)) "lr"
+    & info [ "a"; "algorithm" ]
+        ~doc:
+          (Printf.sprintf "One of %s."
+             (String.concat ", " (List.map (Printf.sprintf "$(b,%s)") names))))
 
 (* Resume safety: a checkpoint only makes sense against the same
    synthetic problem, so every checkpoint carries the generator
@@ -477,11 +520,8 @@ let save_model_arg =
            it.")
 
 let train_cmd =
-  let train dense rows cols density seed algo_name engine domains workers
-      trace_file profile json faults checkpoint every resume max_iterations
-      save_model =
-    apply_domains domains;
-    apply_workers workers;
+  let train p algo_name { engine } obs json faults checkpoint every resume
+      max_iterations save_model =
     apply_faults faults;
     let (module A : Kf_ml.Algorithm.S) = Kf_ml.Registry.find algo_name in
     let checkpoint =
@@ -489,28 +529,21 @@ let train_cmd =
         (fun path -> (path, every))
         (flag_or_env checkpoint Kf_resil.Ckpt.path_var)
     in
-    with_obs ~trace:trace_file ~profile @@ fun () ->
+    with_obs obs @@ fun () ->
     let ckpt_meta =
       [
         ("cfg.algo", Kf_resil.Ckpt.Str algo_name);
-        ("cfg.rows", Kf_resil.Ckpt.Int rows);
-        ("cfg.cols", Kf_resil.Ckpt.Int cols);
-        ("cfg.density", Kf_resil.Ckpt.Float density);
-        ("cfg.dense", Kf_resil.Ckpt.Int (if dense then 1 else 0));
-        ("cfg.seed", Kf_resil.Ckpt.Int seed);
+        ("cfg.rows", Kf_resil.Ckpt.Int p.rows);
+        ("cfg.cols", Kf_resil.Ckpt.Int p.cols);
+        ("cfg.density", Kf_resil.Ckpt.Float p.density);
+        ("cfg.dense", Kf_resil.Ckpt.Int (if p.dense then 1 else 0));
+        ("cfg.seed", Kf_resil.Ckpt.Int p.seed);
       ]
     in
     (match resume with
     | Some path -> validate_resume_meta ~path ~meta:ckpt_meta
     | None -> ());
-    let input = make_input ~dense ~rows ~cols ~density ~seed in
-    let rng = Rng.create (seed + 2) in
-    let truth = Gen.vector rng cols in
-    let raw =
-      match input with
-      | Fusion.Executor.Sparse x -> Blas.csrmv x truth
-      | Fusion.Executor.Dense x -> Blas.gemv x truth
-    in
+    let input, raw = input_and_targets p in
     let time_label =
       match engine with
       | Fusion.Executor.Host -> "host wall-clock time"
@@ -521,9 +554,7 @@ let train_cmd =
     let cfg =
       { Kf_ml.Algorithm.engine; max_iterations; checkpoint; ckpt_meta; resume }
     in
-    let r =
-      A.train ~cfg { Kf_ml.Algorithm.device; input; raw; seed }
-    in
+    let r = A.train ~cfg { Kf_ml.Algorithm.device; input; raw; seed = p.seed } in
     let flat = Kf_ml.Algorithm.flat_weights r.weights in
     let checksum = Kf_resil.Ckpt.checksum_floats flat in
     (match save_model with
@@ -560,20 +591,15 @@ let train_cmd =
       if resume <> None then print_endline "resumed from checkpoint";
       Printf.printf "weights checksum: %s\n" checksum;
       Printf.printf "%s: %.2f ms\n" time_label r.gpu_ms;
-      print_endline "pattern instantiations:";
-      List.iter
-        (fun (d, n) ->
-          Printf.printf "  %-28s x%d\n" d.Fusion.Pattern_family.label n)
-        (Fusion.Pattern.Trace.entries r.trace)
+      print_instantiations r.trace
     end
   in
   Cmd.v
     (Cmd.info "train" ~doc:"Fit an ML algorithm on synthetic data.")
     Term.(
-      const train $ dense_arg $ rows_arg $ cols_arg $ density_arg $ seed_arg
-      $ algo_arg $ engine_arg $ domains_arg $ workers_arg $ trace_arg
-      $ profile_arg $ json_arg $ faults_arg $ checkpoint_arg $ every_arg
-      $ resume_arg $ max_iterations_arg $ save_model_arg)
+      const train $ problem_term $ algo_arg $ exec_term $ obs_term $ json_arg
+      $ faults_arg $ checkpoint_arg $ every_arg $ resume_arg
+      $ max_iterations_arg $ save_model_arg)
 
 (* ---- kf serve ---- *)
 
@@ -588,17 +614,16 @@ let serve_cmd =
              $(b,kf-ckpt/1) checkpoint with $(b,model.*) fields).  \
              Repeatable: each occurrence registers one model under \
              $(b,NAME) (default: the file's basename), and clients \
-             round-robin across all of them.  A single plain $(b,FILE) \
-             serves that one model as before.")
+             round-robin across all of them.")
   in
+  (* the service's own defaults, which the help shows as absent= *)
+  let d = Kf_serve.Service.default_config in
   let window_cap_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt int d.window_cap_us
       & info [ "window-cap-us" ] ~docv:"US"
-          ~doc:
-            "Upper bound for the adaptive coalescing window.  Default: \
-             500.")
+          ~doc:"Upper bound for the adaptive coalescing window.")
   in
   let max_resident_arg =
     Arg.(
@@ -628,17 +653,6 @@ let serve_cmd =
             "Shed requests predicted to miss the SLO target while the \
              error budget is nearly spent (needs $(b,--slo-target-us)).")
   in
-  let serve_algo_arg =
-    Arg.(
-      value
-      & opt (some (enum algo_enum)) None
-      & info [ "a"; "algorithm" ]
-          ~doc:
-            (Printf.sprintf
-               "Scoring algorithm (%s); default: the model file's \
-                algorithm field."
-               algo_doc))
-  in
   let window_arg =
     Arg.(
       value
@@ -652,19 +666,17 @@ let serve_cmd =
   let max_batch_arg =
     Arg.(
       value
-      & opt (some positive_int) None
-      & info [ "max-batch" ] ~docv:"N"
-          ~doc:
-            "Largest coalesced batch.  Default: 32.")
+      & opt positive_int d.max_batch
+      & info [ "max-batch" ] ~docv:"N" ~doc:"Largest coalesced batch.")
   in
   let queue_depth_arg =
     Arg.(
       value
-      & opt (some positive_int) None
+      & opt positive_int d.queue_depth
       & info [ "queue-depth" ] ~docv:"N"
           ~doc:
             "Admission bound: submissions beyond $(docv) queued requests \
-             are shed.  Default: 1024.")
+             are shed.")
   in
   let clients_arg =
     Arg.(
@@ -728,196 +740,126 @@ let serve_cmd =
             "SLO objective: the fraction of requests (over the rolling \
              window) that must meet $(b,--slo-target-us).")
   in
-  let serve verbose models algo engine domains workers window_us window_cap
-      max_batch queue_depth max_resident watch deadline_shed clients rps
-      duration seed json trace profile metrics_port trace_sample slo_target
-      slo_objective =
-    setup_logs verbose;
-    apply_domains domains;
-    apply_workers workers;
-    let metrics_port = flag_or_env metrics_port Kf_serve.Scrape.port_var in
-    with_obs ?sample:trace_sample ~trace ~profile @@ fun () ->
-    let specs_raw =
-      List.map
-        (fun s ->
-          match String.index_opt s '=' with
-          | Some i ->
-              ( String.sub s 0 i,
-                String.sub s (i + 1) (String.length s - i - 1) )
-          | None -> (Filename.remove_extension (Filename.basename s), s))
-        models
-    in
-    let config =
-      let d = Kf_serve.Service.default_config in
+  (* parsed straight into the service's and the load driver's records *)
+  let config_term =
+    let make window_us window_cap_us max_batch queue_depth deadline_shed =
       {
-        Kf_serve.Service.window_us =
-          Option.value window_us ~default:d.window_us;
-        max_batch = Option.value max_batch ~default:d.max_batch;
-        queue_depth = Option.value queue_depth ~default:d.queue_depth;
+        Kf_serve.Service.window_us = Option.value window_us ~default:d.window_us;
         (* an explicit --window-us pins a fixed window *)
         adaptive = d.adaptive && window_us = None;
-        window_cap_us = Option.value window_cap ~default:d.window_cap_us;
+        window_cap_us;
+        max_batch;
+        queue_depth;
         deadline_shed;
       }
     in
-    let slo_for name =
+    Term.(
+      const make $ window_arg $ window_cap_arg $ max_batch_arg
+      $ queue_depth_arg $ deadline_shed_arg)
+  in
+  let load_term =
+    Term.(
+      const (fun clients rps duration_s seed ->
+          { Kf_serve.Driver.clients; rps; duration_s; seed })
+      $ clients_arg $ rps_arg $ duration_arg $ seed_arg)
+  in
+  (* One path for one model or many: each --model is a registry entry. *)
+  let serve () models { engine } (config : Kf_serve.Service.config)
+      max_resident watch (load : Kf_serve.Driver.cfg) json obs metrics_port
+      trace_sample slo_target slo_objective =
+    let metrics_port = flag_or_env metrics_port Kf_serve.Scrape.port_var in
+    with_obs ?sample:trace_sample obs @@ fun () ->
+    let specs =
+      List.map
+        (fun s ->
+          let name, path =
+            match String.index_opt s '=' with
+            | Some i ->
+                (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+            | None -> (Filename.remove_extension (Filename.basename s), s)
+          in
+          let slo =
+            Option.map
+              (fun target_us ->
+                Kf_obs.Slo.create ~target_us ~objective:slo_objective name)
+              slo_target
+          in
+          { Kf_serve.Models.name; path; slo })
+        models
+    in
+    let registry =
+      Kf_serve.Models.create ~engine ~config ?max_resident_bytes:max_resident
+        device specs
+    in
+    if watch then Kf_serve.Models.watch registry;
+    let scrape =
       Option.map
-        (fun target_us ->
-          Kf_obs.Slo.create ~target_us ~objective:slo_objective name)
-        slo_target
+        (fun p ->
+          let s =
+            Kf_serve.Scrape.start ~port:p
+              ~render:(fun () ->
+                Kf_obs.Openmetrics.render
+                  (Kf_obs.Metrics.snapshot ~process_counters:true ()))
+              ()
+          in
+          Printf.eprintf "metrics: http://127.0.0.1:%d/metrics\n%!"
+            (Kf_serve.Scrape.port s);
+          s)
+        metrics_port
     in
-    let driver_cfg = { Kf_serve.Driver.clients; rps; duration_s = duration; seed } in
-    let with_scrape body =
-      let scrape =
-        Option.map
-          (fun p ->
-            let s =
-              Kf_serve.Scrape.start ~port:p
-                ~render:(fun () ->
-                  Kf_obs.Openmetrics.render
-                    (Kf_obs.Metrics.snapshot ~process_counters:true ()))
-                ()
-            in
-            Printf.eprintf "metrics: http://127.0.0.1:%d/metrics\n%!"
-              (Kf_serve.Scrape.port s);
-            s)
-          metrics_port
-      in
-      Fun.protect ~finally:(fun () -> Option.iter Kf_serve.Scrape.stop scrape)
-        body
-    in
-    let print_summary (summary : Kf_serve.Driver.summary) =
-      Printf.printf "%s, max batch %d, queue depth %d, %d client(s), %s\n"
-        (if config.Kf_serve.Service.adaptive then
-           Printf.sprintf "adaptive window (cap %d us)"
-             config.Kf_serve.Service.window_cap_us
-         else
-           Printf.sprintf "window %d us" config.Kf_serve.Service.window_us)
-        config.Kf_serve.Service.max_batch
-        config.Kf_serve.Service.queue_depth clients
-        (if rps > 0.0 then Printf.sprintf "open loop at %g rps" rps
-         else "closed loop");
-      Printf.printf "%d requests in %.2f s: %.0f req/s\n"
-        summary.Kf_serve.Driver.ok summary.Kf_serve.Driver.wall_s
-        summary.Kf_serve.Driver.throughput_rps;
-      Printf.printf
-        "latency p50 %.0f us, p95 %.0f us, p99 %.0f us, max %.0f us\n"
-        (Kf_obs.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.5)
-        (Kf_obs.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.95)
-        (Kf_obs.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.99)
-        (Kf_obs.Histogram.max_value summary.Kf_serve.Driver.latency_us)
-    in
-    let print_slo s =
-      Printf.printf
-        "slo %s: %.0f us at %g objective — %d violation(s), error budget \
-         %.2f %s\n"
-        (Kf_obs.Slo.name s) (Kf_obs.Slo.target_us s) (Kf_obs.Slo.objective s)
-        (Kf_obs.Slo.violations s)
-        (Kf_obs.Slo.budget_remaining s)
-        (if Kf_obs.Slo.compliant s then "(compliant)" else "(EXHAUSTED)")
-    in
-    let registry_mode =
-      watch || max_resident <> None
-      || List.length specs_raw > 1
-      || List.exists (fun s -> String.contains s '=') models
-    in
-    if registry_mode then begin
-      (* multi-model (or watched) serving through the registry *)
-      if algo <> None then
-        Printf.eprintf
-          "warning: --algorithm is ignored in registry mode (each model \
-           file names its own)\n%!";
-      let specs =
-        List.map
-          (fun (name, path) ->
-            { Kf_serve.Models.name; path; slo = slo_for name })
-          specs_raw
-      in
-      let registry =
-        Kf_serve.Models.create ~engine ~config
-          ?max_resident_bytes:max_resident device specs
-      in
-      if watch then Kf_serve.Models.watch registry;
-      with_scrape @@ fun () ->
-      let summary = Kf_serve.Driver.run_models registry driver_cfg in
-      let per_model =
-        List.map
-          (fun (name, svc) ->
-            ( name,
-              Kf_serve.Service.stats svc,
-              Kf_serve.Service.live_generation svc,
-              Kf_serve.Service.slo svc ))
-          (Kf_serve.Models.services registry)
-      in
-      let registry_snapshot = Kf_serve.Models.snapshot registry in
-      Kf_serve.Models.shutdown registry;
-      if json then
-        Kf_obs.Json.to_channel stdout
-          (match Kf_serve.Driver.summary_json summary with
-          | Kf_obs.Json.Obj fields ->
-              Kf_obs.Json.Obj (fields @ [ ("registry", registry_snapshot) ])
-          | other -> other)
-      else begin
-        Printf.printf "serving %d model(s) (%s engine)%s\n"
-          (List.length specs) (Fusion.Executor.engine_to_string engine)
-          (if watch then ", hot-swap watch on" else "");
-        print_summary summary;
-        List.iter
-          (fun (name, st, gen, slo) ->
-            Printf.printf
-              "  %-12s gen %d, %d request(s), %d batch(es), %d swap(s), %d \
-               shed, %d failed\n"
-              name
-              (Option.value gen ~default:0)
-              st.Kf_serve.Service.accepted st.Kf_serve.Service.batches
-              st.Kf_serve.Service.swaps st.Kf_serve.Service.shed
-              st.Kf_serve.Service.failures;
-            Option.iter print_slo slo)
-          per_model
-      end
-    end
+    Fun.protect ~finally:(fun () -> Option.iter Kf_serve.Scrape.stop scrape)
+    @@ fun () ->
+    let summary = Kf_serve.Driver.run_models registry load in
+    (if json then
+       Kf_obs.Json.to_channel stdout
+         (match Kf_serve.Driver.summary_json summary with
+         | Kf_obs.Json.Obj fields ->
+             Kf_obs.Json.Obj
+               (fields @ [ ("registry", Kf_serve.Models.snapshot registry) ])
+         | other -> other)
     else begin
-      (* single model file, no registry features: serve it directly *)
-      let model = snd (List.hd specs_raw) in
-      let ck = Kf_resil.Ckpt.read ~path:model in
-      let algo_name =
-        match algo with Some n -> n | None -> ck.Kf_resil.Ckpt.algorithm
-      in
-      let (module A : Kf_ml.Algorithm.S) = Kf_ml.Registry.find algo_name in
-      let weights =
-        Kf_ml.Algorithm.weights_of_payload ck.Kf_resil.Ckpt.payload
-      in
-      let slo = slo_for algo_name in
-      let svc =
-        Kf_serve.Service.create ~engine ~config ?slo device ~algo:(module A)
-          ~weights ()
-      in
-      with_scrape @@ fun () ->
-      let summary =
-        Kf_serve.Driver.run svc ~cols:weights.Kf_ml.Algorithm.cols driver_cfg
-      in
-      let st = Kf_serve.Service.stats svc in
-      let service_snapshot = Kf_serve.Service.snapshot svc in
-      Kf_serve.Service.shutdown svc;
-      if json then
-        Kf_obs.Json.to_channel stdout
-          (match Kf_serve.Driver.summary_json summary with
-          | Kf_obs.Json.Obj fields ->
-              Kf_obs.Json.Obj (fields @ [ ("service", service_snapshot) ])
-          | other -> other)
-      else begin
-        Printf.printf "serving %s model from %s (%d features, %s engine)\n"
-          A.display_name model weights.Kf_ml.Algorithm.cols
-          (Fusion.Executor.engine_to_string engine);
-        print_summary summary;
-        Printf.printf
-          "%d batch(es), mean occupancy %.1f rows, %d shed, %d failed\n"
-          st.Kf_serve.Service.batches
-          (Kf_obs.Histogram.mean st.Kf_serve.Service.occupancy)
-          summary.Kf_serve.Driver.shed summary.Kf_serve.Driver.failed;
-        Option.iter print_slo slo
-      end
-    end
+      Printf.printf "serving %d model(s) (%s engine)%s\n" (List.length specs)
+        (Fusion.Executor.engine_to_string engine)
+        (if watch then ", hot-swap watch on" else "");
+      Printf.printf "%s, max batch %d, queue depth %d, %d client(s), %s\n"
+        (if config.adaptive then
+           Printf.sprintf "adaptive window (cap %d us)" config.window_cap_us
+         else Printf.sprintf "window %d us" config.window_us)
+        config.max_batch config.queue_depth load.clients
+        (if load.rps > 0.0 then Printf.sprintf "open loop at %g rps" load.rps
+         else "closed loop");
+      Printf.printf "%d requests in %.2f s: %.0f req/s\n" summary.ok
+        summary.wall_s summary.throughput_rps;
+      let q = Kf_obs.Histogram.quantile summary.latency_us in
+      Printf.printf
+        "latency p50 %.0f us, p95 %.0f us, p99 %.0f us, max %.0f us\n" (q 0.5)
+        (q 0.95) (q 0.99)
+        (Kf_obs.Histogram.max_value summary.latency_us);
+      List.iter
+        (fun (name, svc) ->
+          let st = Kf_serve.Service.stats svc in
+          Printf.printf
+            "  %-12s %d features, gen %d, %d request(s), %d batch(es), mean \
+             occupancy %.1f rows, %d swap(s), %d shed, %d failed\n"
+            name (Kf_serve.Service.cols svc)
+            (Option.value (Kf_serve.Service.live_generation svc) ~default:0)
+            st.accepted st.batches
+            (Kf_obs.Histogram.mean st.occupancy)
+            st.swaps st.shed st.failures;
+          Option.iter
+            (fun s ->
+              Printf.printf
+                "slo %s: %.0f us at %g objective — %d violation(s), error \
+                 budget %.2f %s\n"
+                (Kf_obs.Slo.name s) (Kf_obs.Slo.target_us s)
+                (Kf_obs.Slo.objective s) (Kf_obs.Slo.violations s)
+                (Kf_obs.Slo.budget_remaining s)
+                (if Kf_obs.Slo.compliant s then "(compliant)"
+                 else "(EXHAUSTED)"))
+            (Kf_serve.Service.slo svc))
+        (Kf_serve.Models.services registry)
+     end);
+    Kf_serve.Models.shutdown registry
   in
   Cmd.v
     (Cmd.info "serve"
@@ -925,159 +867,86 @@ let serve_cmd =
          "Run the micro-batched scoring service on one or more trained \
           models and drive it with synthetic clients.")
     Term.(
-      const serve $ verbose_arg $ model_arg $ serve_algo_arg $ engine_arg
-      $ domains_arg $ workers_arg $ window_arg $ window_cap_arg
-      $ max_batch_arg $ queue_depth_arg $ max_resident_arg $ watch_arg
-      $ deadline_shed_arg $ clients_arg $ rps_arg $ duration_arg $ seed_arg
-      $ json_arg $ trace_arg $ profile_arg $ metrics_port_arg
-      $ trace_sample_arg $ slo_target_arg $ slo_objective_arg)
+      const serve $ setup_logs $ model_arg $ exec_term $ config_term
+      $ max_resident_arg $ watch_arg $ load_term $ json_arg $ obs_term
+      $ metrics_port_arg $ trace_sample_arg $ slo_target_arg
+      $ slo_objective_arg)
 
 (* ---- kf top ---- *)
 
-(* Live terminal view of a scrape endpoint.  Each frame fetches
-   /metrics, parses the exposition, and shows counters with rates and
-   histograms with window quantiles — both computed against the
-   previous frame, the standard cumulative-series technique (rate =
-   counter delta / dt, window quantiles from the bucket-wise histogram
-   difference). *)
+(* Live terminal view of a scrape endpoint.  Each frame parses one
+   scrape into a snapshot and pushes it onto a two-snapshot
+   [Metrics.Window]: the window's diff gives counter rates (delta / dt)
+   and window quantiles (the bucket-wise histogram difference), the
+   standard cumulative-series technique. *)
 
-type top_frame = {
-  tf_counters : ((string * Kf_obs.Metrics.labels) * float) list;
-  tf_gauges : ((string * Kf_obs.Metrics.labels) * float) list;
-  tf_hists : ((string * Kf_obs.Metrics.labels) * Kf_obs.Histogram.t) list;
-  tf_at : float;  (** wall-clock fetch time, for rates *)
-}
-
-let top_classify ~at points =
-  let strip name suffix =
-    let nl = String.length name and sl = String.length suffix in
-    if nl > sl && String.sub name (nl - sl) sl = suffix then
-      Some (String.sub name 0 (nl - sl))
-    else None
-  in
-  (* (base name, labels sans le) -> partially assembled histogram *)
-  let hists = Hashtbl.create 16 in
-  let part key =
-    match Hashtbl.find_opt hists key with
-    | Some p -> p
-    | None ->
-        let p = (ref [], ref 0, ref 0.0) in
-        Hashtbl.add hists key p;
-        p
-  in
-  let counters = ref [] and gauges = ref [] in
-  List.iter
-    (fun { Kf_obs.Openmetrics.p_name; p_labels; p_value } ->
-      match strip p_name "_total" with
-      | Some base -> counters := ((base, p_labels), p_value) :: !counters
-      | None -> (
-          match strip p_name "_bucket" with
-          | Some base ->
-              let le =
-                match List.assoc_opt "le" p_labels with
-                | Some le -> le
-                | None -> "+Inf"
-              in
-              let labels = List.filter (fun (k, _) -> k <> "le") p_labels in
-              let buckets, _, _ = part (base, labels) in
-              if le <> "+Inf" then
-                buckets :=
-                  (float_of_string le, int_of_float p_value) :: !buckets
-          | None -> (
-              match strip p_name "_count" with
-              | Some base ->
-                  let _, count, _ = part (base, p_labels) in
-                  count := int_of_float p_value
-              | None -> (
-                  match strip p_name "_sum" with
-                  | Some base ->
-                      let _, _, sum = part (base, p_labels) in
-                      sum := p_value
-                  | None -> gauges := ((p_name, p_labels), p_value) :: !gauges)
-              )))
-    points;
-  let tf_hists =
-    Hashtbl.fold
-      (fun key (buckets, count, sum) acc ->
-        let buckets = List.sort compare !buckets in
-        (key, Kf_obs.Histogram.of_cumulative ~buckets ~count:!count ~sum:!sum)
-        :: acc)
-      hists []
-  in
-  let by_key l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-  {
-    tf_counters = by_key !counters;
-    tf_gauges = by_key !gauges;
-    tf_hists = by_key tf_hists;
-    tf_at = at;
-  }
-
-let top_render ~addr ~port ~prev frame =
+let top_render ~addr ~port window (latest : Kf_obs.Metrics.snapshot) =
   let buf = Buffer.create 2048 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let series (name, labels) =
-    let labels = List.filter (fun (k, _) -> k <> "") labels in
-    if labels = [] then name
+  let series (s : Kf_obs.Metrics.sample) =
+    if s.s_labels = [] then s.s_name
     else
-      Printf.sprintf "%s{%s}" name
+      Printf.sprintf "%s{%s}" s.s_name
         (String.concat ","
-           (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) labels))
+           (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) s.s_labels))
   in
-  let dt =
-    match prev with
-    | Some p when frame.tf_at > p.tf_at -> Some (frame.tf_at -. p.tf_at)
-    | _ -> None
+  let span = Kf_obs.Metrics.Window.span_s window in
+  let diff =
+    if span > 0.0 then Kf_obs.Metrics.Window.diff window else None
+  in
+  let windowed (s : Kf_obs.Metrics.sample) =
+    Option.bind diff (fun d ->
+        Option.map
+          (fun (w : Kf_obs.Metrics.sample) -> w.s_value)
+          (Kf_obs.Metrics.find d ~name:s.s_name ~labels:s.s_labels ()))
+  in
+  let counters, hists, gauges =
+    List.fold_right
+      (fun (s : Kf_obs.Metrics.sample) (c, h, g) ->
+        match s.s_value with
+        | Kf_obs.Metrics.Vcounter v -> ((s, v) :: c, h, g)
+        | Kf_obs.Metrics.Vhist x -> (c, (s, x) :: h, g)
+        | Kf_obs.Metrics.Vgauge v -> (c, h, (s, v) :: g))
+      latest.samples ([], [], [])
   in
   pf "kf top — %s:%d — %s\n\n" addr port
-    (match dt with
-    | Some dt -> Printf.sprintf "window %.1f s" dt
-    | None -> "first sample");
-  if frame.tf_counters <> [] then begin
+    (if Option.is_none diff then "first sample"
+     else Printf.sprintf "window %.1f s" span);
+  if counters <> [] then begin
     pf "%-46s %14s %12s\n" "COUNTERS" "total" "per-second";
     List.iter
-      (fun (key, v) ->
+      (fun (s, v) ->
         let rate =
-          match (dt, prev) with
-          | Some dt, Some p -> (
-              match List.assoc_opt key p.tf_counters with
-              | Some v0 -> Printf.sprintf "%.1f" (Float.max 0. (v -. v0) /. dt)
-              | None -> "-")
+          match windowed s with
+          | Some (Kf_obs.Metrics.Vcounter d) -> Printf.sprintf "%.1f" (d /. span)
           | _ -> "-"
         in
-        pf "%-46s %14.0f %12s\n" (series key) v rate)
-      frame.tf_counters;
+        pf "%-46s %14.0f %12s\n" (series s) v rate)
+      counters;
     pf "\n"
   end;
-  if frame.tf_hists <> [] then begin
+  if hists <> [] then begin
     pf "%-46s %8s %8s %8s %8s\n" "HISTOGRAMS (window)" "count" "p50" "p95"
       "p99";
     List.iter
-      (fun (key, h) ->
-        (* quantiles over this frame's increment when we have a previous
-           frame with the same series; cumulative otherwise *)
-        let w =
-          match prev with
-          | Some p -> (
-              match List.assoc_opt key p.tf_hists with
-              | Some h0 ->
-                  let d = Kf_obs.Histogram.diff ~after:h ~before:h0 in
-                  if Kf_obs.Histogram.count d > 0 then d else h
-              | None -> h)
-          | None -> h
+      (fun (s, h) ->
+        (* cumulative when the window recorded nothing *)
+        let h =
+          match windowed s with
+          | Some (Kf_obs.Metrics.Vhist d) when Kf_obs.Histogram.count d > 0 -> d
+          | _ -> h
         in
-        pf "%-46s %8d %8.0f %8.0f %8.0f\n" (series key)
-          (Kf_obs.Histogram.count w)
-          (Kf_obs.Histogram.quantile w 0.5)
-          (Kf_obs.Histogram.quantile w 0.95)
-          (Kf_obs.Histogram.quantile w 0.99))
-      frame.tf_hists;
+        pf "%-46s %8d %8.0f %8.0f %8.0f\n" (series s)
+          (Kf_obs.Histogram.count h)
+          (Kf_obs.Histogram.quantile h 0.5)
+          (Kf_obs.Histogram.quantile h 0.95)
+          (Kf_obs.Histogram.quantile h 0.99))
+      hists;
     pf "\n"
   end;
-  if frame.tf_gauges <> [] then begin
+  if gauges <> [] then begin
     pf "%-46s %14s\n" "GAUGES" "value";
-    List.iter
-      (fun (key, v) -> pf "%-46s %14g\n" (series key) v)
-      frame.tf_gauges
+    List.iter (fun (s, v) -> pf "%-46s %14g\n" (series s) v) gauges
   end;
   Buffer.contents buf
 
@@ -1109,8 +978,7 @@ let top_cmd =
       & info [ "iterations" ] ~docv:"N"
           ~doc:
             "Stop after $(docv) frames; $(b,0) polls until interrupted.  \
-             $(b,1) is a plain one-shot dump (what the CI smoke test \
-             uses).")
+             $(b,1) is a plain one-shot dump.")
   in
   let top addr port interval iterations =
     let port =
@@ -1121,28 +989,29 @@ let top_cmd =
           exit 2
     in
     let clear = iterations <> 1 && Unix.isatty Unix.stdout in
-    let rec loop i prev =
-      match Kf_serve.Scrape.fetch ~addr ~port ~path:"/metrics" () with
+    let window = Kf_obs.Metrics.Window.create ~capacity:2 () in
+    let rec loop i =
+      let scrape =
+        Result.bind (Kf_serve.Scrape.fetch ~addr ~port ~path:"/metrics" ())
+          (fun body ->
+            Result.map_error (( ^ ) "malformed exposition: ")
+              (Kf_obs.Openmetrics.parse body))
+      in
+      match scrape with
       | Error e ->
           Printf.eprintf "kf top: %s\n%!" e;
           exit 1
-      | Ok body ->
-          let points =
-            try Kf_obs.Openmetrics.parse body
-            with Kf_obs.Openmetrics.Parse_error msg ->
-              Printf.eprintf "kf top: malformed exposition: %s\n%!" msg;
-              exit 1
-          in
-          let frame = top_classify ~at:(Unix.gettimeofday ()) points in
+      | Ok snap ->
+          Kf_obs.Metrics.Window.push window snap;
           if clear then print_string "\027[H\027[2J";
-          print_string (top_render ~addr ~port ~prev frame);
+          print_string (top_render ~addr ~port window snap);
           flush stdout;
           if iterations = 0 || i < iterations then begin
             Unix.sleepf interval;
-            loop (i + 1) (Some frame)
+            loop (i + 1)
           end
     in
-    loop 1 None
+    loop 1
   in
   Cmd.v
     (Cmd.info "top"
@@ -1204,12 +1073,8 @@ let script_cmd =
       & info [ "dim" ] ~docv:"D"
           ~doc:"Embedding width for $(b,--graph) inputs.")
   in
-  let script verbose dense rows cols density seed file engine domains workers
-      trace profile plan explain dump_ir graph dim =
-    setup_logs verbose;
-    apply_domains domains;
-    apply_workers workers;
-    with_obs ~trace ~profile @@ fun () ->
+  let script () p file { engine } obs plan explain dump_ir graph dim =
+    with_obs obs @@ fun () ->
     let program =
       match file with
       | Some path -> Sysml.Dml.parse_file path
@@ -1219,24 +1084,17 @@ let script_cmd =
     in
     let positional =
       if graph then begin
-        let rng = Rng.create seed in
-        let out_degree = max 1 (int_of_float (density *. float rows)) in
-        let g = Kf_ml.Dataset.adjacency rng ~nodes:rows ~out_degree in
-        let h = Gen.dense rng ~rows ~cols:dim in
+        let rng = Rng.create p.seed in
+        let out_degree = max 1 (int_of_float (p.density *. float p.rows)) in
+        let g = Kf_ml.Dataset.adjacency rng ~nodes:p.rows ~out_degree in
+        let h = Gen.dense rng ~rows:p.rows ~cols:dim in
         [
           Sysml.Script.Matrix (Fusion.Executor.Sparse g);
           Sysml.Script.Matrix (Fusion.Executor.Dense h);
         ]
       end
       else begin
-        let input = make_input ~dense ~rows ~cols ~density ~seed in
-        let rng = Rng.create (seed + 2) in
-        let truth = Gen.vector rng cols in
-        let targets =
-          match input with
-          | Fusion.Executor.Sparse x -> Blas.csrmv x truth
-          | Fusion.Executor.Dense x -> Blas.gemv x truth
-        in
+        let input, targets = input_and_targets p in
         [ Sysml.Script.Matrix input; Sysml.Script.Vector targets ]
       end
     in
@@ -1261,37 +1119,28 @@ let script_cmd =
         Kf_plan.Compiler.execute compiled
       end
     in
-    Printf.printf "script finished: %.2f ms simulated device time, %d fused launches
-"
+    Printf.printf
+      "script finished: %.2f ms simulated device time, %d fused launches\n"
       r.Sysml.Script.gpu_ms r.Sysml.Script.fused_launches;
-    print_endline "pattern instantiations:";
-    List.iter
-      (fun (d, n) ->
-        Printf.printf "  %-28s x%d
-"
-          d.Fusion.Pattern_family.label n)
-      (Fusion.Pattern.Trace.entries r.Sysml.Script.trace);
+    print_instantiations r.Sysml.Script.trace;
     List.iter
       (fun (name, v) ->
         match v with
-        | Sysml.Script.Num f -> Printf.printf "output %s = %g
-" name f
+        | Sysml.Script.Num f -> Printf.printf "output %s = %g\n" name f
         | Sysml.Script.Vector v ->
-            Printf.printf "output %s = vector of %d elements (norm %g)
-" name
+            Printf.printf "output %s = vector of %d elements (norm %g)\n" name
               (Array.length v) (Vec.nrm2 v)
-        | Sysml.Script.Matrix _ -> Printf.printf "output %s = matrix
-" name)
+        | Sysml.Script.Matrix _ -> Printf.printf "output %s = matrix\n" name)
       r.Sysml.Script.outputs
   in
   Cmd.v
     (Cmd.info "script"
-       ~doc:"Run a DML script (default: the paper's Listing 1) on synthetic              inputs bound to $1 (matrix) and $2 (targets).")
+       ~doc:
+         "Run a DML script (default: the paper's Listing 1) on synthetic \
+          inputs bound to $(b,\\$1) (matrix) and $(b,\\$2) (targets).")
     Term.(
-      const script $ verbose_arg $ dense_arg $ rows_arg $ cols_arg
-      $ density_arg $ seed_arg $ file_arg $ engine_arg $ domains_arg
-      $ workers_arg $ trace_arg $ profile_arg $ plan_arg $ explain_arg
-      $ dump_ir_arg $ graph_arg $ dim_arg)
+      const script $ setup_logs $ problem_term $ file_arg $ exec_term
+      $ obs_term $ plan_arg $ explain_arg $ dump_ir_arg $ graph_arg $ dim_arg)
 
 let () =
   (* every KF_* variable is checked before any work, workers included *)

@@ -6,37 +6,6 @@ let segment ~transaction_bytes ~bytes_per_elt ~start ~count =
     last - first + 1
   end
 
-(* Distinct lines among up to 64 lanes: insertion into a small scratch
-   array beats hashing at warp scale and allocates nothing on the fast
-   path. *)
-let scratch = Array.make 64 (-1)
-
-let gather ~transaction_bytes ~bytes_per_elt ~indices ~lo ~hi =
-  let n = hi - lo in
-  if n <= 0 then 0
-  else if n <= 64 then begin
-    let distinct = ref 0 in
-    for k = lo to hi - 1 do
-      let line = indices.(k) * bytes_per_elt / transaction_bytes in
-      let seen = ref false in
-      for j = 0 to !distinct - 1 do
-        if scratch.(j) = line then seen := true
-      done;
-      if not !seen then begin
-        scratch.(!distinct) <- line;
-        incr distinct
-      end
-    done;
-    !distinct
-  end
-  else begin
-    let tbl = Hashtbl.create (2 * n) in
-    for k = lo to hi - 1 do
-      Hashtbl.replace tbl (indices.(k) * bytes_per_elt / transaction_bytes) ()
-    done;
-    Hashtbl.length tbl
-  end
-
 let gather_sorted ~transaction_bytes ~bytes_per_elt ~indices ~lo ~hi =
   if hi - lo <= 0 then 0
   else begin

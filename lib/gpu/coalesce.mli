@@ -13,17 +13,6 @@ val segment :
     index [start] of an array whose base is transaction-aligned — the
     coalesced access of CSR-vector reading a strip of [values]. *)
 
-val gather :
-  transaction_bytes:int ->
-  bytes_per_elt:int ->
-  indices:int array ->
-  lo:int ->
-  hi:int ->
-  int
-(** Distinct lines touched by the element indices [indices.(lo..hi-1)] —
-    the scattered access of a transposed sparse multiply walking column
-    indices.  O(hi-lo) time, no allocation for spans up to 64 lanes. *)
-
 val gather_sorted :
   transaction_bytes:int ->
   bytes_per_elt:int ->
@@ -31,9 +20,10 @@ val gather_sorted :
   lo:int ->
   hi:int ->
   int
-(** Like {!gather} but requires [indices.(lo..hi-1)] to be sorted
-    (non-decreasing), which holds for CSR column indices within a row;
-    counts distinct lines in a single linear scan. *)
+(** Distinct lines touched by the element indices [indices.(lo..hi-1)]
+    — the scattered access of a sparse multiply walking column indices.
+    The indices must be sorted (non-decreasing), which holds for CSR
+    column indices within a row; one linear scan. *)
 
 val strided :
   transaction_bytes:int ->

@@ -38,12 +38,6 @@ let store_segment (ctx : ctx) ~bytes_per_elt ~start ~count =
     ctx.stats.gst_transactions
     + Coalesce.segment ~transaction_bytes:(tx ctx) ~bytes_per_elt ~start ~count
 
-let load_gather (ctx : ctx) ~bytes_per_elt ~indices ~lo ~hi =
-  ctx.stats.gld_transactions <-
-    ctx.stats.gld_transactions
-    + Coalesce.gather ~transaction_bytes:(tx ctx) ~bytes_per_elt ~indices ~lo
-        ~hi
-
 let load_gather_sorted (ctx : ctx) ~bytes_per_elt ~indices ~lo ~hi =
   ctx.stats.gld_transactions <-
     ctx.stats.gld_transactions
@@ -67,15 +61,6 @@ let gathered_lines_cached (ctx : ctx) ~bytes_per_elt ~indices ~lo ~hi
   in
   ctx.stats.gld_transactions <- ctx.stats.gld_transactions + missed
 
-let load_gather_cached (ctx : ctx) ~bytes_per_elt ~indices ~lo ~hi ~hit_fraction =
-  let lines =
-    Coalesce.gather ~transaction_bytes:(tx ctx) ~bytes_per_elt ~indices ~lo ~hi
-  in
-  let missed =
-    int_of_float (Float.round (float_of_int lines *. (1.0 -. hit_fraction)))
-  in
-  ctx.stats.gld_transactions <- ctx.stats.gld_transactions + missed
-
 let tex_gather ?(l2_hit = 0.0) (ctx : ctx) ~vector_bytes ~indices ~lo ~hi =
   let lines =
     Coalesce.gather_sorted ~transaction_bytes:(tx ctx) ~bytes_per_elt:8
@@ -90,16 +75,6 @@ let tex_gather ?(l2_hit = 0.0) (ctx : ctx) ~vector_bytes ~indices ~lo ~hi =
   ctx.stats.tex_misses <-
     ctx.stats.tex_misses
     + int_of_float (Float.round (float_of_int lines *. miss *. sector_fraction))
-
-let tex_segment (ctx : ctx) ~vector_bytes ~start ~count =
-  let lines =
-    Coalesce.segment ~transaction_bytes:(tx ctx) ~bytes_per_elt:8 ~start ~count
-  in
-  let miss = Cache.tex_miss_fraction ctx.device ~vector_bytes in
-  ctx.stats.tex_requests <- ctx.stats.tex_requests + lines;
-  ctx.stats.tex_misses <-
-    ctx.stats.tex_misses
-    + int_of_float (Float.round (float_of_int lines *. miss))
 
 let global_atomic_add ?(l2_hit = 0.0) (ctx : ctx) ~ops ~conflict_degree =
   if conflict_degree < 1.0 then

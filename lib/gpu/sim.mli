@@ -37,20 +37,10 @@ val load_segment : ctx -> bytes_per_elt:int -> start:int -> count:int -> unit
 
 val store_segment : ctx -> bytes_per_elt:int -> start:int -> count:int -> unit
 
-val load_gather :
-  ctx -> bytes_per_elt:int -> indices:int array -> lo:int -> hi:int -> unit
-(** Scattered global load through actual indices (uncoalesced column
-    walks). *)
-
 val load_gather_sorted :
   ctx -> bytes_per_elt:int -> indices:int array -> lo:int -> hi:int -> unit
-(** {!load_gather} for sorted index runs (CSR rows); linear-time. *)
-
-val load_gather_cached :
-  ctx -> bytes_per_elt:int -> indices:int array -> lo:int -> hi:int ->
-  hit_fraction:float -> unit
-(** Scattered load where [hit_fraction] of lines are served by cache — the
-    temporal-locality second pass of the fused kernel. *)
+(** Scattered global load through actual indices, sorted within the run
+    as CSR column indices are; linear-time. *)
 
 val tex_gather :
   ?l2_hit:float ->
@@ -65,9 +55,6 @@ val gathered_lines_cached :
   hit_fraction:float -> unit
 (** Sorted-gather accounting with a cache-hit fraction (temporal-locality
     second pass of the fused kernel). *)
-
-val tex_segment : ctx -> vector_bytes:int -> start:int -> count:int -> unit
-(** Sequential read through the texture path. *)
 
 val global_atomic_add :
   ?l2_hit:float -> ctx -> ops:int -> conflict_degree:float -> unit

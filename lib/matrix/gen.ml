@@ -159,15 +159,24 @@ let draw_rows b rng ~rows ~nnz_per_row draw_col =
     end_row b r
   done
 
+(* Entries need a column to land in; an empty row set or row draws
+   nothing, so any [cols] serves it. *)
+let check_cols fn ~rows ~cols ~nnz_per_row =
+  if cols < 1 && rows > 0 && nnz_per_row > 0 then
+    invalid_arg ("Gen." ^ fn ^ ": cols must be > 0 to draw entries")
+
 let sparse_powerlaw rng ~rows ~cols ~nnz_per_row ?(exponent = 1.1) () =
+  if not (exponent > 0.0) then
+    invalid_arg "Gen.sparse_powerlaw: exponent must be > 0";
+  check_cols "sparse_powerlaw" ~rows ~cols ~nnz_per_row;
   (* Inverse-transform sample from a bounded Zipf by rejection over a
      continuous Pareto; good enough for workload shaping. *)
   let draw_col () =
     let u = Rng.uniform rng in
     let x = (1.0 -. u) ** (-1.0 /. exponent) -. 1.0 in
     let c = int_of_float (x *. float_of_int cols /. 50.0) in
-    (* A negative column (exponent <= 0, or a float past max_int) is an
-       entry Csr.create rejects. *)
+    (* A float past max_int can wrap to a negative column, an entry
+       Csr.create rejects. *)
     if c < 0 then invalid_arg "Csr: column index out of range";
     if c >= cols then Rng.int rng cols else c
   in
@@ -180,16 +189,14 @@ let sparse_powerlaw rng ~rows ~cols ~nnz_per_row ?(exponent = 1.1) () =
 let sparse_mixture rng ~rows ~cols ~nnz_per_row ~hot_fraction ~hot_cols () =
   if hot_fraction < 0.0 || hot_fraction > 1.0 then
     invalid_arg "Gen.sparse_mixture: hot_fraction must be in [0,1]";
+  check_cols "sparse_mixture" ~rows ~cols ~nnz_per_row;
   let hot_cols = Stdlib.max 1 (Stdlib.min hot_cols cols) in
   let draw_col () =
     if Rng.uniform rng < hot_fraction then Rng.int rng hot_cols
     else Rng.int rng cols
   in
-  (* Draws fall in [0, drawn); hot_cols exceeds cols only when cols = 0,
-     and Csr.create then rejects the entry. *)
-  let drawn = Stdlib.max cols hot_cols in
   let b =
-    builder ~rows ~marks:drawn ~capacity:(rows * Stdlib.min nnz_per_row drawn)
+    builder ~rows ~marks:cols ~capacity:(rows * Stdlib.min nnz_per_row cols)
   in
   draw_rows b rng ~rows ~nnz_per_row draw_col;
   to_csr b ~rows ~cols

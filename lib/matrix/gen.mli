@@ -55,7 +55,9 @@ val sparse_powerlaw :
     slightly fewer than [nnz_per_row] entries.  Rng order per row, for
     each of the [nnz_per_row] draws: [Rng.uniform], [Rng.int cols] if the
     Pareto column falls past the last one, then [Rng.gaussian] if the
-    column is new in the row. *)
+    column is new in the row.  Raises [Invalid_argument] naming the
+    argument, before any draw, when [exponent] is not positive (or NaN),
+    or when [cols < 1] while [rows] and [nnz_per_row] are positive. *)
 
 val sparse_mixture :
   Rng.t ->
@@ -73,7 +75,9 @@ val sparse_mixture :
     extreme concentration of a pure power law.  Rng order per row, for
     each of the [nnz_per_row] draws: [Rng.uniform], [Rng.int hot_cols]
     or [Rng.int cols], then [Rng.gaussian] if the column is new in the
-    row (a repeat is dropped). *)
+    row (a repeat is dropped).  Raises [Invalid_argument] naming the
+    argument, before any draw, when [hot_fraction] is outside [\[0, 1\]],
+    or when [cols < 1] while [rows] and [nnz_per_row] are positive. *)
 
 val sparse_banded : Rng.t -> rows:int -> cols:int -> bandwidth:int -> Csr.t
 (** Banded matrix (each row has up to [2*bandwidth+1] entries around the

@@ -40,11 +40,11 @@ type snapshot = (string * int) list
 
 let snapshot = all
 
-(* Per-name deltas between two snapshots: the way rolling windows and
-   `kf top` show rates without resetting the process-wide counters out
-   from under every other reader.  Counters born after [before] count
-   from zero; a counter that shrank (only possible across a
-   [reset_all]) clamps to zero rather than reporting a negative rate. *)
+(* Per-name deltas between two snapshots: an interval measured without
+   resetting the process-wide counters out from under every other
+   reader.  Counters born after [before] count from zero; a counter
+   that shrank (only possible across a [reset_all]) clamps to zero
+   rather than reporting a negative rate. *)
 let snapshot_diff ~before ~after =
   List.map
     (fun (name, v) ->

@@ -34,9 +34,10 @@ val snapshot : unit -> snapshot
 
 val snapshot_diff : before:snapshot -> after:snapshot -> snapshot
 (** Per-name deltas ([after - before], clamped at zero; counters absent
-    from [before] count from zero) — rolling windows and [kf top]
-    derive rates this way instead of resetting the global registry out
-    from under other readers. *)
+    from [before] count from zero): a way to measure an interval
+    without resetting the global registry out from under other
+    readers.  ([kf top] reads rates off scrapes instead, through
+    {!Metrics.Window}.) *)
 
 val reset_all : unit -> unit
 (** Zero every registered counter (the registry itself is kept). *)

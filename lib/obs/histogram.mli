@@ -52,9 +52,9 @@ val cumulative_buckets : t -> (float * int) list
 val of_cumulative :
   buckets:(float * int) list -> count:int -> sum:float -> t
 (** Rebuild a histogram from a parsed exposition ([le] bound ×
-    cumulative count, plus the [_count]/[_sum] lines) — what [kf top]
-    does with a scraped endpoint.  Inverse of {!cumulative_buckets} up
-    to the lost true maximum. *)
+    cumulative count, plus the [_count]/[_sum] lines) — what
+    {!Openmetrics.parse} does with each histogram series.  Inverse of
+    {!cumulative_buckets} up to the lost true maximum. *)
 
 val summary_json : t -> Json.t
 (** [{count, mean, p50, p95, p99, max}] — quantiles via {!quantile}. *)

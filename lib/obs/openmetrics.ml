@@ -18,13 +18,13 @@
    [# EOF].  Only populated buckets are emitted — the geometric grid
    has 96 of them and a scrape of mostly-empty series would be noise.
 
-   The module also carries the minimal line parser the [kf top] client
-   uses to read an exposition back; the test suite validates the writer
-   with its own hand-written parser instead (test/helpers/om_helper.ml),
-   so the emitter is not checking itself. *)
+   [parse] reads an exposition back into a snapshot, which is how
+   [kf top] consumes a scrape; the test suite also validates the writer
+   with its own hand-written parser (test/helpers/om_helper.ml), so the
+   emitter is not checking only against its own reader. *)
 
 (* Metric names: [a-zA-Z_:][a-zA-Z0-9_:]*.  The profiling layer's
-   dotted counter names (serve.requests) sanitise to underscores. *)
+   dotted counter names (serve.scrapes) sanitise to underscores. *)
 let sanitize_name s =
   if s = "" then "_"
   else
@@ -60,12 +60,21 @@ let label_str labels =
              labels)
       ^ "}"
 
-(* Shortest representation that round-trips; integers without the
-   trailing dot so counter values read naturally. *)
+(* The shortest of %.15g, %.16g and %.17g that reads back as [v], so
+   [parse] recovers every value bit for bit; integers without the
+   trailing dot so counter values read naturally, and the spellings the
+   format gives the non-finite values. *)
 let number v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
+  if Float.is_nan v then "NaN"
+  else if v = Float.infinity then "+Inf"
+  else if v = Float.neg_infinity then "-Inf"
+  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p v in
+      if p >= 17 || float_of_string s = v then s else shortest (p + 1)
+    in
+    shortest 15
 
 let add_sample b ~name ~labels v =
   Buffer.add_string b name;
@@ -120,102 +129,214 @@ let render snap =
   to_buffer b snap;
   Buffer.contents b
 
-(* --- reading an exposition back (the kf top client) -------------------- *)
+(* --- reading an exposition back ----------------------------------------- *)
 
-type point = { p_name : string; p_labels : Metrics.labels; p_value : float }
+(* Raised by the line scanners below and caught by [parse] alone. *)
+exception Malformed of string
 
-exception Parse_error of string
+let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
 
-let parse_labels s =
-  (* s is the text between '{' and '}' *)
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at %d" msg !pos)) in
-  let out = ref [] in
-  while !pos < n do
-    let eq =
-      match String.index_from_opt s !pos '=' with
-      | Some i -> i
-      | None -> fail "label without '='"
-    in
-    let key = String.sub s !pos (eq - !pos) in
-    if eq + 1 >= n || s.[eq + 1] <> '"' then fail "label value not quoted";
-    let b = Buffer.create 16 in
-    let i = ref (eq + 2) in
-    let closed = ref false in
-    while not !closed do
-      if !i >= n then fail "unterminated label value";
-      (match s.[!i] with
-      | '\\' ->
-          if !i + 1 >= n then fail "unterminated escape";
-          (match s.[!i + 1] with
-          | 'n' -> Buffer.add_char b '\n'
-          | c -> Buffer.add_char b c);
-          i := !i + 1
-      | '"' -> closed := true
-      | c -> Buffer.add_char b c);
-      incr i
-    done;
-    out := (key, Buffer.contents b) :: !out;
-    pos := !i;
-    if !pos < n then
-      if s.[!pos] = ',' then incr pos else fail "expected ',' between labels"
+type kind = Counter | Gauge | Histogram
+
+let is_name_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true
+  | _ -> false
+
+(* The name starting at [i], and the index just past it. *)
+let scan_name line i =
+  let j = ref i in
+  while !j < String.length line && is_name_char line.[!j] do
+    incr j
   done;
-  List.rev !out
+  if !j = i then malformed "expected a name at column %d of %S" i line;
+  (String.sub line i (!j - i), !j)
 
-let parse_value v =
-  match v with
-  | "+Inf" -> Float.infinity
-  | "-Inf" -> Float.neg_infinity
-  | v -> (
-      match float_of_string_opt v with
-      | Some f -> f
-      | None -> raise (Parse_error (Printf.sprintf "bad value %S" v)))
-
-(* Sample lines only; comment lines (# TYPE/# HELP/# EOF) are skipped.
-   Raises [Parse_error] if the document does not end with # EOF. *)
-let parse text =
-  let lines = String.split_on_char '\n' text in
-  let saw_eof = ref false in
-  let points =
-    List.filter_map
-      (fun line ->
-        let line = String.trim line in
-        if line = "" then None
-        else if line = "# EOF" then begin
-          saw_eof := true;
-          None
-        end
-        else if String.length line > 0 && line.[0] = '#' then None
-        else begin
-          let name_end =
-            match (String.index_opt line '{', String.index_opt line ' ') with
-            | Some b, Some sp -> Stdlib.min b sp
-            | Some b, None -> b
-            | None, Some sp -> sp
-            | None, None ->
-                raise (Parse_error ("no value on line: " ^ line))
-          in
-          let name = String.sub line 0 name_end in
-          let labels, rest_at =
-            if line.[name_end] = '{' then begin
-              match String.index_from_opt line name_end '}' with
-              | None -> raise (Parse_error "unterminated label set")
-              | Some close ->
-                  ( parse_labels
-                      (String.sub line (name_end + 1) (close - name_end - 1)),
-                    close + 1 )
-            end
-            else ([], name_end)
-          in
-          let value =
-            parse_value
-              (String.trim
-                 (String.sub line rest_at (String.length line - rest_at)))
-          in
-          Some { p_name = name; p_labels = labels; p_value = value }
-        end)
-      lines
+(* Undo [escape_label] from [i] up to an unescaped [close] character (a
+   label value's quote, so a '}' or ',' inside it is data) or, with no
+   [close], to the end of the line (HELP text).  Returns the text and the
+   index after the close. *)
+let unescape ?close line i =
+  let n = String.length line and b = Buffer.create 16 in
+  let rec go j =
+    if j >= n then
+      if close = None then (Buffer.contents b, j)
+      else malformed "unterminated label value in %S" line
+    else
+      match line.[j] with
+      | '\\' when j + 1 < n ->
+          Buffer.add_char b (if line.[j + 1] = 'n' then '\n' else line.[j + 1]);
+          go (j + 2)
+      | '\\' -> malformed "dangling escape in %S" line
+      | c when Some c = close -> (Buffer.contents b, j + 1)
+      | c ->
+          Buffer.add_char b c;
+          go (j + 1)
   in
-  if not !saw_eof then raise (Parse_error "missing # EOF terminator");
-  points
+  go i
+
+(* [name="value",...}] from just past the opening brace. *)
+let scan_labels line i =
+  let n = String.length line in
+  let rec go acc j =
+    if j < n && line.[j] = '}' then (List.rev acc, j + 1)
+    else begin
+      let key, j = scan_name line j in
+      if j + 1 >= n || line.[j] <> '=' || line.[j + 1] <> '"' then
+        malformed "label %s needs =\"value\" in %S" key line;
+      let value, j = unescape ~close:'"' line (j + 2) in
+      if j < n && line.[j] = ',' then go ((key, value) :: acc) (j + 1)
+      else if j < n && line.[j] = '}' then
+        (List.rev ((key, value) :: acc), j + 1)
+      else malformed "expected ',' or '}' after label %s in %S" key line
+    end
+  in
+  go [] i
+
+let number_of_string what s =
+  match float_of_string_opt s with
+  | Some v -> v
+  | None -> malformed "%s: %S is not a number" what s
+
+(* Histogram counts travel as floats; a count is a non-negative integer
+   a float holds exactly. *)
+let count_of what v =
+  if Float.is_integer v && v >= 0.0 && v <= 0x1p53 then int_of_float v
+  else malformed "%s: %s is not a count" what (number v)
+
+(* A histogram's series while its lines are read; the +Inf bucket and
+   the _count line both give the count. *)
+type part = {
+  mutable buckets : (float * int) list;  (* finite [le] bound, cumulative *)
+  mutable count : int;
+  mutable sum : float;
+}
+
+(* One pass: the format puts a family's TYPE and HELP lines before its
+   samples. *)
+let parse text =
+  let types = Hashtbl.create 16 and helps = Hashtbl.create 16 in
+  let scalars = Hashtbl.create 64 and parts = Hashtbl.create 16 in
+  (* A sample's family and series suffix, as the TYPE lines say; a
+     sample no TYPE line claims is a gauge under its full name. *)
+  let family name =
+    let under (suffix, kind) =
+      let n = String.length name - String.length suffix in
+      if n > 0 && String.ends_with ~suffix name then
+        let base = String.sub name 0 n in
+        if Hashtbl.find_opt types base = Some kind then Some (base, suffix)
+        else None
+      else None
+    in
+    match Hashtbl.find_opt types name with
+    | Some Gauge -> (name, "")
+    | Some (Counter | Histogram) ->
+        malformed "%s: sample name lacks its series suffix" name
+    | None -> (
+        match
+          List.find_map under
+            [
+              ("_total", Counter); ("_bucket", Histogram);
+              ("_count", Histogram); ("_sum", Histogram);
+            ]
+        with
+        | Some f -> f
+        | None -> (name, ""))
+  in
+  let part key =
+    match Hashtbl.find_opt parts key with
+    | Some p -> p
+    | None ->
+        let p = { buckets = []; count = 0; sum = 0.0 } in
+        Hashtbl.add parts key p;
+        p
+  in
+  let add_sample name labels v =
+    let labels =
+      List.stable_sort (fun (a, _) (b, _) -> String.compare a b) labels
+    in
+    match family name with
+    | base, "" -> Hashtbl.replace scalars (base, labels) (Metrics.Vgauge v)
+    | base, "_total" ->
+        Hashtbl.replace scalars (base, labels) (Metrics.Vcounter v)
+    | base, "_bucket" -> (
+        let le =
+          match List.assoc_opt "le" labels with
+          | Some le -> number_of_string (name ^ " le") le
+          | None -> malformed "%s: bucket without an le label" name
+        in
+        let p = part (base, List.remove_assoc "le" labels) in
+        let c = count_of name v in
+        match le with
+        | le when Float.is_nan le -> malformed "%s: le is NaN" name
+        | le when le = Float.infinity -> p.count <- c
+        | le -> p.buckets <- (le, c) :: p.buckets)
+    | base, "_count" -> (part (base, labels)).count <- count_of name v
+    | base, _ -> (part (base, labels)).sum <- v
+  in
+  let read_line line =
+    let n = String.length line in
+    if String.starts_with ~prefix:"# TYPE " line then begin
+      let name, j = scan_name line 7 in
+      Hashtbl.replace types name
+        (match String.sub line j (n - j) with
+        | " counter" -> Counter
+        | " gauge" -> Gauge
+        | " histogram" -> Histogram
+        | kind -> malformed "%s: unsupported type %S" name (String.trim kind))
+    end
+    else if String.starts_with ~prefix:"# HELP " line then begin
+      let name, j = scan_name line 7 in
+      if j < n && line.[j] <> ' ' then malformed "malformed HELP line %S" line;
+      Hashtbl.replace helps name
+        (if j = n then "" else fst (unescape line (j + 1)))
+    end
+    else if n > 0 && line.[0] <> '#' then begin
+      let name, j = scan_name line 0 in
+      let labels, j =
+        if j < n && line.[j] = '{' then scan_labels line (j + 1) else ([], j)
+      in
+      if j >= n || line.[j] <> ' ' then
+        malformed "expected ' ' and a value after %s in %S" name line;
+      add_sample name labels
+        (number_of_string name (String.sub line (j + 1) (n - j - 1)))
+    end
+  in
+  (* Everything up to "# EOF", which ends the text or its last line. *)
+  let rec body = function
+    | [ "# EOF" ] | [ "# EOF"; "" ] -> ()
+    | "# EOF" :: _ -> malformed "content after # EOF"
+    | [] -> malformed "missing # EOF terminator"
+    | line :: rest ->
+        read_line line;
+        body rest
+  in
+  let sample (s_name, s_labels) s_value =
+    let s_help = Option.value (Hashtbl.find_opt helps s_name) ~default:"" in
+    { Metrics.s_name; s_help; s_labels; s_value }
+  in
+  match body (String.split_on_char '\n' text) with
+  | exception Malformed msg -> Error msg
+  | () ->
+      let hists =
+        Hashtbl.fold
+          (fun key p acc ->
+            sample key
+              (Metrics.Vhist
+                 (Histogram.of_cumulative ~buckets:p.buckets ~count:p.count
+                    ~sum:p.sum))
+            :: acc)
+          parts []
+      in
+      let samples =
+        Hashtbl.fold (fun key v acc -> sample key v :: acc) scalars hists
+      in
+      Ok
+        {
+          Metrics.taken_ns = Clock.now_ns ();
+          samples =
+            List.sort
+              (fun a b ->
+                compare (a.Metrics.s_name, a.Metrics.s_labels)
+                  (b.Metrics.s_name, b.Metrics.s_labels))
+              samples;
+        }

@@ -1,5 +1,4 @@
-(** OpenMetrics v1 text exposition writer (and the minimal reader the
-    [kf top] client uses).
+(** OpenMetrics v1 text exposition writer and reader.
 
     {!render} turns a {!Metrics.snapshot} into the exposition format
     Prometheus scrapes: one [# TYPE] (and [# HELP] when present) header
@@ -19,15 +18,13 @@ val to_buffer : Buffer.t -> Metrics.snapshot -> unit
 
 (** {1 Reading an exposition} *)
 
-type point = { p_name : string; p_labels : Metrics.labels; p_value : float }
-(** One sample line, name kept verbatim (so histogram series appear as
-    [..._bucket] / [..._count] / [..._sum]). *)
-
-exception Parse_error of string
-
-val parse : string -> point list
-(** Parse every sample line of an exposition; comment lines are
-    skipped.  Raises {!Parse_error} on malformed lines or when the
-    [# EOF] terminator is missing.  This is the scrape client's parser;
-    the test suite checks the writer with an independent hand-written
-    one. *)
+val parse : string -> (Metrics.snapshot, string) result
+(** The inverse of {!render}, and what [kf top] reads a scrape with:
+    [parse (render s)] has [s]'s samples (names, kinds, help, labels,
+    counter and gauge values bit for bit, and histogram counts, sums
+    and buckets, though not the true maximum, which the format does not
+    carry), stamped with the time of the parse.  Families are typed by
+    their [# TYPE] line, and a sample that no TYPE line claims reads as
+    a gauge under its full name.  A malformed line, number, count or
+    [le] bound, or a missing [# EOF], is an [Error] naming it; [parse]
+    raises nothing. *)

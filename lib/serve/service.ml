@@ -162,18 +162,6 @@ type t = {
   occupancy_hist : Kf_obs.Histogram.t;
 }
 
-let requests_counter = Kf_obs.Counter.make "serve.requests"
-
-let shed_counter = Kf_obs.Counter.make "serve.shed"
-
-let batches_counter = Kf_obs.Counter.make "serve.batches"
-
-let retries_counter = Kf_obs.Counter.make "serve.batch_retries"
-
-let failures_counter = Kf_obs.Counter.make "serve.failures"
-
-let swaps_counter = Kf_obs.Counter.make "serve.swaps"
-
 (* Labeled time-series cells for the scrape endpoint; one label set per
    served model, so several services in one process stay separable. *)
 let make_metrics ~model =
@@ -271,7 +259,6 @@ let swap t ?checksum weights =
   let l_generation = Atomic.fetch_and_add t.gen_counter 1 in
   publish t { l_scorer = A.scorer weights; l_generation; l_checksum };
   Atomic.incr t.swaps;
-  Kf_obs.Counter.incr swaps_counter;
   Kf_obs.Metrics.inc t.metrics.m_swaps;
   Kf_obs.Metrics.set t.metrics.m_generation (float_of_int l_generation);
   l_generation
@@ -370,7 +357,6 @@ let assemble t batch =
 let execute t batch =
   let dispatch_ns = Kf_obs.Clock.now_ns () in
   t.batches <- t.batches + 1;
-  Kf_obs.Counter.incr batches_counter;
   Kf_obs.Metrics.inc t.metrics.m_batches;
   Kf_obs.Metrics.observe t.metrics.m_occupancy
     (float_of_int (Array.length batch));
@@ -430,7 +416,6 @@ let execute t batch =
     | r -> Ok r
     | exception first -> (
         t.batch_retries <- t.batch_retries + 1;
-        Kf_obs.Counter.incr retries_counter;
         Kf_obs.Metrics.inc t.metrics.m_retries;
         Kf_obs.Trace.instant "serve.batch_retry"
           ~args:[ ("cause", Printexc.to_string first) ];
@@ -473,7 +458,6 @@ let execute t batch =
   (match result with
   | Error _ ->
       t.failures <- t.failures + Array.length batch;
-      Kf_obs.Counter.add failures_counter (Array.length batch);
       Kf_obs.Metrics.inc ~by:(float_of_int (Array.length batch))
         t.metrics.m_failures
   | Ok (_, ms) -> t.exec_ms <- t.exec_ms +. ms);
@@ -728,7 +712,6 @@ let submit t row =
   else if Queue.length t.queue >= t.cfg.queue_depth then begin
     t.shed <- t.shed + 1;
     Mutex.unlock t.mu;
-    Kf_obs.Counter.incr shed_counter;
     Kf_obs.Metrics.inc t.metrics.m_shed;
     None
   end
@@ -744,7 +727,6 @@ let submit t row =
     t.shed <- t.shed + 1;
     t.deadline_shed_n <- t.deadline_shed_n + 1;
     Mutex.unlock t.mu;
-    Kf_obs.Counter.incr shed_counter;
     Kf_obs.Metrics.inc t.metrics.m_shed;
     Kf_obs.Metrics.inc t.metrics.m_deadline_shed;
     None
@@ -774,7 +756,6 @@ let submit t row =
     if was_empty || Queue.length t.queue >= t.cap then
       Condition.signal t.nonempty;
     Mutex.unlock t.mu;
-    Kf_obs.Counter.incr requests_counter;
     Kf_obs.Metrics.inc t.metrics.m_requests;
     if sampled then
       Kf_obs.Trace.complete ~name:"serve.request.submit"

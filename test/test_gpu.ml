@@ -101,35 +101,36 @@ let test_gather_distinct_lines () =
   let indices = [| 0; 1; 16; 32; 33 |] in
   (* lines: 0,0,1,2,2 -> 3 distinct *)
   Alcotest.(check int) "3 lines" 3
-    (Coalesce.gather ~transaction_bytes:128 ~bytes_per_elt:8 ~indices ~lo:0
-       ~hi:5)
+    (Coalesce.gather_sorted ~transaction_bytes:128 ~bytes_per_elt:8 ~indices
+       ~lo:0 ~hi:5)
 
 let test_gather_worst_case () =
   let indices = Array.init 32 (fun i -> i * 16) in
   Alcotest.(check int) "fully scattered" 32
-    (Coalesce.gather ~transaction_bytes:128 ~bytes_per_elt:8 ~indices ~lo:0
-       ~hi:32)
+    (Coalesce.gather_sorted ~transaction_bytes:128 ~bytes_per_elt:8 ~indices
+       ~lo:0 ~hi:32)
 
+(* Reference: the distinct [idx * bytes_per_elt / transaction_bytes]
+   lines. *)
 let prop_gather_sorted_matches_gather =
   QCheck.Test.make ~name:"gather_sorted = gather on sorted input" ~count:200
     QCheck.(list_of_size Gen.(1 -- 50) (int_range 0 5000))
     (fun l ->
       let indices = Array.of_list (List.sort compare l) in
-      let n = Array.length indices in
       Coalesce.gather_sorted ~transaction_bytes:128 ~bytes_per_elt:8 ~indices
-        ~lo:0 ~hi:n
-      = Coalesce.gather ~transaction_bytes:128 ~bytes_per_elt:8 ~indices ~lo:0
-          ~hi:n)
+        ~lo:0 ~hi:(Array.length indices)
+      = List.length
+          (List.sort_uniq compare (List.map (fun i -> i * 8 / 128) l)))
 
 let prop_gather_bounds =
   QCheck.Test.make ~name:"1 <= gather <= count" ~count:200
     QCheck.(list_of_size Gen.(1 -- 64) (int_range 0 10000))
     (fun l ->
-      let indices = Array.of_list l in
+      let indices = Array.of_list (List.sort compare l) in
       let n = Array.length indices in
       let t =
-        Coalesce.gather ~transaction_bytes:128 ~bytes_per_elt:8 ~indices ~lo:0
-          ~hi:n
+        Coalesce.gather_sorted ~transaction_bytes:128 ~bytes_per_elt:8 ~indices
+          ~lo:0 ~hi:n
       in
       t >= 1 && t <= n)
 

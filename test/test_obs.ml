@@ -757,6 +757,197 @@ let test_counter_snapshot_diff () =
     "untouched counter reads zero" (Some 0)
     (List.assoc_opt "test.undisturbed" d)
 
+(* ---- OpenMetrics reader ------------------------------------------------ *)
+
+(* A family: name, kind, help, and per label set the values recorded
+   into it.  Names are lowercase letters only, so no gauge name can end
+   in a series suffix; label values carry the characters the format
+   escapes or quotes around. *)
+let gen_om_families =
+  QCheck.Gen.(
+    let text =
+      string_size
+        ~gen:
+          (oneof
+             [ printable; oneofl [ '}'; '{'; '"'; '\\'; '\n'; ','; '=' ] ])
+        (0 -- 10)
+    in
+    let labels =
+      map
+        (List.sort_uniq (fun (a, _) (b, _) -> String.compare a b))
+        (list_size (0 -- 3) (pair (oneofl [ "model"; "op"; "zone" ]) text))
+    in
+    let family =
+      quad
+        (string_size ~gen:(char_range 'a' 'z') (1 -- 6))
+        (oneofl [ `Counter; `Gauge; `Histogram ])
+        text
+        (list_size (1 -- 3) (pair labels (list_size (0 -- 5) float)))
+    in
+    map
+      (List.sort_uniq (fun (a, _, _, _) (b, _, _, _) -> String.compare a b))
+      (list_size (0 -- 5) family))
+
+(* Record [families] into the (reset) registry and snapshot it. *)
+let om_snapshot families =
+  List.iter
+    (fun (name, kind, help, cells) ->
+      List.iter
+        (fun (labels, values) ->
+          match kind with
+          | `Counter ->
+              let c = Kf_obs.Metrics.counter ~help ~labels name in
+              List.iter
+                (fun v -> if v >= 0.0 then Kf_obs.Metrics.inc ~by:v c)
+                values
+          | `Gauge ->
+              let g = Kf_obs.Metrics.gauge ~help ~labels name in
+              List.iter (Kf_obs.Metrics.set g) values
+          | `Histogram ->
+              let h = Kf_obs.Metrics.histogram ~help ~labels name in
+              List.iter
+                (fun v ->
+                  if Float.is_finite v then
+                    Kf_obs.Metrics.observe h (Float.abs v))
+                values)
+        cells)
+    families;
+  Kf_obs.Metrics.snapshot ()
+
+let same_om_value a b =
+  let bits = Int64.bits_of_float in
+  match (a, b) with
+  | Kf_obs.Metrics.Vcounter x, Kf_obs.Metrics.Vcounter y -> bits x = bits y
+  | Kf_obs.Metrics.Vgauge x, Kf_obs.Metrics.Vgauge y ->
+      bits x = bits y || (Float.is_nan x && Float.is_nan y)
+  | Kf_obs.Metrics.Vhist x, Kf_obs.Metrics.Vhist y ->
+      Kf_obs.Histogram.count x = Kf_obs.Histogram.count y
+      && bits (Kf_obs.Histogram.sum x) = bits (Kf_obs.Histogram.sum y)
+      && Kf_obs.Histogram.cumulative_buckets x
+         = Kf_obs.Histogram.cumulative_buckets y
+  | _ -> false
+
+let prop_openmetrics_roundtrip =
+  QCheck.Test.make ~name:"openmetrics: parse inverts render" ~count:200
+    (QCheck.make gen_om_families) (fun families ->
+      with_metrics @@ fun () ->
+      let snap = om_snapshot families in
+      let text = Kf_obs.Openmetrics.render snap in
+      match Kf_obs.Openmetrics.parse text with
+      | Error e -> QCheck.Test.fail_reportf "%s on\n%s" e text
+      | Ok back ->
+          List.length back.samples = List.length snap.samples
+          && List.for_all2
+               (fun (a : Kf_obs.Metrics.sample) (b : Kf_obs.Metrics.sample) ->
+                 a.s_name = b.s_name && a.s_labels = b.s_labels
+                 && a.s_help = b.s_help
+                 && same_om_value a.s_value b.s_value)
+               snap.samples back.samples
+          || QCheck.Test.fail_reportf "round trip differs on\n%s" text)
+
+(* Lines the fuzzer injects: malformed bounds and counts, and values
+   only a scanning label reader gets right. *)
+let om_injected =
+  [
+    "# TYPE x histogram\nx_bucket{le=\"abc\"} 1";
+    "# TYPE x histogram\nx_bucket{le=\"NaN\"} 1";
+    "# TYPE x histogram\nx_bucket 1";
+    "# TYPE x histogram\nx_count 1e300";
+    "# TYPE x histogram\nx_bucket{le=\"2\"} 99999999999999999999";
+    "# TYPE y counter\ny_total 1e308";
+    "# TYPE y counter\ny 1";
+    "# TYPE y summary";
+    "z{a=\"}\",b=\"\\\"\"} 3";
+    "z{a=\"open} 3";
+    "# HELP z dangling \\";
+  ]
+
+let apply_om_mutation text m =
+  let n = String.length text in
+  let at p = if n = 0 then 0 else p mod (n + 1) in
+  match m with
+  | `Truncate p -> String.sub text 0 (at p)
+  | `Flip (p, bit) when n > 0 ->
+      let b = Bytes.of_string text in
+      let i = p mod n in
+      Bytes.set b i (Char.chr (Char.code text.[i] lxor (1 lsl bit)));
+      Bytes.to_string b
+  | `Flip _ -> text
+  | `Splice (src, len, dst) ->
+      let src = at src in
+      let piece = String.sub text src (Stdlib.min (len mod 64) (n - src)) in
+      let dst = at dst in
+      String.sub text 0 dst ^ piece ^ String.sub text dst (n - dst)
+  | `Inject (line, p) ->
+      let p = at p in
+      String.sub text 0 p ^ "\n" ^ line ^ "\n" ^ String.sub text p (n - p)
+
+let prop_openmetrics_fuzz =
+  let mutation =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun p -> `Truncate p) nat;
+          map2 (fun p bit -> `Flip (p, bit)) nat (0 -- 7);
+          map3 (fun a b c -> `Splice (a, b, c)) nat nat nat;
+          map2 (fun l p -> `Inject (l, p)) (oneofl om_injected) nat;
+        ])
+  in
+  QCheck.Test.make
+    ~name:"openmetrics: mutated expositions parse or fail, never raise"
+    ~count:500
+    (QCheck.make
+       QCheck.Gen.(pair gen_om_families (list_size (1 -- 4) mutation)))
+    (fun (families, mutations) ->
+      let text =
+        List.fold_left apply_om_mutation
+          (with_metrics (fun () ->
+               Kf_obs.Openmetrics.render (om_snapshot families)))
+          mutations
+      in
+      match Kf_obs.Openmetrics.parse text with
+      | Error _ -> true
+      | Ok snap ->
+          (* what kf top does with a parsed scrape *)
+          let w = Kf_obs.Metrics.Window.create ~capacity:2 () in
+          Kf_obs.Metrics.Window.push w snap;
+          Kf_obs.Metrics.Window.push w snap;
+          Option.iter
+            (fun (d : Kf_obs.Metrics.snapshot) ->
+              List.iter
+                (fun (s : Kf_obs.Metrics.sample) ->
+                  match s.s_value with
+                  | Kf_obs.Metrics.Vhist h ->
+                      ignore (Kf_obs.Histogram.quantile h 0.99)
+                  | _ -> ())
+                d.samples)
+            (Kf_obs.Metrics.Window.diff w);
+          true
+      | exception e ->
+          QCheck.Test.fail_reportf "parse raised %s on\n%S"
+            (Printexc.to_string e) text)
+
+(* A scrape kf top used to die on, and one it used to refuse. *)
+let test_openmetrics_parse_errors () =
+  let parse body = Kf_obs.Openmetrics.parse (body ^ "# EOF\n") in
+  let is_error what body =
+    match parse body with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+  in
+  is_error "le=abc" "# TYPE x histogram\nx_bucket{le=\"abc\"} 1\n";
+  is_error "le=NaN" "# TYPE x histogram\nx_bucket{le=\"NaN\"} 1\n";
+  is_error "huge count" "# TYPE x histogram\nx_count 1e300\n";
+  (match Kf_obs.Openmetrics.parse "x 1\n" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "no EOF: accepted");
+  match parse "kf_serve_requests_total{model=\"a}b\"} 5\n" with
+  | Ok { samples = [ s ]; _ } ->
+      Alcotest.(check (list (pair string string)))
+        "brace inside a label value" [ ("model", "a}b") ] s.s_labels
+  | Ok _ -> Alcotest.fail "expected one sample"
+  | Error e -> Alcotest.fail e
+
 let suite =
   [
     Alcotest.test_case "span: disabled is free" `Quick
@@ -799,4 +990,8 @@ let suite =
       test_trace_suppression;
     Alcotest.test_case "counter: snapshot diff" `Quick
       test_counter_snapshot_diff;
+    QCheck_alcotest.to_alcotest prop_openmetrics_roundtrip;
+    QCheck_alcotest.to_alcotest prop_openmetrics_fuzz;
+    Alcotest.test_case "openmetrics: malformed scrapes are errors" `Quick
+      test_openmetrics_parse_errors;
   ]

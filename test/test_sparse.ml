@@ -234,12 +234,27 @@ let gen_fraction =
         (1, oneofl [ -0.25; 1.5 ]);
       ])
 
-let differential name gen ~print oracle change =
+(* [rejects] picks the argument sets the in-place generators refuse up
+   front with an [Invalid_argument] that names the generator.  The oracle
+   fails later on most of them (Csr's message, or an Assert_failure from
+   [Rng.int 0]) and, for an exponent that is not positive, may return a
+   matrix whose entries all sit in column 0; only the refusal is checked
+   there. *)
+let differential ?(rejects = fun _ -> false) name gen ~print oracle change =
   QCheck.Test.make ~name:("in-place = tuple oracle: " ^ name) ~count:300
     (QCheck.make ~print QCheck.Gen.(pair gen_seed gen))
     (fun (seed, args) ->
-      same_outcome name seed (fun rng -> oracle rng args)
-        (fun rng -> change rng args))
+      if rejects args then
+        match change (Rng.create seed) args with
+        | exception Invalid_argument m
+          when String.starts_with ~prefix:("Gen." ^ name ^ ": ") m ->
+            true
+        | exception e ->
+            QCheck.Test.fail_reportf "%s: raised %s" name (Printexc.to_string e)
+        | _ -> QCheck.Test.fail_reportf "%s: accepted a rejected argument" name
+      else
+        same_outcome name seed (fun rng -> oracle rng args)
+          (fun rng -> change rng args))
 
 let prop_gen_uniform_differential =
   differential "sparse_uniform"
@@ -258,15 +273,21 @@ let prop_gen_bernoulli_differential =
     (fun rng (rows, cols, density) ->
       Gen.sparse_bernoulli rng ~rows ~cols ~density)
 
+let draws_without_cols ~rows ~cols ~nnz_per_row =
+  cols < 1 && rows > 0 && nnz_per_row > 0
+
 let prop_gen_powerlaw_differential =
   differential "sparse_powerlaw"
+    ~rejects:(fun (rows, cols, nnz_per_row, exponent) ->
+      draws_without_cols ~rows ~cols ~nnz_per_row
+      || not (Option.value exponent ~default:1.1 > 0.0))
     QCheck.Gen.(
       quad gen_rows gen_cols (-1 -- 80)
         (frequency
            [
              (3, return None);
              (3, map Option.some (float_range 0.3 3.0));
-             (1, return (Some (-1.0)));
+             (1, oneofl [ Some (-1.0); Some 0.0; Some Float.nan ]);
            ]))
     ~print:
       QCheck.Print.(pair int (quad int int int (option float)))
@@ -277,6 +298,9 @@ let prop_gen_powerlaw_differential =
 
 let prop_gen_mixture_differential =
   differential "sparse_mixture"
+    ~rejects:(fun (rows, cols, nnz_per_row, hot_fraction, _) ->
+      draws_without_cols ~rows ~cols ~nnz_per_row
+      && hot_fraction >= 0.0 && hot_fraction <= 1.0)
     QCheck.Gen.(
       let* rows = gen_rows and* cols = gen_cols in
       let* nnz_per_row = -1 -- 80 and* hot_fraction = gen_fraction in
@@ -338,6 +362,30 @@ let test_gen_major_heap_bound () =
       Gen.sparse_mixture (Rng.create 12) ~rows:10_000 ~cols:50_000
         ~nnz_per_row:28 ~hot_fraction:0.3 ~hot_cols:5_000 ())
 
+let test_gen_rejects_named () =
+  let rng = Rng.create 1 in
+  let exponent_msg = "Gen.sparse_powerlaw: exponent must be > 0" in
+  List.iter
+    (fun exponent ->
+      Alcotest.check_raises "powerlaw exponent" (Invalid_argument exponent_msg)
+        (fun () ->
+          ignore
+            (Gen.sparse_powerlaw rng ~rows:4 ~cols:100 ~nnz_per_row:3 ~exponent
+               ())))
+    [ 0.0; -1.0; Float.nan ];
+  Alcotest.check_raises "powerlaw cols"
+    (Invalid_argument "Gen.sparse_powerlaw: cols must be > 0 to draw entries")
+    (fun () ->
+      ignore (Gen.sparse_powerlaw rng ~rows:4 ~cols:0 ~nnz_per_row:3 ()));
+  Alcotest.check_raises "mixture cols"
+    (Invalid_argument "Gen.sparse_mixture: cols must be > 0 to draw entries")
+    (fun () ->
+      ignore
+        (Gen.sparse_mixture rng ~rows:4 ~cols:0 ~nnz_per_row:3
+           ~hot_fraction:0.5 ~hot_cols:2 ()));
+  (* a refusal draws nothing *)
+  Alcotest.(check int) "no draw" (Rng.bits (Rng.create 1)) (Rng.bits rng)
+
 let suite =
   [
     Alcotest.test_case "create validates" `Quick test_create_valid;
@@ -374,4 +422,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_gen_banded_differential;
     Alcotest.test_case "generators stay within 2.5x CSR on the major heap"
       `Quick test_gen_major_heap_bound;
+    Alcotest.test_case "generators name the argument they reject" `Quick
+      test_gen_rejects_named;
   ]
