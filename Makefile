@@ -81,9 +81,10 @@ bench-check: bench-host-small bench-plan-small bench-serve-small \
 	dune exec bench/regress.exe -- --baseline bench/baselines --fresh . \
 	  --threshold $(BENCH_THRESHOLD)
 
-# Bit-exactness gate: re-run the 24 `kf train --json` runs in
+# Bit-exactness gate: re-run the 32 `kf train --json` runs in
 # test/golden/train_checksums.tsv (8 algorithms x fused, host on 1 and
-# on 2 domains) and print every row whose weights checksum differs.
+# on 2 domains at 256 columns, plus the 4 CG solvers on the host at
+# 1,024) and print every row whose weights checksum differs.
 golden-check:
 	dune build bin/kf.exe
 	sh test/golden/check.sh _build/default/bin/kf.exe \

@@ -398,7 +398,13 @@ let codegen_cmd =
       | Some tl -> (
           match Fusion.Tuning.dense_plan_with device ~rows ~cols ~tl with
           | Some p -> p
-          | None -> failwith "that thread load cannot launch for this shape")
+          | None ->
+              Printf.eprintf
+                "kf codegen: thread load %d cannot launch for a %d x %d \
+                 matrix\n\
+                 %!"
+                tl rows cols;
+              exit 2)
     in
     Format.printf "%a@.@." Fusion.Tuning.pp_dense_plan plan;
     print_string (Fusion.Codegen.cuda_source (Fusion.Codegen.specialize plan))
@@ -788,8 +794,15 @@ let serve_cmd =
         models
     in
     let registry =
-      Kf_serve.Models.create ~engine ~config ?max_resident_bytes:max_resident
-        device specs
+      (* a missing, corrupt or twice-named model is a usage error *)
+      match
+        Kf_serve.Models.create ~engine ~config ?max_resident_bytes:max_resident
+          device specs
+      with
+      | registry -> registry
+      | exception Invalid_argument msg ->
+          Printf.eprintf "kf serve: %s\n%!" msg;
+          exit 2
     in
     if watch then Kf_serve.Models.watch registry;
     let scrape =

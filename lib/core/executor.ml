@@ -207,11 +207,14 @@ let matrix =
    reference) report measured wall-clock time and no kernel reports.
    Host kernels record into whatever [Host_stats] sink the caller
    installed; after each host op the sink's running totals are sampled
-   onto the trace's [host.*] counter tracks. *)
-let execute ?cluster kind ~op ~input ~meta ~engine ~reference branch =
+   onto the trace's [host.*] counter tracks.  [place] puts every
+   engine's value where the caller asked for it (see [place_into]). *)
+let execute ?cluster ?(place = Fun.id) kind ~op ~input ~meta ~engine
+    ~reference branch =
   let t0 = Kf_obs.Clock.now_ns () in
   (* [reports] present means simulated: [time_ms] is their sum. *)
   let finish ~engine_used ?reports value =
+    let value = place value in
     let wall_ns = Kf_obs.Clock.now_ns () - t0 in
     Kf_obs.Counter.incr ops_counter;
     if Kf_obs.Trace.enabled () then
@@ -275,6 +278,17 @@ let execute ?cluster kind ~op ~input ~meta ~engine ~reference branch =
 
 (* --- Equation-1 ops ------------------------------------------------------- *)
 
+(* The [?into] contract of the vector ops: the fused host kernels write
+   their final pass straight into [into]; every other result (the other
+   engines', the host's unfused dense [xt_y] and the reference's) is
+   copied into it once, so every engine returns [into] itself. *)
+let place_into into w =
+  match into with
+  | Some d when d != w ->
+      Array.blit w 0 d 0 (Array.length d);
+      d
+  | _ -> w
+
 (* [layout] is "dense-acc" for the Equation-1 kernels, or
    "row-disjoint" for the graph kernels. *)
 let host_used ~kernel ~pool layout =
@@ -296,8 +310,11 @@ let library_epilogue device ~alpha ~beta_z w reports =
       let w, r3 = Gpulibs.Cublas.axpy device 1.0 bz w in
       (w, reports @ r1 @ r2 @ r3)
 
-let xt_y ?(engine = Fused) ?pool ?cluster device input y ~alpha =
-  execute vector ~op:"xt_y" ~input ~meta:(Some Pattern.Xt_y) ?cluster ~engine
+let xt_y ?(engine = Fused) ?pool ?cluster ?into device input y ~alpha =
+  Host_fused.check_into ~cols:(cols input) ~name:"Executor.xt_y" ~inputs:[ y ]
+    into;
+  execute vector ~op:"xt_y" ~input ~meta:(Some Pattern.Xt_y) ?cluster
+    ~place:(place_into into) ~engine
     ~reference:(fun () ->
       Matrix.Blas.finish_pattern ~alpha ~beta:None ~z:None
         (match input with
@@ -313,7 +330,7 @@ let xt_y ?(engine = Fused) ?pool ?cluster device input y ~alpha =
       let pool = host_pool pool in
       On_host
         ( host_used ~kernel:"fused X^T*p" ~pool eq1_layout,
-          fun () -> Host_fused.xt_p ~pool ~alpha x y )
+          fun () -> Host_fused.xt_p ~pool ?into ~alpha x y )
   | Host, Dense x ->
       (* Mirrors the Fused/Library dense dispatch: X^T*y is a single
          pass already, so the "library" gemv_t is used, parallelised
@@ -367,8 +384,8 @@ let library_pattern device input ~y ?v ?beta_z ~alpha () =
   in
   library_epilogue device ~alpha ~beta_z w reports
 
-let pattern ?(engine = Fused) ?pool ?cluster device input ~y ?v ?beta_z ~alpha
-    () =
+let pattern ?(engine = Fused) ?pool ?cluster ?into device input ~y ?v ?beta_z
+    ~alpha () =
   let meta =
     Some
       (Pattern.classify_shape
@@ -381,7 +398,11 @@ let pattern ?(engine = Fused) ?pool ?cluster device input ~y ?v ?beta_z ~alpha
   let beta, z =
     match beta_z with None -> (None, None) | Some (b, z) -> (Some b, Some z)
   in
-  execute vector ~op:"pattern" ~input ~meta ?cluster ~engine
+  Host_fused.check_into ~cols:(cols input) ~name:"Executor.pattern"
+    ~inputs:(y :: (Option.to_list v @ Option.to_list z))
+    into;
+  execute vector ~op:"pattern" ~input ~meta ?cluster ~place:(place_into into)
+    ~engine
     ~reference:(fun () ->
       match input with
       | Sparse x -> Matrix.Blas.pattern_sparse ~alpha x ?v y ?beta ?z ()
@@ -398,12 +419,14 @@ let pattern ?(engine = Fused) ?pool ?cluster device input ~y ?v ?beta_z ~alpha
       let pool = host_pool pool in
       On_host
         ( host_used ~kernel:"fused sparse" ~pool eq1_layout,
-          fun () -> Host_fused.pattern_sparse ~pool ~alpha x ?v y ?beta ?z () )
+          fun () ->
+            Host_fused.pattern_sparse ~pool ?into ~alpha x ?v y ?beta ?z () )
   | Host, Dense x ->
       let pool = host_pool pool in
       On_host
         ( host_used ~kernel:"fused dense" ~pool eq1_layout,
-          fun () -> Host_fused.pattern_dense ~pool ~alpha x ?v y ?beta ?z () )
+          fun () ->
+            Host_fused.pattern_dense ~pool ?into ~alpha x ?v y ?beta ?z () )
   | Fused, Sparse x ->
       let w, reports, plan =
         Fused_sparse.pattern device x ~y ?v ?beta_z ~alpha ()

@@ -89,18 +89,20 @@ val xt_y :
   ?engine:engine ->
   ?pool:Par.Pool.t ->
   ?cluster:Kf_dist.Cluster.t ->
+  ?into:Matrix.Vec.t ->
   Device.t ->
   input ->
   Matrix.Vec.t ->
   alpha:float ->
   result
 (** [alpha * X^T x y] — the first row of Table 1 ([y] has [rows]
-    elements). *)
+    elements).  [into]: see {!pattern}. *)
 
 val pattern :
   ?engine:engine ->
   ?pool:Par.Pool.t ->
   ?cluster:Kf_dist.Cluster.t ->
+  ?into:Matrix.Vec.t ->
   Device.t ->
   input ->
   y:Matrix.Vec.t ->
@@ -110,7 +112,17 @@ val pattern :
   unit ->
   result
 (** Every other row of Table 1, selected by which optional arguments are
-    present. *)
+    present.
+
+    [into], when given, receives the result and is the result's [w] on
+    every engine: the fused [Host] kernels ([pattern], and [xt_y] on a
+    sparse input) write their final [alpha * w + beta * z] pass straight
+    into it, and every other result (and a recovery's reference run) is
+    copied into it once.  A solver that passes the same buffer on every
+    iteration thus allocates no result vector on the host.  [into] must have [cols]
+    elements and be physically none of [y], [v] and [z]: a retry after
+    a guard trip re-reads the inputs, which must still be clean.
+    Raises [Invalid_argument] otherwise, before any engine runs. *)
 
 val x_y :
   ?engine:engine ->

@@ -19,22 +19,43 @@ let epilogue_of ~beta ~z =
       else None
   | None, Some _ -> invalid_arg "Blas.pattern: z given without beta"
 
-let check_args ~rows ~cols ~v ~y ~z ~name =
+(* [into] receives the result, so it must hold one element per column
+   and be none of the inputs: the executor's retry after a guard trip
+   re-reads the inputs, which must still be clean.  (Empty arrays are
+   all one value, and hold nothing to overwrite.) *)
+let check_into ~cols ~name ~inputs = function
+  | None -> ()
+  | Some into ->
+      if Array.length into <> cols then
+        invalid_arg (name ^ ": into must have one element per column");
+      if cols > 0 && List.exists (fun i -> i == into) inputs then
+        invalid_arg (name ^ ": into must not be an input vector")
+
+let check_args ~rows ~cols ~v ~y ~z ~into ~name =
   if Array.length y <> cols then
     invalid_arg (name ^ ": y must have one element per column");
   (match v with
   | Some v when Array.length v <> rows ->
       invalid_arg (name ^ ": v must have one element per row")
   | _ -> ());
-  match z with
+  (match z with
   | Some z when Array.length z <> cols ->
       invalid_arg (name ^ ": z must have one element per column")
-  | _ -> ()
+  | _ -> ());
+  check_into ~cols ~name into
+    ~inputs:(y :: (Option.to_list v @ Option.to_list z))
 
 (* Degenerate shapes never reach the pool: the alpha term is a sum over
    zero rows (or zero columns), so the result is just the epilogue. *)
-let degenerate ~alpha ~beta ~z ~cols =
-  Matrix.Blas.finish_pattern ~alpha ~beta ~z (Array.make cols 0.0)
+let degenerate ~alpha ~beta ~z ~cols ~into =
+  let w =
+    match into with
+    | Some w ->
+        Array.fill w 0 cols 0.0;
+        w
+    | None -> Array.make cols 0.0
+  in
+  Matrix.Blas.finish_pattern ~alpha ~beta ~z w
 
 (* Shared start of the Equation-1 kernels: the armed fault point (it
    only fires under the executor's recovery scope), then the pool.  The
@@ -48,34 +69,38 @@ let row_scalar ~v y =
   | None -> Matrix.Blas.Dot y
   | Some v -> Matrix.Blas.Scaled_dot (y, v)
 
-let pattern_sparse ?pool ?variant:_ ~alpha (x : Matrix.Csr.t) ?v y ?beta ?z () =
-  check_args ~rows:x.rows ~cols:x.cols ~v ~y ~z
+let pattern_sparse ?pool ?variant:_ ?into ~alpha (x : Matrix.Csr.t) ?v y ?beta
+    ?z () =
+  check_args ~rows:x.rows ~cols:x.cols ~v ~y ~z ~into
     ~name:"Host_fused.pattern_sparse";
   if x.rows = 0 || x.cols = 0 || Matrix.Csr.nnz x = 0 then
-    degenerate ~alpha ~beta ~z ~cols:x.cols
+    degenerate ~alpha ~beta ~z ~cols:x.cols ~into
   else
     let pool = prologue ~point:"host_fused.sparse" ?pool () in
     Matrix.Blas.par_xt_sparse ~pool (row_scalar ~v y) ~alpha
-      ~beta_z:(epilogue_of ~beta ~z) x
+      ~beta_z:(epilogue_of ~beta ~z) ?into x
 
-let xt_p ?pool ?variant:_ ~alpha (x : Matrix.Csr.t) p =
+let xt_p ?pool ?variant:_ ?into ~alpha (x : Matrix.Csr.t) p =
   if Array.length p <> x.rows then
     invalid_arg "Host_fused.xt_p: p must have one element per row";
+  check_into ~cols:x.cols ~name:"Host_fused.xt_p" ~inputs:[ p ] into;
   if x.rows = 0 || x.cols = 0 || Matrix.Csr.nnz x = 0 then
-    degenerate ~alpha ~beta:None ~z:None ~cols:x.cols
+    degenerate ~alpha ~beta:None ~z:None ~cols:x.cols ~into
   else
     let pool = prologue ~point:"host_fused.sparse" ?pool () in
     Matrix.Blas.par_xt_sparse ~pool (Matrix.Blas.Given p) ~alpha ~beta_z:None
-      x
+      ?into x
 
-let pattern_dense ?pool ?variant:_ ~alpha (x : Matrix.Dense.t) ?v y ?beta ?z () =
-  check_args ~rows:x.rows ~cols:x.cols ~v ~y ~z
+let pattern_dense ?pool ?variant:_ ?into ~alpha (x : Matrix.Dense.t) ?v y ?beta
+    ?z () =
+  check_args ~rows:x.rows ~cols:x.cols ~v ~y ~z ~into
     ~name:"Host_fused.pattern_dense";
-  if x.rows = 0 || x.cols = 0 then degenerate ~alpha ~beta ~z ~cols:x.cols
+  if x.rows = 0 || x.cols = 0 then
+    degenerate ~alpha ~beta ~z ~cols:x.cols ~into
   else
     let pool = prologue ~point:"host_fused.dense" ?pool () in
     Matrix.Blas.par_xt_dense ~pool (row_scalar ~v y) ~alpha
-      ~beta_z:(epilogue_of ~beta ~z) x
+      ~beta_z:(epilogue_of ~beta ~z) ?into x
 
 (* ---- FusedMM graph kernels ------------------------------------------------ *)
 

@@ -41,9 +41,21 @@ val variant_name : variant -> string
 val choose_variant : domains:int -> cols:int -> unit -> variant
 (** Always [Dense_acc], whatever the shape. *)
 
+val check_into :
+  cols:int ->
+  name:string ->
+  inputs:Matrix.Vec.t list ->
+  Matrix.Vec.t option ->
+  unit
+(** [check_into ~cols ~name ~inputs into] applies the [?into] rules
+    below (one element per column, physically none of [inputs]),
+    raising [Invalid_argument] prefixed with [name]; [Executor] checks
+    every engine's [?into] with it. *)
+
 val pattern_sparse :
   ?pool:Par.Pool.t ->
   ?variant:variant ->
+  ?into:Matrix.Vec.t ->
   alpha:float ->
   Matrix.Csr.t ->
   ?v:Matrix.Vec.t ->
@@ -59,11 +71,20 @@ val pattern_sparse :
     is computed inline in the row loop, so what a call allocates on the
     minor heap does not grow with the row count.  Degenerate shapes
     ([rows = 0], [cols = 0] or [nnz = 0]) return [beta * z] (or zeros)
-    without touching the pool. *)
+    without touching the pool.
+
+    [into], when given, is where the final [alpha * w + beta * z] pass
+    writes, and the call returns it: a solver that passes the same
+    buffer on every iteration allocates no result vector.  It must have
+    one element per column and be physically none of [y], [v] and [z]
+    (raises [Invalid_argument] otherwise): an executor retry after a
+    guard trip re-reads the inputs, so they must stay clean.  [xt_p]
+    applies the same rules with [p] as the input. *)
 
 val pattern_dense :
   ?pool:Par.Pool.t ->
   ?variant:variant ->
+  ?into:Matrix.Vec.t ->
   alpha:float ->
   Matrix.Dense.t ->
   ?v:Matrix.Vec.t ->
@@ -78,6 +99,7 @@ val pattern_dense :
 val xt_p :
   ?pool:Par.Pool.t ->
   ?variant:variant ->
+  ?into:Matrix.Vec.t ->
   alpha:float ->
   Matrix.Csr.t ->
   Matrix.Vec.t ->

@@ -90,14 +90,23 @@ let gemv_t device (x : Matrix.Dense.t) p =
   in
   (result, [ report ])
 
-let axpy device a x y =
+(* The Level-1 output: [into] (any vector of the right length, inputs
+   included, since these ops are element-wise) or a fresh one. *)
+let output ~name n = function
+  | None -> Array.create_float n
+  | Some o ->
+      if Array.length o <> n then
+        invalid_arg (name ^ ": into dimension mismatch");
+      o
+
+let axpy ?into device a x y =
   let n = Array.length x in
   if Array.length y <> n then invalid_arg "Cublas.axpy: dimension mismatch";
+  let out = output ~name:"Cublas.axpy" n into in
   let result, report =
     Sim.run device (vector_launch n) ~name:"cublas_daxpy" (fun ctx ->
         charge_vector_stream ctx ~loads_elts:(2 * n) ~stores_elts:n;
         Sim.flops ctx (2 * n);
-        let out = Array.create_float n in
         for i = 0 to n - 1 do
           out.(i) <- (a *. x.(i)) +. y.(i)
         done;
@@ -125,13 +134,17 @@ let nrm2 device x =
   let result, reports = dot device x x in
   (sqrt result, reports)
 
-let scal device a x =
+let scal ?into device a x =
   let n = Array.length x in
+  let out = output ~name:"Cublas.scal" n into in
   let result, report =
     Sim.run device (vector_launch n) ~name:"cublas_dscal" (fun ctx ->
         charge_vector_stream ctx ~loads_elts:n ~stores_elts:n;
         Sim.flops ctx n;
-        Matrix.Vec.scale a x)
+        for i = 0 to n - 1 do
+          out.(i) <- a *. x.(i)
+        done;
+        out)
   in
   (result, [ report ])
 

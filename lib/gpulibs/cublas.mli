@@ -20,14 +20,32 @@ val gemv_t : Device.t -> Matrix.Dense.t -> Matrix.Vec.t -> Matrix.Vec.t * Sim.re
 
 (** {1 Level 1} *)
 
-val axpy : Device.t -> float -> Matrix.Vec.t -> Matrix.Vec.t -> Matrix.Vec.t * Sim.report list
-(** [axpy d a x y] returns [a*x + y] (non-destructive, unlike the BLAS). *)
+val axpy :
+  ?into:Matrix.Vec.t ->
+  Device.t ->
+  float ->
+  Matrix.Vec.t ->
+  Matrix.Vec.t ->
+  Matrix.Vec.t * Sim.report list
+(** [axpy d a x y] returns [a*x + y]: a fresh vector (non-destructive,
+    unlike the BLAS), or [into] when given, which may be [x] or [y]
+    itself since the op is element-wise ([axpy ~into:y d a x y] is the
+    BLAS's in-place [daxpy]).  The simulated cost is the same either
+    way.  Raises [Invalid_argument] unless [x], [y] and [into] have one
+    length. *)
 
 val dot : Device.t -> Matrix.Vec.t -> Matrix.Vec.t -> float * Sim.report list
 
 val nrm2 : Device.t -> Matrix.Vec.t -> float * Sim.report list
 
-val scal : Device.t -> float -> Matrix.Vec.t -> Matrix.Vec.t * Sim.report list
+val scal :
+  ?into:Matrix.Vec.t ->
+  Device.t ->
+  float ->
+  Matrix.Vec.t ->
+  Matrix.Vec.t * Sim.report list
+(** [scal d a x] returns [a*x]: a fresh vector, or [into] when given
+    (which may be [x]), as for {!axpy}. *)
 
 val copy : Device.t -> Matrix.Vec.t -> Matrix.Vec.t * Sim.report list
 

@@ -236,10 +236,11 @@ let merge_add_ba ~(dst : acc) ~(src : acc) =
     incr i
   done
 
-(* Convert the merged accumulator into the caller's result, folding
-   [alpha] and [beta * z] into the one write pass. *)
-let finalize_ba ~alpha ~beta_z (m : acc) ~cols =
-  let out = Array.make cols 0.0 in
+(* Write [alpha * m + beta * z] into [out] (fresh when absent): the
+   one pass that turns the merged accumulator into the caller's
+   result. *)
+let finalize_ba ~alpha ~beta_z (m : acc) ~cols ~into =
+  let out = match into with Some o -> o | None -> Array.create_float cols in
   (match beta_z with
   | None ->
       for c = 0 to cols - 1 do
@@ -253,15 +254,72 @@ let finalize_ba ~alpha ~beta_z (m : acc) ~cols =
       done);
   out
 
-let fresh_acc cols =
-  let w = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout cols in
-  Bigarray.Array1.fill w 0.0;
-  w
+(* The accumulators belong to the domain that calls the op, not to the
+   pool or its workers.  A pool runs one job at a time, but an op is
+   two jobs (the scatter, then the merge rounds), so another domain's
+   op on the same pool can run between them: accumulators owned by the
+   pool or a worker would then be overwritten before they are merged.
+   Each worker's accumulator is a separate allocation that the worker
+   makes itself, the first time it needs one at least this wide, with
+   a 128-byte tail that no op writes, so no two workers' accumulators
+   share a cache line.  (One buffer carved into regions with 128-byte
+   gaps between them made [lr-cg-tall]'s kernel slower than fresh
+   accumulators; worker-made ones are not: DESIGN.md section 12.)  An
+   accumulator only grows, so a domain keeps them at the size of the
+   widest op it ran.  [views] are the first [cols] floats of each. *)
+type regions = { mutable accs : acc array; mutable views : acc array }
+
+let tail_floats = 16
+
+let empty_acc = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
+
+let no_regions () = { accs = [||]; views = [||] }
+
+let regions_key =
+  Domain.DLS.new_key (fun () -> Atomic.make (Some (no_regions ())))
+
+(* Worker [wid]'s accumulator for a [cols]-wide op: the first [cols]
+   floats of its allocation, which the worker calling this replaces
+   when it is too narrow. *)
+let region rg ~wid ~cols =
+  let v = rg.views.(wid) in
+  if Bigarray.Array1.dim v = cols then v
+  else begin
+    if Bigarray.Array1.dim rg.accs.(wid) < cols + tail_floats then
+      rg.accs.(wid) <-
+        Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
+          (cols + tail_floats);
+    let v = Bigarray.Array1.sub rg.accs.(wid) 0 cols in
+    rg.views.(wid) <- v;
+    v
+  end
+
+(* A domain's accumulators are taken for the length of one op and put
+   back after it, so two systhreads of one domain never share them: the
+   second gets a set of its own for that op. *)
+let with_regions ~workers f =
+  let slot = Domain.DLS.get regions_key in
+  let fit rg =
+    if Array.length rg.views <> workers then begin
+      let have = Array.length rg.accs in
+      if have < workers then
+        rg.accs <- Array.append rg.accs (Array.make (workers - have) empty_acc);
+      rg.views <- Array.make workers empty_acc
+    end;
+    rg
+  in
+  match Atomic.exchange slot None with
+  | Some rg ->
+      Fun.protect ~finally:(fun () -> Atomic.set slot (Some rg)) (fun () ->
+          f (fit rg))
+  | None -> f (fit (no_regions ()))
 
 (* Observability: accumulator allocations and merge traffic are
    recorded from the coordinating domain (single-writer tallies);
    per-worker rows/nnz are credited inside the worker closures, each
-   writing only its own slot.  Every recording entry point is a no-op
+   writing only its own slot.  The accumulators are the per-call
+   working set: every call records one per worker, whether its regions
+   were reused or not.  Every recording entry point is a no-op
    one-flag check unless a Host_stats sink is installed. *)
 let record_accs ~count ~elems =
   if Kf_obs.Host_stats.profiling () then
@@ -275,20 +333,20 @@ let record_merge_traffic ~workers ~cols =
   if Kf_obs.Host_stats.profiling () then
     Kf_obs.Host_stats.record_merge_bytes ~bytes:((workers - 1) * cols * 8 * 3)
 
-(* Run [scatter wid w] on every worker into its own fresh accumulator,
-   tree-merge them and write [alpha * w + beta * z]. *)
-let accumulate_and_merge pool ~cols ~alpha ~beta_z scatter =
+(* Run [scatter wid w] on every worker into its zeroed region of the
+   calling domain's accumulators, tree-merge them and write
+   [alpha * w + beta * z]. *)
+let accumulate_and_merge pool ~cols ~alpha ~beta_z ~into scatter =
   let workers = Par.Pool.size pool in
   record_accs ~count:workers ~elems:cols;
-  let parts =
-    Par.Pool.map_workers pool (fun wid ->
-        let w = fresh_acc cols in
-        scatter wid w;
-        w)
-  in
-  let merged = Par.Pool.reduce pool ~merge:merge_add_ba parts in
+  with_regions ~workers @@ fun rg ->
+  Par.Pool.run_workers pool (fun wid ->
+      let w = region rg ~wid ~cols in
+      Bigarray.Array1.fill w 0.0;
+      scatter wid w);
+  let merged = Par.Pool.reduce pool ~merge:merge_add_ba rg.views in
   record_merge_traffic ~workers ~cols;
-  finalize_ba ~alpha ~beta_z merged ~cols
+  finalize_ba ~alpha ~beta_z merged ~cols ~into
 
 (* Scatter the rows [rlo, rhi) of [x] into [w], each row's scalar
    computed inline from [src]. *)
@@ -339,11 +397,11 @@ let sparse_scatter_rows_ba (x : Csr.t) ~src ~(w : acc) ~rlo ~rhi =
   done
 
 (* nnz-balanced row ranges, one per domain. *)
-let par_xt_sparse ~pool src ~alpha ~beta_z (x : Csr.t) =
+let par_xt_sparse ~pool src ~alpha ~beta_z ?into (x : Csr.t) =
   let bounds =
     Par.Partition.by_prefix ~prefix:x.row_off ~parts:(Par.Pool.size pool) ()
   in
-  accumulate_and_merge pool ~cols:x.cols ~alpha ~beta_z (fun wid w ->
+  accumulate_and_merge pool ~cols:x.cols ~alpha ~beta_z ~into (fun wid w ->
       let rlo = bounds.(wid) and rhi = bounds.(wid + 1) in
       if Kf_obs.Host_stats.profiling () then
         Kf_obs.Host_stats.add_work ~rows:(rhi - rlo)
@@ -378,10 +436,10 @@ let[@inline] dense_axpy_row_ba data ~base ~pr ~(w : acc) ~cols =
   done
 
 (* Uniform row ranges, one per domain. *)
-let par_xt_dense ~pool src ~alpha ~beta_z (x : Dense.t) =
+let par_xt_dense ~pool src ~alpha ~beta_z ?into (x : Dense.t) =
   let bounds = Par.Partition.uniform ~n:x.rows ~parts:(Par.Pool.size pool) in
   let data = x.data and cols = x.cols in
-  accumulate_and_merge pool ~cols ~alpha ~beta_z (fun wid w ->
+  accumulate_and_merge pool ~cols ~alpha ~beta_z ~into (fun wid w ->
       let rlo = bounds.(wid) and rhi = bounds.(wid + 1) in
       if Kf_obs.Host_stats.profiling () then
         Kf_obs.Host_stats.add_work ~rows:(rhi - rlo) ~nnz:((rhi - rlo) * cols);

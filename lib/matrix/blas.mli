@@ -85,10 +85,24 @@ val par_pattern_sparse :
     dense), computes each row's scalar [s.(r)] inline, and scatters
     [s.(r) * X.(r)] into a private full-width accumulator.  A tree
     reduce on the pool ({!Par.Pool.reduce}) merges the accumulators, and
-    one final pass writes [alpha * w + beta * z].  Host_stats records
-    one accumulator of [8 * cols] bytes per domain and [24 * cols] merge
-    bytes per pairwise merge.  No argument is validated here: the
-    callers check lengths. *)
+    one final pass writes [alpha * w + beta * z].
+
+    The accumulators belong to the calling domain (domain-local state,
+    not the pool's): a pool serialises jobs, not ops, so another
+    domain's op on the same pool may run between this op's scatter and
+    its merge, and must not find these partials.  Each worker's
+    accumulator is a separate allocation that the worker makes itself,
+    with a 128-byte tail no op writes, so no two workers write the same
+    cache line.  They are reused from call to call and zeroed on each,
+    and grow to the widest op the domain has run.  Host_stats still
+    records one accumulator of [8 * cols] bytes per domain per call
+    (the call's working set, reused or not) and [24 * cols] merge bytes
+    per pairwise merge.
+
+    [into], when given, receives the result, which is then [into]
+    itself; otherwise the result is a fresh vector.  No argument is
+    validated here: the callers check lengths and that [into] aliases
+    no input. *)
 
 (** Where a row's scalar comes from: a dot product with [y]
     (Algorithm 2's first walk), that dot scaled by [v.(r)], or a
@@ -103,6 +117,7 @@ val par_xt_sparse :
   row_scalar ->
   alpha:float ->
   beta_z:(float * Vec.t) option ->
+  ?into:Vec.t ->
   Csr.t ->
   Vec.t
 (** [par_xt_sparse ~pool src ~alpha ~beta_z x] is
@@ -113,6 +128,7 @@ val par_xt_dense :
   row_scalar ->
   alpha:float ->
   beta_z:(float * Vec.t) option ->
+  ?into:Vec.t ->
   Dense.t ->
   Vec.t
 (** Dense-row analogue of {!par_xt_sparse}. *)

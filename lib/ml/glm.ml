@@ -66,33 +66,14 @@ type result = {
    product running as one fused pattern launch per iteration. *)
 let cg_solve session input ~d ~g ~iterations ~tolerance =
   let eps = 1e-8 in
-  let n = Fusion.Executor.cols input in
-  let delta = ref (Vec.create n) in
-  let r = ref (Vec.copy g) in
-  let p = ref (Vec.copy g) in
-  let rr = ref (Session.dot session !r !r) in
-  let count = ref 0 in
-  let target = !rr *. tolerance *. tolerance in
   (* A unit weight vector (e.g. gamma's log link, or the first Poisson
      step at w = 0) needs no Hadamard stage: the product degrades to
      X^T(Xp), one instantiation down Table 1. *)
   let v = if Array.for_all (fun di -> di = 1.0) d then None else Some d in
-  while !count < iterations && !rr > target do
-    let hp = Session.pattern session input ~y:!p ?v ~alpha:1.0 () in
-    let hp = Session.axpy session eps !p hp in
-    let php = Session.dot session !p hp in
-    if php <= 0.0 then count := iterations
-    else begin
-      let alpha = !rr /. php in
-      delta := Session.axpy session alpha !p !delta;
-      r := Session.axpy session (-.alpha) hp !r;
-      let rr' = Session.dot session !r !r in
-      p := Session.axpy session 1.0 !r (Session.scal session (rr' /. !rr) !p);
-      rr := rr';
-      incr count
-    end
-  done;
-  (!delta, !count)
+  Cg.solve session ~r0:(Vec.copy g) ~iterations ~tolerance
+    ~hv:(fun ~p ~into ->
+      ignore (Session.pattern session ~into input ~y:p ?v ~alpha:1.0 ());
+      ignore (Session.axpy session ~into eps p into))
 
 let fit ?engine ?cluster ?(family = poisson) ?(newton_iterations = 10)
     ?(cg_iterations = 20) ?(tolerance = 1e-6) ?checkpoint ?ckpt_meta ?resume

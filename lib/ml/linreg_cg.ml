@@ -23,55 +23,57 @@ let fit ?engine ?cluster ?(max_iterations = 100) ?(tolerance = 1e-6)
   | None -> ());
   Kf_obs.Trace.with_span "fit.LR" @@ fun () ->
   let n = Fusion.Executor.cols input in
-  let w = ref (Vec.create n) in
-  let r = ref [||] and p = ref [||] in
-  let nr2 = ref 0.0 and nr2_target = ref 0.0 in
-  let i = ref 0 in
-  (match resume with
-  | Some path ->
-      let st = Session.resume session ~path in
-      w := Kf_resil.Ckpt.get_floats st "lr.w";
-      r := Kf_resil.Ckpt.get_floats st "lr.r";
-      p := Kf_resil.Ckpt.get_floats st "lr.p";
-      nr2 := Kf_resil.Ckpt.get_float st "lr.nr2";
-      nr2_target := Kf_resil.Ckpt.get_float st "lr.nr2_target";
-      i := Kf_resil.Ckpt.get_int st "lr.i"
-  | None ->
-      (* r = -(X^T t);  p = -r *)
-      let r0 = Session.xt_y session input targets ~alpha:(-1.0) in
-      r := r0;
-      p := Session.scal session (-1.0) r0;
-      nr2 := Session.dot session r0 r0;
-      (* derived before the loop, so it must be checkpointed, not
-         recomputed: resuming re-derives nothing *)
-      nr2_target := !nr2 *. tolerance *. tolerance);
+  (* [w], [r], [p] and [q] are the solve's only vectors: every
+     iteration overwrites them in place. *)
+  let w, r, p, nr2, nr2_target, i =
+    match resume with
+    | Some path ->
+        let st = Session.resume session ~path in
+        ( Kf_resil.Ckpt.get_floats st "lr.w",
+          Kf_resil.Ckpt.get_floats st "lr.r",
+          Kf_resil.Ckpt.get_floats st "lr.p",
+          ref (Kf_resil.Ckpt.get_float st "lr.nr2"),
+          Kf_resil.Ckpt.get_float st "lr.nr2_target",
+          ref (Kf_resil.Ckpt.get_int st "lr.i") )
+    | None ->
+        (* r = -(X^T t);  p = -r *)
+        let r = Session.xt_y session input targets ~alpha:(-1.0) in
+        let p = Session.scal session (-1.0) r in
+        let nr2 = Session.dot session r r in
+        (* derived before the loop, so it must be checkpointed, not
+           recomputed: resuming re-derives nothing *)
+        (Vec.create n, r, p, ref nr2, nr2 *. tolerance *. tolerance, ref 0)
+  in
+  let q = Vec.create n in
   Session.set_state_fn session (fun () ->
       [
-        ("lr.w", Kf_resil.Ckpt.Floats !w);
-        ("lr.r", Kf_resil.Ckpt.Floats !r);
-        ("lr.p", Kf_resil.Ckpt.Floats !p);
+        ("lr.w", Kf_resil.Ckpt.Floats w);
+        ("lr.r", Kf_resil.Ckpt.Floats r);
+        ("lr.p", Kf_resil.Ckpt.Floats p);
         ("lr.nr2", Kf_resil.Ckpt.Float !nr2);
-        ("lr.nr2_target", Kf_resil.Ckpt.Float !nr2_target);
+        ("lr.nr2_target", Kf_resil.Ckpt.Float nr2_target);
         ("lr.i", Kf_resil.Ckpt.Int !i);
       ]);
-  while !i < max_iterations && !nr2 > !nr2_target do
+  while !i < max_iterations && !nr2 > nr2_target do
     Session.iteration session (fun () ->
         (* q = X^T (X p) + eps * p — the pattern of Table 1 row 4; an
            unregularised solve (eps = 0) degrades to plain X^T(Xy). *)
-        let beta_z = if eps = 0.0 then None else Some (eps, !p) in
-        let q = Session.pattern session input ~y:!p ?beta_z ~alpha:1.0 () in
-        let alpha = !nr2 /. Session.dot session !p q in
-        w := Session.axpy session alpha !p !w;
+        let beta_z = if eps = 0.0 then None else Some (eps, p) in
+        ignore
+          (Session.pattern session ~into:q input ~y:p ?beta_z ~alpha:1.0 ());
+        let alpha = !nr2 /. Session.dot session p q in
+        ignore (Session.axpy session ~into:w alpha p w);
         let old_nr2 = !nr2 in
-        r := Session.axpy session alpha q !r;
-        nr2 := Session.dot session !r !r;
+        ignore (Session.axpy session ~into:r alpha q r);
+        nr2 := Session.dot session r r;
         let beta = !nr2 /. old_nr2 in
         (* p = -r + beta * p *)
-        p := Session.axpy session (-1.0) !r (Session.scal session beta !p);
+        ignore (Session.scal session ~into:p beta p);
+        ignore (Session.axpy session ~into:p (-1.0) r p);
         incr i)
   done;
   {
-    weights = !w;
+    weights = w;
     iterations = !i;
     residual_norm = !nr2;
     gpu_ms = Session.gpu_ms session;

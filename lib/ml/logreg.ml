@@ -27,38 +27,46 @@ let loss_of ~lambda ~labels margins w =
   !acc
 
 (* Trust-region CG (Steihaug): solve H s = -g within ||s|| <= delta, where
-   H v = X^T (d .* (X v)) + lambda v runs as a single fused launch. *)
+   H v = X^T (d .* (X v)) + lambda v runs as a single fused launch.  The
+   solve's vectors are allocated once and overwritten in place; the
+   candidate step [s + alpha p] goes to a second buffer, because the
+   boundary step needs the old [s]. *)
 let steihaug session input ~d ~g ~lambda ~delta ~iterations ~tolerance =
   let n = Fusion.Executor.cols input in
-  let s = ref (Vec.create n) in
-  let r = ref (Vec.scale (-1.0) g) in
-  let p = ref (Vec.copy !r) in
-  let rr = ref (Session.dot session !r !r) in
+  let s = ref (Vec.create n) and spare = ref (Vec.create n) in
+  let r = Vec.scale (-1.0) g in
+  let p = Vec.copy r in
+  let hp = Vec.create n in
+  let rr = ref (Session.dot session r r) in
   let target = !rr *. tolerance *. tolerance in
   let count = ref 0 in
   let hit_boundary = ref false in
   while !count < iterations && !rr > target && not !hit_boundary do
     (* unregularised fits drop the [+ lambda p] stage, degrading to the
        X^T(v.(Xy)) instantiation *)
-    let beta_z = if lambda = 0.0 then None else Some (lambda, !p) in
-    let hp = Session.pattern session input ~y:!p ~v:d ?beta_z ~alpha:1.0 () in
-    let php = Session.dot session !p hp in
+    let beta_z = if lambda = 0.0 then None else Some (lambda, p) in
+    ignore
+      (Session.pattern session ~into:hp input ~y:p ~v:d ?beta_z ~alpha:1.0 ());
+    let php = Session.dot session p hp in
     if php <= 0.0 then hit_boundary := true
     else begin
       let alpha = !rr /. php in
-      let s' = Session.axpy session alpha !p !s in
+      let s' = Session.axpy session ~into:!spare alpha p !s in
       if Vec.nrm2 s' > delta then begin
         (* clip to the trust-region boundary along p *)
         let snorm = Vec.nrm2 !s in
         let frac = (delta -. snorm) /. (Vec.nrm2 s' -. snorm +. 1e-30) in
-        s := Session.axpy session (alpha *. Float.max 0.0 frac) !p !s;
+        ignore
+          (Session.axpy session ~into:!s (alpha *. Float.max 0.0 frac) p !s);
         hit_boundary := true
       end
       else begin
+        spare := !s;
         s := s';
-        r := Session.axpy session (-.alpha) hp !r;
-        let rr' = Session.dot session !r !r in
-        p := Session.axpy session 1.0 !r (Session.scal session (rr' /. !rr) !p);
+        ignore (Session.axpy session ~into:r (-.alpha) hp r);
+        let rr' = Session.dot session r r in
+        ignore (Session.scal session ~into:p (rr' /. !rr) p);
+        ignore (Session.axpy session ~into:p 1.0 r p);
         rr := rr'
       end;
       incr count

@@ -71,15 +71,15 @@ let absorb_mat t (r : Fusion.Executor.mat_result) =
   absorb t ~time_ms:r.m_time_ms ~reports:r.m_reports r.m_desc;
   r.m_value
 
-let xt_y t input y ~alpha =
+let xt_y ?into t input y ~alpha =
   absorb_result t
     (Fusion.Executor.xt_y ~engine:t.engine ?pool:t.pool ?cluster:t.cluster
-       t.device input y ~alpha)
+       ?into t.device input y ~alpha)
 
-let pattern t input ~y ?v ?beta_z ~alpha () =
+let pattern ?into t input ~y ?v ?beta_z ~alpha () =
   absorb_result t
     (Fusion.Executor.pattern ~engine:t.engine ?pool:t.pool ?cluster:t.cluster
-       t.device input ~y ?v ?beta_z ~alpha ())
+       ?into t.device input ~y ?v ?beta_z ~alpha ())
 
 let x_y t input y =
   absorb_result t
@@ -128,13 +128,13 @@ let nrm2 t x =
   absorb_level1 t reports;
   r
 
-let axpy t a x y =
-  let r, reports = Gpulibs.Cublas.axpy t.device a x y in
+let axpy ?into t a x y =
+  let r, reports = Gpulibs.Cublas.axpy ?into t.device a x y in
   absorb_level1 t reports;
   r
 
-let scal t a x =
-  let r, reports = Gpulibs.Cublas.scal t.device a x in
+let scal ?into t a x =
+  let r, reports = Gpulibs.Cublas.scal ?into t.device a x in
   absorb_level1 t reports;
   r
 

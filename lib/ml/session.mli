@@ -86,12 +86,21 @@ val iteration_json : iteration -> Kf_obs.Json.t
 
 val timeline_json : t -> Kf_obs.Json.t
 
-(** {1 Pattern operations} (traced) *)
+(** {1 Pattern operations} (traced)
+
+    [into], when given, receives the result, which is then [into]
+    itself, on every engine ([Fusion.Executor.pattern]'s contract): the
+    fused host kernels write straight into it.  It must have one element per
+    column and must not be [y], [v] or [z] (raises [Invalid_argument]).
+    A solver that keeps one buffer per vector across its iterations
+    allocates no vector per iteration. *)
 
 val xt_y :
+  ?into:Matrix.Vec.t ->
   t -> Fusion.Executor.input -> Matrix.Vec.t -> alpha:float -> Matrix.Vec.t
 
 val pattern :
+  ?into:Matrix.Vec.t ->
   t ->
   Fusion.Executor.input ->
   y:Matrix.Vec.t ->
@@ -140,10 +149,19 @@ val dot : t -> Matrix.Vec.t -> Matrix.Vec.t -> float
 
 val nrm2 : t -> Matrix.Vec.t -> float
 
-val axpy : t -> float -> Matrix.Vec.t -> Matrix.Vec.t -> Matrix.Vec.t
-(** Non-destructive [a*x + y]. *)
+val axpy :
+  ?into:Matrix.Vec.t ->
+  t ->
+  float ->
+  Matrix.Vec.t ->
+  Matrix.Vec.t ->
+  Matrix.Vec.t
+(** [a*x + y]: a fresh vector, or [into] when given.  [into] may be [x]
+    or [y] (the op is element-wise), so [axpy ~into:y t a x y] updates
+    [y] in place.  Costs the same simulated launch either way. *)
 
-val scal : t -> float -> Matrix.Vec.t -> Matrix.Vec.t
+val scal : ?into:Matrix.Vec.t -> t -> float -> Matrix.Vec.t -> Matrix.Vec.t
+(** [a*x]: a fresh vector, or [into] (which may be [x]) when given. *)
 
 val mul_elementwise : t -> Matrix.Vec.t -> Matrix.Vec.t -> Matrix.Vec.t
 

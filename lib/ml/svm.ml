@@ -46,31 +46,12 @@ let restrict_rows input active =
              Dense.get x rows.(r) c))
 
 let cg_solve session sub ~g ~lambda ~iterations ~tolerance =
-  let n = Fusion.Executor.cols sub in
-  let s = ref (Vec.create n) in
-  let r = ref (Vec.scale (-1.0) g) in
-  let p = ref (Vec.copy !r) in
-  let rr = ref (Session.dot session !r !r) in
-  let target = !rr *. tolerance *. tolerance in
-  let count = ref 0 in
-  while !count < iterations && !rr > target do
-    (* H p = 2 * Xsv^T (Xsv p) + lambda p — one fused launch; with no
-       regulariser it is a plain X^T(Xy). *)
-    let beta_z = if lambda = 0.0 then None else Some (lambda, !p) in
-    let hp = Session.pattern session sub ~y:!p ?beta_z ~alpha:2.0 () in
-    let php = Session.dot session !p hp in
-    if php <= 0.0 then count := iterations
-    else begin
-      let alpha = !rr /. php in
-      s := Session.axpy session alpha !p !s;
-      r := Session.axpy session (-.alpha) hp !r;
-      let rr' = Session.dot session !r !r in
-      p := Session.axpy session 1.0 !r (Session.scal session (rr' /. !rr) !p);
-      rr := rr';
-      incr count
-    end
-  done;
-  (!s, !count)
+  Cg.solve session ~r0:(Vec.scale (-1.0) g) ~iterations ~tolerance
+    ~hv:(fun ~p ~into ->
+      (* H p = 2 * Xsv^T (Xsv p) + lambda p — one fused launch; with no
+         regulariser it is a plain X^T(Xy). *)
+      let beta_z = if lambda = 0.0 then None else Some (lambda, p) in
+      ignore (Session.pattern session ~into sub ~y:p ?beta_z ~alpha:2.0 ()))
 
 let fit ?engine ?cluster ?(lambda = 1.0) ?(newton_iterations = 10)
     ?(cg_iterations = 20) ?(tolerance = 1e-6) ?checkpoint ?ckpt_meta ?resume

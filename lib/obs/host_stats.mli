@@ -5,8 +5,8 @@
     engine runs for real, so its observable quantities are the ones a
     CPU profiler reasons with: per-domain busy and idle nanoseconds
     (load imbalance), rows and non-zeros processed per domain
-    (partition balance), accumulator allocations and bytes (the
-    [Dense_acc] working set), tree-merge passes and merges (the
+    (partition balance), accumulators and their bytes (the [Dense_acc]
+    working set of each call), tree-merge passes and merges (the
     inter-block aggregation analogue) and pool jobs dispatched.
 
     A [t] is installed as the ambient {e sink} by whoever wants a
@@ -32,8 +32,13 @@ type t = {
       (** non-zeros (dense: elements) processed per worker *)
   mutable jobs : int;  (** pool jobs (broadcast/join handshakes) *)
   mutable acc_allocations : int;
-      (** per-domain accumulator arrays allocated *)
+      (** per-domain accumulators the host kernels used: one per worker
+          per call.  This is each call's working set, not heap traffic:
+          a calling domain reuses its accumulators from call to call
+          ([Matrix.Blas.par_xt_sparse]), and every call still counts
+          its own. *)
   mutable acc_bytes : int;
+      (** the bytes of those accumulators, [8 * cols] each *)
   mutable merge_passes : int;  (** tree-merge rounds (log depth) *)
   mutable merge_ops : int;  (** pairwise merges across all rounds *)
   mutable merge_bytes : int;

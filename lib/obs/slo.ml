@@ -15,10 +15,11 @@
    signal item 2's deadline-aware shedding will consume: shed
    aggressively as the budget approaches zero, never when it is full.
 
-   Every violation also bumps the process-wide [slo.violations]
-   counter and the labeled [kf_slo_violations] metric, and the
-   remaining budget is published as the [kf_slo_error_budget] gauge, so
-   the scrape endpoint exposes SLO state with no extra wiring. *)
+   Every violation bumps the labeled [kf_slo_violations] metric, and
+   the remaining budget is published as the [kf_slo_error_budget]
+   gauge, so the scrape endpoint exposes SLO state with no extra
+   wiring.  There is no unlabeled process counter beside them: one
+   scrape counts each violation once. *)
 
 type t = {
   name : string;
@@ -35,8 +36,6 @@ type t = {
   m_violations : Metrics.counter;
   m_budget : Metrics.gauge;
 }
-
-let violations_counter = Counter.make "slo.violations"
 
 let create ?(window = 1024) ~target_us ~objective name =
   if window < 1 then invalid_arg "Slo.create: window must be >= 1";
@@ -104,10 +103,7 @@ let record t ~latency_us ~ok =
   end;
   let budget = budget_remaining_locked t in
   Mutex.unlock t.mu;
-  if violation then begin
-    Counter.incr violations_counter;
-    Metrics.inc t.m_violations
-  end;
+  if violation then Metrics.inc t.m_violations;
   Metrics.set t.m_budget budget
 
 let total t = t.total

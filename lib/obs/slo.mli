@@ -8,10 +8,10 @@
     shedding consumes: shed aggressively as {!budget_remaining}
     approaches zero.
 
-    Violations bump the process-wide [slo.violations] counter and the
-    [kf_slo_violations{model=...}] metric; the remaining budget is
-    published as the [kf_slo_error_budget{model=...}] gauge — the
-    scrape endpoint exposes SLO state with no extra wiring.
+    Violations bump the [kf_slo_violations{model=...}] metric (and no
+    other counter, so a scrape counts each one once); the remaining
+    budget is published as the [kf_slo_error_budget{model=...}] gauge —
+    the scrape endpoint exposes SLO state with no extra wiring.
     Thread-safe. *)
 
 type t

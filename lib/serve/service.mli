@@ -178,5 +178,6 @@ val slo : t -> Kf_obs.Slo.t option
 val snapshot : t -> Kf_obs.Json.t
 (** {!stats_json} of a fresh {!stats}, plus the model label, the window
     in force, the live generation and — when an SLO is attached — its
-    state ([slo.error_budget], [slo.violations], …).  What
-    [kf serve --json] embeds under ["service"]. *)
+    {!Kf_obs.Slo.to_json} state under ["slo"] ([error_budget],
+    [violations], …).  What [kf serve --json] embeds under
+    ["service"]. *)

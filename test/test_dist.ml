@@ -434,7 +434,29 @@ let test_executor_dist_engine () =
         (String.length r.Fusion.Executor.engine_used >= 4
         && String.sub r.Fusion.Executor.engine_used 0 4 = "dist");
       Alcotest.(check bool) "dist equals host <= 1e-9" true
-        (max_abs_diff r.Fusion.Executor.w host.Fusion.Executor.w <= 1e-9))
+        (max_abs_diff r.Fusion.Executor.w host.Fusion.Executor.w <= 1e-9);
+      (* [~into] receives the dist result itself, bit for bit *)
+      let into = Array.make 32 nan in
+      let ri =
+        Fusion.Executor.pattern ~engine:Fusion.Executor.Dist ~cluster:c ~into
+          dev (Fusion.Executor.Sparse x) ~y ~v ~beta_z:(0.7, z) ~alpha:1.3 ()
+      in
+      Alcotest.(check bool) "pattern ~into returns into" true
+        (ri.Fusion.Executor.w == into);
+      Alcotest.(check bool) "pattern ~into bit-equal" true
+        (floats_bit_equal into r.Fusion.Executor.w);
+      let p = Array.init 130 (fun i -> float_of_int (i mod 7) -. 3.0) in
+      let xt ?into () =
+        (Fusion.Executor.xt_y ~engine:Fusion.Executor.Dist ~cluster:c ?into dev
+           (Fusion.Executor.Sparse x) p ~alpha:0.5)
+          .Fusion.Executor.w
+      in
+      let into = Array.make 32 nan in
+      let fresh = xt () in
+      Alcotest.(check bool) "xt_y ~into returns into" true
+        (xt ~into () == into);
+      Alcotest.(check bool) "xt_y ~into bit-equal" true
+        (floats_bit_equal into fresh))
 
 let test_glm_trains_on_dist () =
   let rng = Rng.create 50 in

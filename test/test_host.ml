@@ -416,6 +416,213 @@ let test_eq1_no_per_row_allocation () =
       [ (1, Lazy.force pool1); (2, Lazy.force pool2) ]
   end
 
+(* ---- fixed-memory solves: reused accumulators and [?into] ---- *)
+
+(* Recovery attempts so far (KF_FAULTS): a solve that moved this re-ran
+   ops, possibly on the reference, which allocates fresh vectors. *)
+let recoveries () =
+  Kf_obs.Counter.value (Kf_obs.Counter.make "resil.retries")
+  + Kf_obs.Counter.value (Kf_obs.Counter.make "resil.fallbacks")
+
+(* Major-heap words a call allocates.  OCaml 5.1 adds a domain's direct
+   major allocations to [quick_stat]'s count only when a major slice
+   runs, which a [Gc.minor] does not always start (a lone one sometimes
+   left a whole solve's words to the next reading): a full major
+   collection before each reading makes the count exact.  The first
+   call grows the calling domain's accumulators; the second is
+   measured. *)
+let major_words f =
+  let major () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.major_words
+  in
+  ignore (f ());
+  let before = major () and r0 = recoveries () in
+  let r = f () in
+  (major () -. before, r, recoveries () = r0)
+
+(* A host solve keeps its vectors across iterations: two solves that
+   differ only in their CG iteration count allocate within one vector
+   of each other.  1,024 columns put every vector (1,025 words) on the
+   major heap, where arrays of more than 256 words go. *)
+let test_solve_memory_is_fixed () =
+  let rng = Rng.create 1024 in
+  let cols = 1024 and rows = 3000 in
+  let x = Gen.sparse_uniform rng ~rows ~cols ~density:0.01 in
+  let input = Fusion.Executor.Sparse x in
+  let truth = Gen.vector rng cols in
+  let raw = Blas.csrmv x truth in
+  let labels = Kf_ml.Dataset.classification_targets raw in
+  let counts = Array.map (fun t -> Float.round (exp (0.2 *. t))) raw in
+  let host = Fusion.Executor.Host in
+  (* each solver with its short and long iteration budget, returning
+     the iterations it ran *)
+  let solvers =
+    [
+      ( "Linreg_cg.fit", (5, 15),
+        fun n ->
+          (Kf_ml.Linreg_cg.fit ~engine:host ~max_iterations:n device input
+             ~targets:raw)
+            .Kf_ml.Linreg_cg.iterations );
+      (* a strong regulariser keeps the Newton step inside the initial
+         trust region, so Steihaug runs its budget instead of stopping
+         at the boundary *)
+      ( "Logreg.fit", (2, 10),
+        fun n ->
+          (Kf_ml.Logreg.fit ~engine:host ~lambda:1000.0 ~tolerance:1e-14
+             ~newton_iterations:1 ~cg_iterations:n device input ~labels)
+            .Kf_ml.Logreg.cg_iterations );
+      ( "Glm.fit", (2, 10),
+        fun n ->
+          (Kf_ml.Glm.fit ~engine:host ~newton_iterations:1 ~cg_iterations:n
+             device input ~targets:counts)
+            .Kf_ml.Glm.cg_iterations );
+      ( "Svm.fit", (2, 10),
+        fun n ->
+          (Kf_ml.Svm.fit ~engine:host ~newton_iterations:1 ~cg_iterations:n
+             device input ~labels)
+            .Kf_ml.Svm.cg_iterations );
+    ]
+  in
+  List.iter
+    (fun (name, (few, many), solve) ->
+      let short, it_short, clean_short = major_words (fun () -> solve few) in
+      let long, it_long, clean_long = major_words (fun () -> solve many) in
+      if it_short >= it_long then
+        Alcotest.failf "%s: %d and %d iterations do not differ" name it_short
+          it_long;
+      if clean_short && clean_long && Float.abs (long -. short) > 1025.0 then
+        Alcotest.failf
+          "%s: %.0f major words at %d iterations vs %.0f at %d (more than one \
+           vector apart)"
+          name long it_long short it_short)
+    solvers
+
+let square =
+  lazy (Gen.sparse_uniform (Rng.create 33) ~rows:24 ~cols:24 ~density:0.3)
+
+(* [~into] on every engine returns [into] itself, bit-equal to the same
+   call without it; an [into] that is an input is refused. *)
+let test_into_contract () =
+  let x = Lazy.force square in
+  let xd = Gen.dense (Rng.create 34) ~rows:24 ~cols:24 in
+  let rng = Rng.create 35 in
+  let y = Gen.vector rng 24 and v = Gen.vector rng 24 in
+  let z = Gen.vector rng 24 in
+  let engines =
+    Fusion.Executor.
+      [
+        ("fused", Fused, None);
+        ("library", Library, None);
+        ("host d=1", Host, Some (Lazy.force pool1));
+        ("host d=2", Host, Some (Lazy.force pool2));
+      ]
+  in
+  let ops =
+    [
+      ( "X^T(Xy)",
+        fun into e pool i ->
+          Fusion.Executor.pattern ~engine:e ?pool ?into device i ~y ~alpha:1.5
+            () );
+      ( "X^T(v.(Xy))+bz",
+        fun into e pool i ->
+          Fusion.Executor.pattern ~engine:e ?pool ?into device i ~y ~v
+            ~beta_z:(0.5, z) ~alpha:1.5 () );
+      ( "X^T(Xy)+bz",
+        fun into e pool i ->
+          Fusion.Executor.pattern ~engine:e ?pool ?into device i ~y
+            ~beta_z:(0.5, z) ~alpha:(-1.0) () );
+      ( "X^T y",
+        fun into e pool i ->
+          Fusion.Executor.xt_y ~engine:e ?pool ?into device i y ~alpha:0.25 );
+    ]
+  in
+  List.iter
+    (fun (ename, engine, pool) ->
+      List.iter
+        (fun input ->
+          List.iter
+            (fun (oname, op) ->
+              let what = Printf.sprintf "%s on %s" oname ename in
+              let fresh = (op None engine pool input).Fusion.Executor.w in
+              let into = Array.make 24 nan in
+              let w = (op (Some into) engine pool input).Fusion.Executor.w in
+              Alcotest.(check bool) (what ^ ": returns into") true (w == into);
+              ignore (same_bits ~what fresh into))
+            ops;
+          List.iter
+            (fun (aname, into) ->
+              match
+                Fusion.Executor.pattern ~engine ?pool ~into device input ~y ~v
+                  ~beta_z:(0.5, z) ~alpha:1.0 ()
+              with
+              | _ -> Alcotest.failf "into = %s accepted on %s" aname ename
+              | exception Invalid_argument _ -> ())
+            [ ("y", y); ("v", v); ("z", z) ];
+          match
+            Fusion.Executor.xt_y ~engine ?pool ~into:y device input y ~alpha:1.0
+          with
+          | _ -> Alcotest.failf "xt_y into = y accepted on %s" ename
+          | exception Invalid_argument _ -> ())
+        [ Fusion.Executor.Sparse x; Fusion.Executor.Dense xd ])
+    engines
+
+(* A poisoned first attempt is retried into the same [into]: the result
+   equals the fault-free one. *)
+let test_into_nan_recovery () =
+  let x = Lazy.force square in
+  let rng = Rng.create 36 in
+  let y = Gen.vector rng 24 and z = Gen.vector rng 24 in
+  List.iter
+    (fun (d, pool) ->
+      let run () =
+        let into = Array.make 24 0.0 in
+        let r =
+          Fusion.Executor.pattern ~engine:Fusion.Executor.Host ~pool ~into
+            device (Sparse x) ~y ~beta_z:(0.5, z) ~alpha:1.0 ()
+        in
+        Alcotest.(check bool) "returns into" true (r.Fusion.Executor.w == into);
+        into
+      in
+      let clean = Kf_resil.Fault.with_config "" run in
+      let before = recoveries () in
+      let healed = Kf_resil.Fault.with_config "nan:after=0:times=1" run in
+      Alcotest.(check bool)
+        (Printf.sprintf "d=%d: a recovery ran" d)
+        true
+        (recoveries () > before);
+      ignore (same_bits ~what:(Printf.sprintf "d=%d healed" d) clean healed))
+    [ (1, Lazy.force pool1); (2, Lazy.force pool2) ]
+
+(* Two domains call kernels on one shared pool at once.  The
+   accumulators belong to the calling domain, so an op that runs
+   between another's scatter and merge jobs cannot touch its partials:
+   every result equals the same call made alone. *)
+let test_shared_pool_two_callers () =
+  let rng = Rng.create 37 in
+  let x = Gen.sparse_uniform rng ~rows:400 ~cols:300 ~density:0.05 in
+  let x' = Gen.sparse_uniform rng ~rows:300 ~cols:500 ~density:0.05 in
+  let y = Gen.vector rng 300 and y' = Gen.vector rng 500 in
+  let z = Gen.vector rng 300 in
+  List.iter
+    (fun (d, pool) ->
+      let a () =
+        Fusion.Host_fused.pattern_sparse ~pool ~alpha:1.0 x y ~beta:0.5 ~z ()
+      in
+      let b () = Fusion.Host_fused.pattern_sparse ~pool ~alpha:2.0 x' y' () in
+      let want_a = a () and want_b = b () in
+      let calls who f want =
+        let what = Printf.sprintf "d=%d caller %d" d who in
+        for _ = 1 to 200 do
+          ignore (same_bits ~what (f ()) want)
+        done
+      in
+      let other = Domain.spawn (fun () -> calls 2 b want_b) in
+      Fun.protect
+        ~finally:(fun () -> Domain.join other)
+        (fun () -> calls 1 a want_a))
+    [ (2, Lazy.force pool2); (4, Lazy.force pool4) ]
+
 let suite =
   [
     with_wide_case test_sparse_matches wide_sparse_matches;
@@ -431,4 +638,12 @@ let suite =
     Alcotest.test_case "LR-CG end-to-end on host" `Quick test_session_host_lr;
     Alcotest.test_case "Equation-1 kernels allocate nothing per row" `Quick
       test_eq1_no_per_row_allocation;
+    Alcotest.test_case "solve memory does not grow with CG iterations" `Quick
+      test_solve_memory_is_fixed;
+    Alcotest.test_case "into is the result on every engine" `Quick
+      test_into_contract;
+    Alcotest.test_case "into survives a nan retry" `Quick
+      test_into_nan_recovery;
+    Alcotest.test_case "two callers share one pool" `Quick
+      test_shared_pool_two_callers;
   ]

@@ -674,6 +674,10 @@ let test_slo_budget_arithmetic () =
     (Kf_obs.Slo.budget_remaining s);
   Alcotest.(check int) "lifetime total" 21 (Kf_obs.Slo.total s);
   Alcotest.(check int) "lifetime violations" 2 (Kf_obs.Slo.violations s);
+  (* a violation is counted once per scrape: no process counter beside
+     the labelled metric *)
+  Alcotest.(check bool) "no slo.violations process counter" false
+    (List.mem_assoc "slo.violations" (Kf_obs.Counter.all ()));
   (* the registry publishes SLO state without extra wiring *)
   let snap = Kf_obs.Metrics.snapshot () in
   (match
