@@ -84,11 +84,13 @@ bench-check: bench-host-small bench-plan-small bench-serve-small \
 # Bit-exactness gate: re-run the 32 `kf train --json` runs in
 # test/golden/train_checksums.tsv (8 algorithms x fused, host on 1 and
 # on 2 domains at 256 columns, plus the 4 CG solvers on the host at
-# 1,024) and print every row whose weights checksum differs.
+# 1,024) and the 8 checkpoint-writing runs in
+# test/golden/ckpt_checksums.tsv, and print every row whose weights or
+# checkpoint payload checksum differs.
 golden-check:
 	dune build bin/kf.exe
 	sh test/golden/check.sh _build/default/bin/kf.exe \
-	  test/golden/train_checksums.tsv
+	  test/golden/train_checksums.tsv test/golden/ckpt_checksums.tsv
 
 examples:
 	for e in quickstart linear_regression spam_filter page_quality \

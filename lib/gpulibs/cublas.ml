@@ -90,33 +90,18 @@ let gemv_t device (x : Matrix.Dense.t) p =
   in
   (result, [ report ])
 
-(* The Level-1 output: [into] (any vector of the right length, inputs
-   included, since these ops are element-wise) or a fresh one. *)
-let output ~name n = function
-  | None -> Array.create_float n
-  | Some o ->
-      if Array.length o <> n then
-        invalid_arg (name ^ ": into dimension mismatch");
-      o
-
 let axpy ?into device a x y =
   let n = Array.length x in
-  if Array.length y <> n then invalid_arg "Cublas.axpy: dimension mismatch";
-  let out = output ~name:"Cublas.axpy" n into in
   let result, report =
     Sim.run device (vector_launch n) ~name:"cublas_daxpy" (fun ctx ->
         charge_vector_stream ctx ~loads_elts:(2 * n) ~stores_elts:n;
         Sim.flops ctx (2 * n);
-        for i = 0 to n - 1 do
-          out.(i) <- (a *. x.(i)) +. y.(i)
-        done;
-        out)
+        Matrix.Vec.add_scaled ?into a x y)
   in
   (result, [ report ])
 
 let dot device x y =
   let n = Array.length x in
-  if Array.length y <> n then invalid_arg "Cublas.dot: dimension mismatch";
   let result, report =
     Sim.run device (vector_launch n) ~name:"cublas_ddot" (fun ctx ->
         charge_vector_stream ctx ~loads_elts:(2 * n) ~stores_elts:0;
@@ -136,15 +121,11 @@ let nrm2 device x =
 
 let scal ?into device a x =
   let n = Array.length x in
-  let out = output ~name:"Cublas.scal" n into in
   let result, report =
     Sim.run device (vector_launch n) ~name:"cublas_dscal" (fun ctx ->
         charge_vector_stream ctx ~loads_elts:n ~stores_elts:n;
         Sim.flops ctx n;
-        for i = 0 to n - 1 do
-          out.(i) <- a *. x.(i)
-        done;
-        out)
+        Matrix.Vec.scale ?into a x)
   in
   (result, [ report ])
 
@@ -159,8 +140,6 @@ let copy device x =
 
 let mul_elementwise device v p =
   let n = Array.length v in
-  if Array.length p <> n then
-    invalid_arg "Cublas.mul_elementwise: dimension mismatch";
   let result, report =
     Sim.run device (vector_launch n) ~name:"custom_hadamard" (fun ctx ->
         charge_vector_stream ctx ~loads_elts:(2 * n) ~stores_elts:n;

@@ -14,16 +14,37 @@ let check_same_length name x y =
       (Printf.sprintf "Vec.%s: length mismatch (%d vs %d)" name
          (Array.length x) (Array.length y))
 
-let scal a x =
+(* The destination of an element-wise op: [into] (any vector of the
+   right length, the inputs included) or a fresh one. *)
+let output name n = function
+  | None -> Array.create_float n
+  | Some o ->
+      if Array.length o <> n then
+        invalid_arg
+          (Printf.sprintf "Vec.%s: into length mismatch (%d vs %d)" name
+             (Array.length o) n);
+      o
+
+let scale ?into a x =
+  let out = output "scale" (Array.length x) into in
   for i = 0 to Array.length x - 1 do
-    x.(i) <- a *. x.(i)
-  done
+    out.(i) <- a *. x.(i)
+  done;
+  out
+
+let add_scaled ?into a x y =
+  check_same_length "add_scaled" x y;
+  let out = output "add_scaled" (Array.length x) into in
+  for i = 0 to Array.length x - 1 do
+    out.(i) <- (a *. x.(i)) +. y.(i)
+  done;
+  out
+
+let scal a x = ignore (scale ~into:x a x)
 
 let axpy a x y =
   check_same_length "axpy" x y;
-  for i = 0 to Array.length x - 1 do
-    y.(i) <- (a *. x.(i)) +. y.(i)
-  done
+  ignore (add_scaled ~into:y a x y)
 
 let dot x y =
   check_same_length "dot" x y;
@@ -66,13 +87,6 @@ let sub x y =
   let out = Array.create_float (Array.length x) in
   for i = 0 to Array.length x - 1 do
     out.(i) <- x.(i) -. y.(i)
-  done;
-  out
-
-let scale a x =
-  let out = Array.create_float (Array.length x) in
-  for i = 0 to Array.length x - 1 do
-    out.(i) <- a *. x.(i)
   done;
   out
 

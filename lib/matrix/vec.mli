@@ -38,8 +38,14 @@ val add : t -> t -> t
 
 val sub : t -> t -> t
 
-val scale : float -> t -> t
-(** Non-destructive scaling. *)
+val scale : ?into:t -> float -> t -> t
+(** [a * x]: a fresh vector, or [into] when given, which may be [x]
+    itself.  Raises [Invalid_argument] if [into] has another length. *)
+
+val add_scaled : ?into:t -> float -> t -> t -> t
+(** [a * x + y]: a fresh vector, or [into] when given, which may be [x]
+    or [y] ([add_scaled ~into:y a x y] is {!axpy}).  Raises
+    [Invalid_argument] unless [x], [y] and [into] have one length. *)
 
 val max_abs_diff : t -> t -> float
 (** Largest absolute component-wise difference; used by tests to compare a

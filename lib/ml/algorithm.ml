@@ -141,12 +141,12 @@ let predict_with sc input = sc.s_finish (Array.map (matvec input) sc.s_vecs)
    needs one per class), with the link applied as a host-side epilogue.
    All the fusion economics of serving live here: scoring a coalesced
    block of requests costs the same number of launches as scoring one. *)
-let predict_exec_with sc ?engine ?pool ?cluster device input =
+let predict_exec_with sc ?engine ?pool device input =
   let ms = ref 0.0 in
   let margins =
     Array.map
       (fun v ->
-        let r = Fusion.Executor.x_y ?engine ?pool ?cluster device input v in
+        let r = Fusion.Executor.x_y ?engine ?pool device input v in
         ms := !ms +. r.Fusion.Executor.time_ms;
         r.Fusion.Executor.w)
       sc.s_vecs
@@ -155,5 +155,5 @@ let predict_exec_with sc ?engine ?pool ?cluster device input =
 
 let predict (module A : S) w input = predict_with (A.scorer w) input
 
-let predict_exec (module A : S) ?engine ?pool ?cluster device w input =
-  predict_exec_with (A.scorer w) ?engine ?pool ?cluster device input
+let predict_exec (module A : S) ?engine ?pool device w input =
+  predict_exec_with (A.scorer w) ?engine ?pool device input

@@ -101,7 +101,6 @@ val predict_exec :
   (module S) ->
   ?engine:Fusion.Executor.engine ->
   ?pool:Par.Pool.t ->
-  ?cluster:Kf_dist.Cluster.t ->
   Gpu_sim.Device.t ->
   weights ->
   Fusion.Executor.input ->
@@ -118,7 +117,6 @@ val predict_exec_with :
   scorer ->
   ?engine:Fusion.Executor.engine ->
   ?pool:Par.Pool.t ->
-  ?cluster:Kf_dist.Cluster.t ->
   Gpu_sim.Device.t ->
   Fusion.Executor.input ->
   Matrix.Vec.t * float

@@ -75,7 +75,7 @@ let cg_solve session input ~d ~g ~iterations ~tolerance =
       ignore (Session.pattern session ~into input ~y:p ?v ~alpha:1.0 ());
       ignore (Session.axpy session ~into eps p into))
 
-let fit ?engine ?cluster ?(family = poisson) ?(newton_iterations = 10)
+let fit ?engine ?(family = poisson) ?(newton_iterations = 10)
     ?(cg_iterations = 20) ?(tolerance = 1e-6) ?checkpoint ?ckpt_meta ?resume
     device input ~targets =
   let m = Fusion.Executor.rows input in
@@ -88,11 +88,9 @@ let fit ?engine ?cluster ?(family = poisson) ?(newton_iterations = 10)
           (Printf.sprintf "Glm.fit: invalid target for the %s family"
              family.family_name))
     targets;
-  let session = Session.create ?engine ?cluster device ~algorithm:"GLM" in
-  (match checkpoint with
-  | Some (path, every) ->
-      Session.set_checkpoint ?meta:ckpt_meta session ~path ~every
-  | None -> ());
+  let session =
+    Session.create ?engine ?checkpoint ?ckpt_meta device ~algorithm:"GLM"
+  in
   Kf_obs.Trace.with_span "fit.GLM" @@ fun () ->
   let n = Fusion.Executor.cols input in
   let w = ref (Vec.create n) in
@@ -100,23 +98,16 @@ let fit ?engine ?cluster ?(family = poisson) ?(newton_iterations = 10)
   let newton = ref 0 in
   let deviance = ref infinity in
   let continue_ = ref true in
-  (match resume with
-  | Some path ->
-      let st = Session.resume session ~path in
-      w := Kf_resil.Ckpt.get_floats st "glm.w";
-      cg_total := Kf_resil.Ckpt.get_int st "glm.cg_total";
-      newton := Kf_resil.Ckpt.get_int st "glm.newton";
-      deviance := Kf_resil.Ckpt.get_float st "glm.deviance";
-      continue_ := Kf_resil.Ckpt.get_int st "glm.continue" <> 0
-  | None -> ());
-  Session.set_state_fn session (fun () ->
-      [
-        ("glm.w", Kf_resil.Ckpt.Floats !w);
-        ("glm.cg_total", Kf_resil.Ckpt.Int !cg_total);
-        ("glm.newton", Kf_resil.Ckpt.Int !newton);
-        ("glm.deviance", Kf_resil.Ckpt.Float !deviance);
-        ("glm.continue", Kf_resil.Ckpt.Int (if !continue_ then 1 else 0));
-      ]);
+  ignore
+    (Session.state ?resume session
+       Session.State.
+         [
+           vec "glm.w" w;
+           int "glm.cg_total" cg_total;
+           int "glm.newton" newton;
+           float "glm.deviance" deviance;
+           flag "glm.continue" continue_;
+         ]);
   while !newton < newton_iterations && !continue_ do
     Session.iteration session (fun () ->
         let eta = Session.x_y session input !w in

@@ -41,7 +41,6 @@ type result = {
 
 val fit :
   ?engine:Fusion.Executor.engine ->
-  ?cluster:Kf_dist.Cluster.t ->
   ?family:family ->
   ?newton_iterations:int ->
   ?cg_iterations:int ->

@@ -17,41 +17,31 @@ type result = {
    the logistic squashes it into an attraction weight, and the SpMM
    aggregates the weighted neighbour rows — all without materialising
    the nodes x nodes attraction matrix. *)
-let run ?engine ?pool ?(iterations = 10) ?(lr = 0.5) ?(tolerance = 0.0)
-    ?checkpoint ?ckpt_meta ?resume device (g : Csr.t) (h0 : Dense.t) =
+let run ?engine ?(iterations = 10) ?(lr = 0.5) ?(tolerance = 0.0) ?checkpoint
+    ?ckpt_meta ?resume device (g : Csr.t) (h0 : Dense.t) =
   if g.rows <> g.cols then
     invalid_arg "Graphemb.run: adjacency matrix must be square";
   if h0.rows <> g.rows then
     invalid_arg "Graphemb.run: the embedding must have one row per node";
   if lr <= 0.0 || lr > 1.0 then
     invalid_arg "Graphemb.run: lr must be in (0, 1]";
-  let session = Session.create ?engine ?pool device ~algorithm:"GraphEmb" in
-  (match checkpoint with
-  | Some (path, every) ->
-      Session.set_checkpoint ?meta:ckpt_meta session ~path ~every
-  | None -> ());
+  let session =
+    Session.create ?engine ?checkpoint ?ckpt_meta device ~algorithm:"GraphEmb"
+  in
   Kf_obs.Trace.with_span "fit.GraphEmb" @@ fun () ->
   let n = g.rows and d = h0.cols in
   let h = Dense.create n d in
   Array.blit h0.data 0 h.data 0 (n * d);
   let delta = ref infinity in
   let i = ref 0 in
-  (match resume with
-  | Some path ->
-      let st = Session.resume session ~path in
-      let data = Kf_resil.Ckpt.get_floats st "graphemb.h" in
-      if Array.length data <> n * d then
-        invalid_arg "Graphemb.run: checkpoint embedding has the wrong shape";
-      Array.blit data 0 h.data 0 (n * d);
-      delta := Kf_resil.Ckpt.get_float st "graphemb.delta";
-      i := Kf_resil.Ckpt.get_int st "graphemb.i"
-  | None -> ());
-  Session.set_state_fn session (fun () ->
-      [
-        ("graphemb.h", Kf_resil.Ckpt.Floats (Array.copy h.data));
-        ("graphemb.delta", Kf_resil.Ckpt.Float !delta);
-        ("graphemb.i", Kf_resil.Ckpt.Int !i);
-      ]);
+  ignore
+    (Session.state ?resume session
+       Session.State.
+         [
+           buffer "graphemb.h" h.data;
+           float "graphemb.delta" delta;
+           int "graphemb.i" i;
+         ]);
   while !i < iterations && !delta > tolerance do
     Session.iteration session (fun () ->
         let z =

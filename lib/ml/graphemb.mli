@@ -22,7 +22,6 @@ type result = {
 
 val run :
   ?engine:Fusion.Executor.engine ->
-  ?pool:Par.Pool.t ->
   ?iterations:int ->
   ?lr:float ->
   ?tolerance:float ->

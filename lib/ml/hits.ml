@@ -10,40 +10,31 @@ type result = {
   timeline : Session.iteration list;
 }
 
-let run ?engine ?cluster ?(iterations = 50) ?(tolerance = 1e-9) ?checkpoint
-    ?ckpt_meta
+let run ?engine ?(iterations = 50) ?(tolerance = 1e-9) ?checkpoint ?ckpt_meta
     ?resume device (adjacency : Csr.t) =
   if adjacency.rows <> adjacency.cols then
     invalid_arg "Hits.run: adjacency matrix must be square";
-  let session = Session.create ?engine ?cluster device ~algorithm:"HITS" in
-  (match checkpoint with
-  | Some (path, every) ->
-      Session.set_checkpoint ?meta:ckpt_meta session ~path ~every
-  | None -> ());
+  let session =
+    Session.create ?engine ?checkpoint ?ckpt_meta device ~algorithm:"HITS"
+  in
   Kf_obs.Trace.with_span "fit.HITS" @@ fun () ->
   let input = Fusion.Executor.Sparse adjacency in
   let nodes = adjacency.rows in
-  let a = ref [||] in
+  let a = ref (Vec.create nodes) in
   let delta = ref infinity in
   let i = ref 0 in
-  (match resume with
-  | Some path ->
-      let st = Session.resume session ~path in
-      a := Kf_resil.Ckpt.get_floats st "hits.a";
-      delta := Kf_resil.Ckpt.get_float st "hits.delta";
-      i := Kf_resil.Ckpt.get_int st "hits.i"
-  | None ->
-      let h0 = Array.make nodes (1.0 /. sqrt (float_of_int nodes)) in
-      (* first authority scores from the initial hubs: a = A^T h *)
-      a := Session.xt_y session input h0 ~alpha:1.0;
-      let norm = Session.nrm2 session !a in
-      if norm > 0.0 then a := Session.scal session (1.0 /. norm) !a);
-  Session.set_state_fn session (fun () ->
-      [
-        ("hits.a", Kf_resil.Ckpt.Floats !a);
-        ("hits.delta", Kf_resil.Ckpt.Float !delta);
-        ("hits.i", Kf_resil.Ckpt.Int !i);
-      ]);
+  let resumed =
+    Session.state ?resume session
+      Session.State.
+        [ vec "hits.a" a; float "hits.delta" delta; int "hits.i" i ]
+  in
+  if not resumed then begin
+    let h0 = Array.make nodes (1.0 /. sqrt (float_of_int nodes)) in
+    (* first authority scores from the initial hubs: a = A^T h *)
+    a := Session.xt_y session input h0 ~alpha:1.0;
+    let norm = Session.nrm2 session !a in
+    if norm > 0.0 then a := Session.scal session (1.0 /. norm) !a
+  end;
   while !i < iterations && !delta > tolerance do
     Session.iteration session (fun () ->
         (* fused double step: a' = A^T (A a) *)

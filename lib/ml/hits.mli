@@ -18,7 +18,6 @@ type result = {
 
 val run :
   ?engine:Fusion.Executor.engine ->
-  ?cluster:Kf_dist.Cluster.t ->
   ?iterations:int ->
   ?tolerance:float ->
   ?checkpoint:string * int ->

@@ -11,50 +11,42 @@ type result = {
   timeline : Session.iteration list;
 }
 
-let fit ?engine ?cluster ?(max_iterations = 100) ?(tolerance = 1e-6)
-    ?(eps = 0.001)
+let fit ?engine ?(max_iterations = 100) ?(tolerance = 1e-6) ?(eps = 0.001)
     ?checkpoint ?ckpt_meta ?resume device input ~targets =
   if Array.length targets <> Fusion.Executor.rows input then
     invalid_arg "Linreg_cg.fit: one target per row required";
-  let session = Session.create ?engine ?cluster device ~algorithm:"LR" in
-  (match checkpoint with
-  | Some (path, every) ->
-      Session.set_checkpoint ?meta:ckpt_meta session ~path ~every
-  | None -> ());
+  let session =
+    Session.create ?engine ?checkpoint ?ckpt_meta device ~algorithm:"LR"
+  in
   Kf_obs.Trace.with_span "fit.LR" @@ fun () ->
   let n = Fusion.Executor.cols input in
   (* [w], [r], [p] and [q] are the solve's only vectors: every
      iteration overwrites them in place. *)
-  let w, r, p, nr2, nr2_target, i =
-    match resume with
-    | Some path ->
-        let st = Session.resume session ~path in
-        ( Kf_resil.Ckpt.get_floats st "lr.w",
-          Kf_resil.Ckpt.get_floats st "lr.r",
-          Kf_resil.Ckpt.get_floats st "lr.p",
-          ref (Kf_resil.Ckpt.get_float st "lr.nr2"),
-          Kf_resil.Ckpt.get_float st "lr.nr2_target",
-          ref (Kf_resil.Ckpt.get_int st "lr.i") )
-    | None ->
-        (* r = -(X^T t);  p = -r *)
-        let r = Session.xt_y session input targets ~alpha:(-1.0) in
-        let p = Session.scal session (-1.0) r in
-        let nr2 = Session.dot session r r in
-        (* derived before the loop, so it must be checkpointed, not
-           recomputed: resuming re-derives nothing *)
-        (Vec.create n, r, p, ref nr2, nr2 *. tolerance *. tolerance, ref 0)
-  in
+  let w = Vec.create n and r = Vec.create n and p = Vec.create n in
   let q = Vec.create n in
-  Session.set_state_fn session (fun () ->
-      [
-        ("lr.w", Kf_resil.Ckpt.Floats w);
-        ("lr.r", Kf_resil.Ckpt.Floats r);
-        ("lr.p", Kf_resil.Ckpt.Floats p);
-        ("lr.nr2", Kf_resil.Ckpt.Float !nr2);
-        ("lr.nr2_target", Kf_resil.Ckpt.Float nr2_target);
-        ("lr.i", Kf_resil.Ckpt.Int !i);
-      ]);
-  while !i < max_iterations && !nr2 > nr2_target do
+  let nr2 = ref 0.0 and nr2_target = ref 0.0 and i = ref 0 in
+  let resumed =
+    Session.state ?resume session
+      Session.State.
+        [
+          buffer "lr.w" w;
+          buffer "lr.r" r;
+          buffer "lr.p" p;
+          float "lr.nr2" nr2;
+          (* derived before the loop, so it must be checkpointed, not
+             recomputed: resuming re-derives nothing *)
+          float "lr.nr2_target" nr2_target;
+          int "lr.i" i;
+        ]
+  in
+  if not resumed then begin
+    (* r = -(X^T t);  p = -r *)
+    ignore (Session.xt_y session ~into:r input targets ~alpha:(-1.0));
+    ignore (Session.scal session ~into:p (-1.0) r);
+    nr2 := Session.dot session r r;
+    nr2_target := !nr2 *. tolerance *. tolerance
+  end;
+  while !i < max_iterations && !nr2 > !nr2_target do
     Session.iteration session (fun () ->
         (* q = X^T (X p) + eps * p — the pattern of Table 1 row 4; an
            unregularised solve (eps = 0) degrades to plain X^T(Xy). *)

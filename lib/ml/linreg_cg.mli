@@ -19,7 +19,6 @@ type result = {
 
 val fit :
   ?engine:Fusion.Executor.engine ->
-  ?cluster:Kf_dist.Cluster.t ->
   ?max_iterations:int ->
   ?tolerance:float ->
   ?eps:float ->
@@ -37,7 +36,9 @@ val fit :
     [every]-th CG iteration; [resume:path] restores the full solver
     state (w, r, p, residual norms, iteration counter, pattern trace)
     bit-exactly, so a resumed run converges to the identical model.
-    [ckpt_meta] fields ride in each checkpoint unchanged. *)
+    A checkpoint of another column count is refused with
+    [Kf_resil.Ckpt.Corrupt] naming ["lr.w"].  [ckpt_meta] fields ride
+    in each checkpoint unchanged (see {!Session.create}). *)
 
 (** CPU reference execution with wall-clock time bucketed by operation
     class — the measurement behind Table 2. *)

@@ -74,7 +74,7 @@ let steihaug session input ~d ~g ~lambda ~delta ~iterations ~tolerance =
   done;
   (!s, !count)
 
-let fit ?engine ?cluster ?(lambda = 1.0) ?(newton_iterations = 15)
+let fit ?engine ?(lambda = 1.0) ?(newton_iterations = 15)
     ?(cg_iterations = 25) ?(tolerance = 1e-5) ?checkpoint ?ckpt_meta ?resume
     device input ~labels =
   let m = Fusion.Executor.rows input in
@@ -85,43 +85,35 @@ let fit ?engine ?cluster ?(lambda = 1.0) ?(newton_iterations = 15)
       if l <> 1.0 && l <> -1.0 then
         invalid_arg "Logreg.fit: labels must be +1/-1")
     labels;
-  let session = Session.create ?engine ?cluster device ~algorithm:"LogReg" in
-  (match checkpoint with
-  | Some (path, every) ->
-      Session.set_checkpoint ?meta:ckpt_meta session ~path ~every
-  | None -> ());
+  let session =
+    Session.create ?engine ?checkpoint ?ckpt_meta device ~algorithm:"LogReg"
+  in
   Kf_obs.Trace.with_span "fit.LogReg" @@ fun () ->
   let n = Fusion.Executor.cols input in
   let w = ref (Vec.create n) in
   let delta = ref 1.0 in
   let cg_total = ref 0 in
   let newton = ref 0 in
-  let margins = ref [||] in
+  let margins = ref (Vec.create m) in
   let current_loss = ref 0.0 in
   let converged = ref false in
-  (match resume with
-  | Some path ->
-      let st = Session.resume session ~path in
-      w := Kf_resil.Ckpt.get_floats st "logreg.w";
-      delta := Kf_resil.Ckpt.get_float st "logreg.delta";
-      cg_total := Kf_resil.Ckpt.get_int st "logreg.cg_total";
-      newton := Kf_resil.Ckpt.get_int st "logreg.newton";
-      margins := Kf_resil.Ckpt.get_floats st "logreg.margins";
-      current_loss := Kf_resil.Ckpt.get_float st "logreg.loss";
-      converged := Kf_resil.Ckpt.get_int st "logreg.converged" <> 0
-  | None ->
-      margins := Session.x_y session input !w;
-      current_loss := loss_of ~lambda ~labels !margins !w);
-  Session.set_state_fn session (fun () ->
-      [
-        ("logreg.w", Kf_resil.Ckpt.Floats !w);
-        ("logreg.delta", Kf_resil.Ckpt.Float !delta);
-        ("logreg.cg_total", Kf_resil.Ckpt.Int !cg_total);
-        ("logreg.newton", Kf_resil.Ckpt.Int !newton);
-        ("logreg.margins", Kf_resil.Ckpt.Floats !margins);
-        ("logreg.loss", Kf_resil.Ckpt.Float !current_loss);
-        ("logreg.converged", Kf_resil.Ckpt.Int (if !converged then 1 else 0));
-      ]);
+  let resumed =
+    Session.state ?resume session
+      Session.State.
+        [
+          vec "logreg.w" w;
+          float "logreg.delta" delta;
+          int "logreg.cg_total" cg_total;
+          int "logreg.newton" newton;
+          vec "logreg.margins" margins;
+          float "logreg.loss" current_loss;
+          flag "logreg.converged" converged;
+        ]
+  in
+  if not resumed then begin
+    margins := Session.x_y session input !w;
+    current_loss := loss_of ~lambda ~labels !margins !w
+  end;
   while !newton < newton_iterations && not !converged do
     Session.iteration session (fun () ->
         let sigma =

@@ -20,7 +20,6 @@ type result = {
 
 val fit :
   ?engine:Fusion.Executor.engine ->
-  ?cluster:Kf_dist.Cluster.t ->
   ?lambda:float ->
   ?newton_iterations:int ->
   ?cg_iterations:int ->

@@ -9,14 +9,24 @@ type result = {
   timeline : Session.iteration list;
 }
 
-let margins input weights =
-  match input with
-  | Fusion.Executor.Sparse x -> Blas.csrmv x weights
-  | Fusion.Executor.Dense x -> Blas.gemv x weights
+(* The predicted class of every row: the argmax over its per-class
+   margins (ties go to the lower class). *)
+let argmax_classes margins =
+  let classes = Array.length margins in
+  let m = Array.length margins.(0) in
+  Array.init m (fun i ->
+      let best = ref 0 in
+      for k = 1 to classes - 1 do
+        if margins.(k).(i) > margins.(!best).(i) then best := k
+      done;
+      !best)
+
+let predict r input =
+  argmax_classes (Array.map (Algorithm.matvec input) r.class_weights)
 
 let algorithm_name = "LogReg-multinomial"
 
-let fit ?engine ?cluster ?(lambda = 1.0) ?(newton_iterations = 10)
+let fit ?engine ?(lambda = 1.0) ?(newton_iterations = 10)
     ?(cg_iterations = 20) ?checkpoint ?(ckpt_meta = []) ?resume device input
     ~labels ~classes =
   if classes < 2 then invalid_arg "Multinomial.fit: need at least 2 classes";
@@ -99,7 +109,7 @@ let fit ?engine ?cluster ?(lambda = 1.0) ?(newton_iterations = 10)
         let r =
           Kf_obs.Trace.with_span ~args:[ ("class", string_of_int k) ]
             "fit.class" (fun () ->
-              Logreg.fit ?engine ?cluster ~lambda ~newton_iterations
+              Logreg.fit ?engine ~lambda ~newton_iterations
                 ~cg_iterations device input ~labels:binary)
         in
         gpu_ms := !gpu_ms +. r.Logreg.gpu_ms;
@@ -113,10 +123,9 @@ let fit ?engine ?cluster ?(lambda = 1.0) ?(newton_iterations = 10)
         weights.(k) <- r.Logreg.weights;
         write_class_ckpt k
       done);
-  let class_weights = weights in
   let result =
     {
-      class_weights;
+      class_weights = weights;
       classes;
       accuracy = 0.0;
       gpu_ms = !gpu_ms;
@@ -124,43 +133,13 @@ let fit ?engine ?cluster ?(lambda = 1.0) ?(newton_iterations = 10)
       timeline = List.rev !timeline_rev;
     }
   in
-  let predicted =
-    let scores = Array.map (margins input) class_weights in
-    Array.init m (fun i ->
-        let best = ref 0 in
-        for k = 1 to classes - 1 do
-          if scores.(k).(i) > scores.(!best).(i) then best := k
-        done;
-        !best)
-  in
   let correct = ref 0 in
-  Array.iteri (fun i p -> if p = labels.(i) then incr correct) predicted;
+  Array.iteri
+    (fun i p -> if p = labels.(i) then incr correct)
+    (predict result input);
   { result with accuracy = float_of_int !correct /. float_of_int (Stdlib.max 1 m) }
 
-let predict r input =
-  let m = Fusion.Executor.rows input in
-  let scores = Array.map (margins input) r.class_weights in
-  Array.init m (fun i ->
-      let best = ref 0 in
-      for k = 1 to r.classes - 1 do
-        if scores.(k).(i) > scores.(!best).(i) then best := k
-      done;
-      !best)
-
 (* --- unified algorithm API ------------------------------------------------ *)
-
-let argmax_classes margins =
-  let classes = Array.length margins in
-  let m = Array.length margins.(0) in
-  Array.init m (fun i ->
-      let best = ref 0 in
-      for k = 1 to classes - 1 do
-        if margins.(k).(i) > margins.(!best).(i) then best := k
-      done;
-      !best)
-
-let predict_weights class_weights input =
-  argmax_classes (Array.map (margins input) class_weights)
 
 module Algo = struct
   let name = "multinomial"

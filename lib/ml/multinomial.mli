@@ -19,7 +19,6 @@ type result = {
 
 val fit :
   ?engine:Fusion.Executor.engine ->
-  ?cluster:Kf_dist.Cluster.t ->
   ?lambda:float ->
   ?newton_iterations:int ->
   ?cg_iterations:int ->
@@ -36,10 +35,6 @@ val fit :
 
 val predict : result -> Fusion.Executor.input -> int array
 (** Argmax over class margins (computed with the library [X x y]). *)
-
-val predict_weights : Matrix.Vec.t array -> Fusion.Executor.input -> int array
-(** {!predict} from bare per-class weight vectors instead of a fit
-    result — the form model files restore. *)
 
 module Algo : Algorithm.S
 (** Registry adapter ([name = "multinomial"]); scores are the predicted

@@ -27,17 +27,15 @@ let normalize_rows (g : Csr.t) =
   Csr.create ~rows:g.rows ~cols:g.cols ~values ~col_idx:g.col_idx
     ~row_off:g.row_off
 
-let run ?engine ?pool ?(iterations = 50) ?(damping = 0.85)
-    ?(tolerance = 1e-9) ?checkpoint ?ckpt_meta ?resume device (g : Csr.t) =
+let run ?engine ?(iterations = 50) ?(damping = 0.85) ?(tolerance = 1e-9)
+    ?checkpoint ?ckpt_meta ?resume device (g : Csr.t) =
   if g.rows <> g.cols then
     invalid_arg "Pagerank.run: adjacency matrix must be square";
   if damping < 0.0 || damping >= 1.0 then
     invalid_arg "Pagerank.run: damping must be in [0, 1)";
-  let session = Session.create ?engine ?pool device ~algorithm:"PageRank" in
-  (match checkpoint with
-  | Some (path, every) ->
-      Session.set_checkpoint ?meta:ckpt_meta session ~path ~every
-  | None -> ());
+  let session =
+    Session.create ?engine ?checkpoint ?ckpt_meta device ~algorithm:"PageRank"
+  in
   Kf_obs.Trace.with_span "fit.PageRank" @@ fun () ->
   let n = g.rows in
   (* the propagation matrix streams through the family's SpMM floor
@@ -48,22 +46,14 @@ let run ?engine ?pool ?(iterations = 50) ?(damping = 0.85)
   Array.fill r.data 0 n uniform;
   let delta = ref infinity in
   let i = ref 0 in
-  (match resume with
-  | Some path ->
-      let st = Session.resume session ~path in
-      let data = Kf_resil.Ckpt.get_floats st "pagerank.r" in
-      if Array.length data <> n then
-        invalid_arg "Pagerank.run: checkpoint rank vector has the wrong size";
-      Array.blit data 0 r.data 0 n;
-      delta := Kf_resil.Ckpt.get_float st "pagerank.delta";
-      i := Kf_resil.Ckpt.get_int st "pagerank.i"
-  | None -> ());
-  Session.set_state_fn session (fun () ->
-      [
-        ("pagerank.r", Kf_resil.Ckpt.Floats (Array.copy r.data));
-        ("pagerank.delta", Kf_resil.Ckpt.Float !delta);
-        ("pagerank.i", Kf_resil.Ckpt.Int !i);
-      ]);
+  ignore
+    (Session.state ?resume session
+       Session.State.
+         [
+           buffer "pagerank.r" r.data;
+           float "pagerank.delta" delta;
+           int "pagerank.i" i;
+         ]);
   let teleport = (1.0 -. damping) *. uniform in
   while !i < iterations && !delta > tolerance do
     Session.iteration session (fun () ->

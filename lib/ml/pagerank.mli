@@ -22,7 +22,6 @@ val normalize_rows : Csr.t -> Csr.t
 
 val run :
   ?engine:Fusion.Executor.engine ->
-  ?pool:Par.Pool.t ->
   ?iterations:int ->
   ?damping:float ->
   ?tolerance:float ->

@@ -7,48 +7,93 @@ type iteration = {
   it_launches : int;
 }
 
+module State = struct
+  type t =
+    | Int of string * int ref
+    | Float of string * float ref
+    | Flag of string * bool ref
+    | Vec of string * Matrix.Vec.t ref
+    | Buffer of string * Matrix.Vec.t
+
+  let int name r = Int (name, r)
+
+  let float name r = Float (name, r)
+
+  let flag name r = Flag (name, r)
+
+  let vec name r = Vec (name, r)
+
+  let buffer name b = Buffer (name, b)
+
+  let capture = function
+    | Int (name, r) -> (name, Kf_resil.Ckpt.Int !r)
+    | Float (name, r) -> (name, Kf_resil.Ckpt.Float !r)
+    | Flag (name, r) -> (name, Kf_resil.Ckpt.Int (if !r then 1 else 0))
+    | Vec (name, r) -> (name, Kf_resil.Ckpt.Floats !r)
+    | Buffer (name, b) -> (name, Kf_resil.Ckpt.Floats b)
+
+  (* A stored vector must have the length of the one it replaces: a
+     checkpoint of another shape is refused here, naming the field,
+     rather than by a kernel's dimension check later. *)
+  let sized ~path p name n =
+    let v = Kf_resil.Ckpt.get_floats p name in
+    if Array.length v <> n then
+      raise
+        (Kf_resil.Ckpt.Corrupt
+           (Printf.sprintf
+              "%s: checkpoint field %S holds %d values, this solve expects %d"
+              path name (Array.length v) n));
+    v
+
+  let restore ~path p = function
+    | Int (name, r) -> r := Kf_resil.Ckpt.get_int p name
+    | Float (name, r) -> r := Kf_resil.Ckpt.get_float p name
+    | Flag (name, r) -> r := Kf_resil.Ckpt.get_int p name <> 0
+    | Vec (name, r) -> r := sized ~path p name (Array.length !r)
+    | Buffer (name, b) ->
+        let n = Array.length b in
+        Array.blit (sized ~path p name n) 0 b 0 n
+end
+
 type t = {
   device : Device.t;
   engine : Fusion.Executor.engine;
   pool : Par.Pool.t option;  (* only consulted by the Host engine *)
-  cluster : Kf_dist.Cluster.t option;  (* only consulted by Dist *)
   trace : Fusion.Pattern.Trace.t;
+  checkpoint : (string * int) option;  (* path, every *)
+  ckpt_meta : Kf_resil.Ckpt.payload;
   mutable gpu_ms : float;
   mutable pattern_ms : float;
   mutable launches : int;
   mutable iters : int;
   mutable timeline_rev : iteration list;
-  mutable ckpt : ckpt_cfg option;
-  mutable state_fn : (unit -> Kf_resil.Ckpt.payload) option;
+  mutable state : State.t list;
 }
-
-and ckpt_cfg = { ckpt_path : string; ckpt_every : int; ckpt_meta : Kf_resil.Ckpt.payload }
 
 let iterations_counter = Kf_obs.Counter.make "session.iterations"
 
 let ckpt_resumes_counter = Kf_obs.Counter.make "resil.ckpt_resumes"
 
-let create ?(engine = Fusion.Executor.Fused) ?pool ?cluster device ~algorithm =
+let create ?(engine = Fusion.Executor.Fused) ?pool ?checkpoint
+    ?(ckpt_meta = []) device ~algorithm =
+  (match checkpoint with
+  | Some (_, every) when every < 1 ->
+      invalid_arg "Session.create: every must be >= 1"
+  | _ -> ());
   {
     device;
     engine;
     pool;
-    cluster;
     trace = Fusion.Pattern.Trace.create ~algorithm;
+    checkpoint;
+    ckpt_meta;
     gpu_ms = 0.0;
     pattern_ms = 0.0;
     launches = 0;
     iters = 0;
     timeline_rev = [];
-    ckpt = None;
-    state_fn = None;
+    state = [];
   }
-
-let device t = t.device
-
-let engine t = t.engine
-
-let algorithm t = Fusion.Pattern.Trace.algorithm t.trace
 
 (* The one accounting path for every executor op, whichever result
    record carries it: device time and launches, and — for pattern
@@ -73,18 +118,17 @@ let absorb_mat t (r : Fusion.Executor.mat_result) =
 
 let xt_y ?into t input y ~alpha =
   absorb_result t
-    (Fusion.Executor.xt_y ~engine:t.engine ?pool:t.pool ?cluster:t.cluster
-       ?into t.device input y ~alpha)
+    (Fusion.Executor.xt_y ~engine:t.engine ?pool:t.pool ?into t.device input y
+       ~alpha)
 
 let pattern ?into t input ~y ?v ?beta_z ~alpha () =
   absorb_result t
-    (Fusion.Executor.pattern ~engine:t.engine ?pool:t.pool ?cluster:t.cluster
-       ?into t.device input ~y ?v ?beta_z ~alpha ())
+    (Fusion.Executor.pattern ~engine:t.engine ?pool:t.pool ?into t.device
+       input ~y ?v ?beta_z ~alpha ())
 
 let x_y t input y =
   absorb_result t
-    (Fusion.Executor.x_y ~engine:t.engine ?pool:t.pool ?cluster:t.cluster
-       t.device input y)
+    (Fusion.Executor.x_y ~engine:t.engine ?pool:t.pool t.device input y)
 
 (* Every executor graph op returns the matrix flavour its signature
    promises on all engines, so these projections cannot fail. *)
@@ -114,42 +158,44 @@ let fusedmm ?semiring t inst g h =
        (Fusion.Executor.fusedmm ~engine:t.engine ?pool:t.pool ?semiring
           t.device inst g h))
 
-let absorb_level1 t reports =
+(* Level-1 work outside the pattern: the simulated engines run it as
+   simulated cuBLAS launches and absorb their reports; Host and Dist
+   sessions run the same arithmetic ([Matrix.Vec], which the simulated
+   cuBLAS delegates to) and absorb nothing, since no kernel launched and
+   the iteration's wall clock already holds the time. *)
+let simulated t =
+  match t.engine with
+  | Fusion.Executor.Fused | Fusion.Executor.Library -> true
+  | Fusion.Executor.Host | Fusion.Executor.Dist -> false
+
+let absorb_level1 t (r, reports) =
   t.gpu_ms <- t.gpu_ms +. Sim.total_ms reports;
-  t.launches <- t.launches + List.length reports
+  t.launches <- t.launches + List.length reports;
+  r
 
 let dot t x y =
-  let r, reports = Gpulibs.Cublas.dot t.device x y in
-  absorb_level1 t reports;
-  r
+  if simulated t then absorb_level1 t (Gpulibs.Cublas.dot t.device x y)
+  else Matrix.Vec.dot x y
 
 let nrm2 t x =
-  let r, reports = Gpulibs.Cublas.nrm2 t.device x in
-  absorb_level1 t reports;
-  r
+  if simulated t then absorb_level1 t (Gpulibs.Cublas.nrm2 t.device x)
+  else Matrix.Vec.nrm2 x
 
 let axpy ?into t a x y =
-  let r, reports = Gpulibs.Cublas.axpy ?into t.device a x y in
-  absorb_level1 t reports;
-  r
+  if simulated t then
+    absorb_level1 t (Gpulibs.Cublas.axpy ?into t.device a x y)
+  else Matrix.Vec.add_scaled ?into a x y
 
 let scal ?into t a x =
-  let r, reports = Gpulibs.Cublas.scal ?into t.device a x in
-  absorb_level1 t reports;
-  r
+  if simulated t then absorb_level1 t (Gpulibs.Cublas.scal ?into t.device a x)
+  else Matrix.Vec.scale ?into a x
 
 let mul_elementwise t v p =
-  let r, reports = Gpulibs.Cublas.mul_elementwise t.device v p in
-  absorb_level1 t reports;
-  r
+  if simulated t then
+    absorb_level1 t (Gpulibs.Cublas.mul_elementwise t.device v p)
+  else Matrix.Vec.mul_elementwise v p
 
 (* --- checkpoint/restore --------------------------------------------------- *)
-
-let set_checkpoint ?(meta = []) t ~path ~every =
-  if every < 1 then invalid_arg "Session.set_checkpoint: every must be >= 1";
-  t.ckpt <- Some { ckpt_path = path; ckpt_every = every; ckpt_meta = meta }
-
-let set_state_fn t f = t.state_fn <- Some f
 
 (* Session-side state rides in the same checkpoint as the algorithm's:
    device/pattern-time accounting plus the pattern-trace counts, so a
@@ -184,24 +230,24 @@ let session_payload t =
   @ family_counts
 
 let write_checkpoint t =
-  match (t.ckpt, t.state_fn) with
-  | Some cfg, Some state_fn when t.iters mod cfg.ckpt_every = 0 ->
+  match t.checkpoint with
+  | Some (path, every) when t.iters mod every = 0 ->
       Kf_obs.Trace.with_span "ckpt.write"
         ~args:[ ("iteration", string_of_int t.iters) ]
       @@ fun () ->
-      Kf_resil.Ckpt.write ~path:cfg.ckpt_path
+      Kf_resil.Ckpt.write ~path
         ~algorithm:(Fusion.Pattern.Trace.algorithm t.trace)
         ~iteration:t.iters
-        (session_payload t @ cfg.ckpt_meta @ state_fn ())
+        (session_payload t @ t.ckpt_meta @ List.map State.capture t.state)
   | _ -> ()
 
-let resume t ~path =
+let restore t ~path =
   let ck = Kf_resil.Ckpt.read ~path in
   let alg = Fusion.Pattern.Trace.algorithm t.trace in
   if ck.Kf_resil.Ckpt.algorithm <> alg then
     invalid_arg
       (Printf.sprintf
-         "Session.resume: checkpoint %s was written by algorithm %S, not %S"
+         "Session.state: checkpoint %s was written by algorithm %S, not %S"
          path ck.Kf_resil.Ckpt.algorithm alg);
   let p = ck.Kf_resil.Ckpt.payload in
   t.gpu_ms <- Kf_resil.Ckpt.get_float p "session.gpu_ms";
@@ -229,11 +275,19 @@ let resume t ~path =
             done
         | _ -> ())
     p;
+  List.iter (State.restore ~path p) t.state;
   Kf_obs.Counter.incr ckpt_resumes_counter;
   Kf_obs.Trace.instant "ckpt.resume"
     ~args:
-      [ ("path", path); ("iteration", string_of_int ck.Kf_resil.Ckpt.iteration) ];
-  p
+      [ ("path", path); ("iteration", string_of_int ck.Kf_resil.Ckpt.iteration) ]
+
+let state ?resume t fields =
+  t.state <- fields;
+  match resume with
+  | Some path ->
+      restore t ~path;
+      true
+  | None -> false
 
 let iteration t f =
   let index = t.iters in
@@ -276,8 +330,6 @@ let iteration_json it =
       ("device_ms", Kf_obs.Json.Float it.it_device_ms);
       ("launches", Kf_obs.Json.Int it.it_launches);
     ]
-
-let timeline_json t = Kf_obs.Json.List (List.map iteration_json (timeline t))
 
 let gpu_ms t = t.gpu_ms
 

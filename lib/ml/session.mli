@@ -3,9 +3,9 @@ open Gpu_sim
 (** Execution context for ML algorithms.
 
     An algorithm issues pattern instantiations and BLAS Level-1 work
-    through a session; the session dispatches to {!Fusion.Executor} (fused
-    or library engine), accumulates simulated GPU time and kernel-launch
-    counts, and records every pattern instantiation in a
+    through a session; the session dispatches to {!Fusion.Executor} on
+    its engine, accumulates device time and kernel-launch counts, and
+    records every pattern instantiation in a
     {!Fusion.Pattern.Trace} — the raw material from which Table 1 is
     regenerated and Tables 5/6 are timed.  Host-engine work records
     into whatever [Kf_obs.Host_stats] sink the caller installed; the
@@ -19,29 +19,27 @@ type iteration = {
   it_wall_ns : int;  (** real time spent inside the iteration body *)
   it_device_ms : float;
       (** device time the iteration issued: simulated ms for the
-          simulated engines, measured wall-clock for [Host] *)
-  it_launches : int;  (** simulated kernel launches (0 for [Host]) *)
+          simulated engines; for [Host] and [Dist], the measured
+          wall-clock of its executor ops, so at most [it_wall_ns] *)
+  it_launches : int;  (** simulated kernel launches (0 off the simulator) *)
 }
 
 val create :
   ?engine:Fusion.Executor.engine ->
   ?pool:Par.Pool.t ->
-  ?cluster:Kf_dist.Cluster.t ->
+  ?checkpoint:string * int ->
+  ?ckpt_meta:Kf_resil.Ckpt.payload ->
   Device.t ->
   algorithm:string ->
   t
-(** [pool] selects the domain pool used when [engine] is
-    [Fusion.Executor.Host] (default: the shared [Par.Pool.default]
-    pool); [cluster] the worker cluster used when [engine] is
-    [Fusion.Executor.Dist] (default: the shared [Kf_dist.Cluster.default]
-    cluster, sized by [KF_WORKERS]).  Both are ignored by the other
-    engines. *)
-
-val device : t -> Device.t
-
-val engine : t -> Fusion.Executor.engine
-
-val algorithm : t -> string
+(** [pool] is the domain pool of a [Fusion.Executor.Host] session
+    (default: the shared [Par.Pool.default]); a [Fusion.Executor.Dist]
+    session runs on the shared [Kf_dist.Cluster.default], sized by
+    [KF_WORKERS].  [checkpoint:(path, every)] makes {!iteration} write
+    a [kf-ckpt/1] file after every [every]-th completed iteration (see
+    {!state}), carrying the [ckpt_meta] fields unchanged (e.g. the
+    dataset fingerprint the CLI validates on resume).  Raises
+    [Invalid_argument] if [every < 1]. *)
 
 (** {1 Iteration timeline} *)
 
@@ -56,35 +54,47 @@ val iteration : t -> (unit -> 'a) -> 'a
 val timeline : t -> iteration list
 (** Chronological *)
 
-(** {1 Checkpoint/restore}
+(** {1 Solver state: checkpoint and resume}
 
-    An algorithm registers a state capture function and a cadence; the
-    session then writes a [kf-ckpt/1] file (its own accounting + the
-    pattern-trace counts + the algorithm's state) after every [every]-th
-    completed iteration.  {!resume} restores the session side and hands
-    the payload back so the algorithm can restore its own state
-    bit-exactly. *)
+    A solver declares its state once, as named fields over its own
+    references and buffers.  Every checkpoint captures them in list
+    order, after the session's accounting, its pattern-trace counts
+    and [ckpt_meta]; a resume restores all of it, so the resumed solve
+    continues bit-exactly. *)
 
-val set_checkpoint :
-  ?meta:Kf_resil.Ckpt.payload -> t -> path:string -> every:int -> unit
-(** [meta] rides along unchanged (e.g. dataset fingerprint fields the
-    CLI validates on resume).  Raises [Invalid_argument] if
-    [every < 1]. *)
+module State : sig
+  type t
+  (** One named field of a solver's state. *)
 
-val set_state_fn : t -> (unit -> Kf_resil.Ckpt.payload) -> unit
-(** The capture function is called after a completed iteration, so it
-    must read the algorithm's current (post-update) state. *)
+  val int : string -> int ref -> t
 
-val resume : t -> path:string -> Kf_resil.Ckpt.payload
-(** Restores iteration count, device-time accounting and the pattern
-    trace, and returns the full payload.  Raises [Kf_resil.Ckpt.Corrupt]
-    on a damaged file and [Invalid_argument] if the checkpoint belongs
-    to a different algorithm.  The {!timeline} restarts empty: wall
-    times from a previous process are meaningless here. *)
+  val float : string -> float ref -> t
+
+  val flag : string -> bool ref -> t
+  (** Stored as an int field: 1 for [true], 0 for [false]. *)
+
+  val vec : string -> Matrix.Vec.t ref -> t
+  (** A vector the solver replaces as it goes; a restore replaces it
+      too, with one as long as [!r] when the state is declared. *)
+
+  val buffer : string -> Matrix.Vec.t -> t
+  (** A vector the solver overwrites in place (Linreg_cg's [w]); a
+      restore writes the stored vector, which must be as long, into it. *)
+end
+
+val state : ?resume:string -> t -> State.t list -> bool
+(** [state ?resume t fields] declares the fields every later checkpoint
+    captures; call it once, before the first {!iteration}.  With
+    [resume:path] it then restores the session's iteration count,
+    accounting and pattern trace and every field from that checkpoint
+    and returns [true], and the solver skips its own initialisation;
+    otherwise it returns [false].  The {!timeline} restarts empty on
+    resume: wall times from a previous process mean nothing here.
+    Raises [Kf_resil.Ckpt.Corrupt] on a damaged file, a missing or
+    mistyped field, or a vector field of another length (naming it),
+    and [Invalid_argument] if another algorithm wrote the checkpoint. *)
 
 val iteration_json : iteration -> Kf_obs.Json.t
-
-val timeline_json : t -> Kf_obs.Json.t
 
 (** {1 Pattern operations} (traced)
 
@@ -142,8 +152,14 @@ val fusedmm :
   Matrix.Dense.t
 (** The fused SDDMM ⊕ SpMM chain without materialising [S]. *)
 
-(** {1 Level-1 operations} (timed, not traced — they are outside the
-    pattern, the "BLAS-Level 1" column of Table 2) *)
+(** {1 Level-1 operations} (not traced — they are outside the pattern,
+    the "BLAS-Level 1" column of Table 2)
+
+    On the simulated engines each op is one simulated cuBLAS launch
+    whose time and launch count the session absorbs.  [Host] and [Dist]
+    sessions run the same arithmetic ([Matrix.Vec]) on the calling
+    domain and absorb nothing: no kernel launched, and the iteration's
+    wall clock already holds the time. *)
 
 val dot : t -> Matrix.Vec.t -> Matrix.Vec.t -> float
 
@@ -168,7 +184,8 @@ val mul_elementwise : t -> Matrix.Vec.t -> Matrix.Vec.t -> Matrix.Vec.t
 (** {1 Accounting} *)
 
 val gpu_ms : t -> float
-(** Total simulated device time issued through this session. *)
+(** Total device time issued through this session, as {!iteration}'s
+    [it_device_ms] counts it. *)
 
 val pattern_ms : t -> float
 (** The share spent in pattern operations (vs Level-1). *)

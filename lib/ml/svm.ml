@@ -53,7 +53,7 @@ let cg_solve session sub ~g ~lambda ~iterations ~tolerance =
       let beta_z = if lambda = 0.0 then None else Some (lambda, p) in
       ignore (Session.pattern session ~into sub ~y:p ?beta_z ~alpha:2.0 ()))
 
-let fit ?engine ?cluster ?(lambda = 1.0) ?(newton_iterations = 10)
+let fit ?engine ?(lambda = 1.0) ?(newton_iterations = 10)
     ?(cg_iterations = 20) ?(tolerance = 1e-6) ?checkpoint ?ckpt_meta ?resume
     device input ~labels =
   let m = Fusion.Executor.rows input in
@@ -63,40 +63,31 @@ let fit ?engine ?cluster ?(lambda = 1.0) ?(newton_iterations = 10)
     (fun l ->
       if l <> 1.0 && l <> -1.0 then invalid_arg "Svm.fit: labels must be +1/-1")
     labels;
-  let session = Session.create ?engine ?cluster device ~algorithm:"SVM" in
-  (match checkpoint with
-  | Some (path, every) ->
-      Session.set_checkpoint ?meta:ckpt_meta session ~path ~every
-  | None -> ());
+  let session =
+    Session.create ?engine ?checkpoint ?ckpt_meta device ~algorithm:"SVM"
+  in
   Kf_obs.Trace.with_span "fit.SVM" @@ fun () ->
   let n = Fusion.Executor.cols input in
   let w = ref (Vec.create n) in
   let newton = ref 0 and cg_total = ref 0 in
   let support = ref m in
   let objective = ref infinity in
-  let margins = ref [||] in
+  let margins = ref (Vec.create m) in
   let converged = ref false in
-  (match resume with
-  | Some path ->
-      let st = Session.resume session ~path in
-      w := Kf_resil.Ckpt.get_floats st "svm.w";
-      newton := Kf_resil.Ckpt.get_int st "svm.newton";
-      cg_total := Kf_resil.Ckpt.get_int st "svm.cg_total";
-      support := Kf_resil.Ckpt.get_int st "svm.support";
-      objective := Kf_resil.Ckpt.get_float st "svm.objective";
-      margins := Kf_resil.Ckpt.get_floats st "svm.margins";
-      converged := Kf_resil.Ckpt.get_int st "svm.converged" <> 0
-  | None -> margins := Session.x_y session input !w);
-  Session.set_state_fn session (fun () ->
-      [
-        ("svm.w", Kf_resil.Ckpt.Floats !w);
-        ("svm.newton", Kf_resil.Ckpt.Int !newton);
-        ("svm.cg_total", Kf_resil.Ckpt.Int !cg_total);
-        ("svm.support", Kf_resil.Ckpt.Int !support);
-        ("svm.objective", Kf_resil.Ckpt.Float !objective);
-        ("svm.margins", Kf_resil.Ckpt.Floats !margins);
-        ("svm.converged", Kf_resil.Ckpt.Int (if !converged then 1 else 0));
-      ]);
+  let resumed =
+    Session.state ?resume session
+      Session.State.
+        [
+          vec "svm.w" w;
+          int "svm.newton" newton;
+          int "svm.cg_total" cg_total;
+          int "svm.support" support;
+          float "svm.objective" objective;
+          vec "svm.margins" margins;
+          flag "svm.converged" converged;
+        ]
+  in
+  if not resumed then margins := Session.x_y session input !w;
   while !newton < newton_iterations && not !converged do
     Session.iteration session (fun () ->
         let active = ref [] in

@@ -224,13 +224,15 @@ let get_ints payload name =
 
 (* --- file I/O ------------------------------------------------------------- *)
 
+(* Every error names the file: [open_in_bin]'s own message does, and
+   a read that fails after it (a directory, an I/O error) is prefixed. *)
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      let n = in_channel_length ic in
-      really_input_string ic n)
+      try really_input_string ic (in_channel_length ic)
+      with Sys_error msg -> raise (Sys_error (path ^ ": " ^ msg)))
 
 (* Checks the header and checksum of a whole file image and returns the
    payload's offset and length with its verified checksum. *)
@@ -269,13 +271,16 @@ let parse_file path raw =
 let read_with_checksum ~path =
   let raw = read_file path in
   let pos, len, sum = parse_file path raw in
-  let payload = decode ~pos ~len raw in
-  ( {
+  match
+    let payload = decode ~pos ~len raw in
+    {
       algorithm = get_str payload "ckpt.algorithm";
       iteration = get_int payload "ckpt.iteration";
       payload;
-    },
-    sum )
+    }
+  with
+  | ck -> (ck, sum)
+  | exception Corrupt msg -> corrupt "%s: %s" path msg
 
 let read ~path = fst (read_with_checksum ~path)
 

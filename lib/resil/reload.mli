@@ -15,7 +15,8 @@ type outcome =
       (** verified checkpoint plus its payload checksum (16 hex digits)
           — the new generation's fingerprint *)
   | Rejected of string
-      (** reason; the caller must keep serving the old generation *)
+      (** reason, which names the file; the caller must keep serving
+          the old generation *)
 
 type state
 

@@ -79,11 +79,10 @@ let services t = List.map (fun (n, e) -> (n, e.e_service)) t.entries
 
 (* Load a model file through the same verify-before-trust path the
    watcher uses, so a corrupt file fails loudly at [create] instead of
-   serving garbage. *)
+   serving garbage.  A rejection reason already names the file. *)
 let load_verified path =
   match Kf_resil.Reload.check Kf_resil.Reload.initial ~path with
-  | _, Kf_resil.Reload.Rejected reason ->
-      invalid_arg (Printf.sprintf "Models: %s: %s" path reason)
+  | _, Kf_resil.Reload.Rejected reason -> invalid_arg ("Models: " ^ reason)
   | _, Kf_resil.Reload.Unchanged -> assert false (* initial state never dedups *)
   | st, Kf_resil.Reload.Swapped (ck, sum) -> (st, ck, sum)
 

@@ -462,15 +462,20 @@ let test_glm_trains_on_dist () =
   let rng = Rng.create 50 in
   let x = Gen.sparse_uniform rng ~rows:80 ~cols:10 ~density:0.4 in
   let targets = Array.init 80 (fun i -> float_of_int (i mod 5)) in
-  let fit engine cluster =
-    Kf_ml.Glm.fit ~engine ?cluster ~newton_iterations:3 ~cg_iterations:5 dev
+  let fit engine =
+    Kf_ml.Glm.fit ~engine ~newton_iterations:3 ~cg_iterations:5 dev
       (Fusion.Executor.Sparse x) ~targets
   in
-  with_cluster 2 (fun c ->
-      let d = fit Fusion.Executor.Dist (Some c) in
-      let h = fit Fusion.Executor.Host None in
-      Alcotest.(check bool) "GLM weights agree across tiers" true
-        (Vec.approx_equal ~tol:1e-6 d.Kf_ml.Glm.weights h.Kf_ml.Glm.weights))
+  (* a Dist session runs on the shared default cluster ([KF_WORKERS]);
+     the op count proves the solve did not fall back to the host *)
+  let dist_ops = Kf_obs.Counter.make "dist.ops" in
+  let ops0 = Kf_obs.Counter.value dist_ops in
+  let d = fit Fusion.Executor.Dist in
+  Alcotest.(check bool) "the default cluster ran the solve's ops" true
+    (Kf_obs.Counter.value dist_ops > ops0);
+  let h = fit Fusion.Executor.Host in
+  Alcotest.(check bool) "GLM weights agree across tiers" true
+    (Vec.approx_equal ~tol:1e-6 d.Kf_ml.Glm.weights h.Kf_ml.Glm.weights)
 
 let suite =
   [

@@ -506,9 +506,9 @@ let test_session_trace_and_checkpoint () =
   let g = graph ~seed:41 ~nodes:40 ~out_degree:4 in
   let h = embedding ~seed:42 ~nodes:40 ~dim:5 in
   let path = Filename.temp_file "kf_graph_ckpt" ".bin" in
-  let session = Kf_ml.Session.create device ~algorithm:"graph-test" in
-  Kf_ml.Session.set_checkpoint session ~path ~every:1;
-  Kf_ml.Session.set_state_fn session (fun () -> []);
+  let session =
+    Kf_ml.Session.create ~checkpoint:(path, 1) device ~algorithm:"graph-test"
+  in
   Kf_ml.Session.iteration session (fun () ->
       ignore (Kf_ml.Session.fusedmm ~semiring:Semiring.sigmoid session
                 Fusedmm.Sddmm_spmm g h);
@@ -529,7 +529,8 @@ let test_session_trace_and_checkpoint () =
   Alcotest.(check int) "eq1 traced alongside" 1 (count "eq1/xt_y");
   (* the family counts survive a checkpoint round-trip *)
   let restored = Kf_ml.Session.create device ~algorithm:"graph-test" in
-  ignore (Kf_ml.Session.resume restored ~path);
+  Alcotest.(check bool) "state restored" true
+    (Kf_ml.Session.state ~resume:path restored []);
   let entries' = Fusion.Pattern.Trace.entries (Kf_ml.Session.trace restored) in
   Alcotest.(check bool) "trace round-trips" true (entries = entries');
   Sys.remove path

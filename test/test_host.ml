@@ -623,6 +623,36 @@ let test_shared_pool_two_callers () =
         (fun () -> calls 1 a want_a))
     [ (2, Lazy.force pool2); (4, Lazy.force pool4) ]
 
+(* A Host session launches no kernel: its Level-1 work runs on the
+   calling domain, and only the executor ops' measured wall-clock
+   counts as device time, so no iteration issues launches or more
+   device time than it took.  Every registered solver, on the host. *)
+let test_host_timeline_measured () =
+  let rng = Rng.create 61 in
+  let x = Gen.sparse_uniform rng ~rows:400 ~cols:24 ~density:0.2 in
+  let raw = Blas.csrmv x (Gen.vector rng 24) in
+  let problem = { Kf_ml.Algorithm.device; input = Sparse x; raw; seed = 61 } in
+  let cfg =
+    {
+      Kf_ml.Algorithm.default_cfg with
+      engine = Fusion.Executor.Host;
+      max_iterations = Some 3;
+    }
+  in
+  List.iter
+    (fun (module A : Kf_ml.Algorithm.S) ->
+      let r = A.train ~cfg problem in
+      if r.timeline = [] then Alcotest.failf "%s: empty timeline" A.name;
+      List.iter
+        (fun (it : Kf_ml.Session.iteration) ->
+          let wall_ms = Kf_obs.Clock.ns_to_ms it.it_wall_ns in
+          if it.it_launches <> 0 || it.it_device_ms > wall_ms then
+            Alcotest.failf
+              "%s iteration %d: %d launches, device %.6f ms, wall %.6f ms"
+              A.name it.it_index it.it_launches it.it_device_ms wall_ms)
+        r.timeline)
+    Kf_ml.Registry.all
+
 let suite =
   [
     with_wide_case test_sparse_matches wide_sparse_matches;
@@ -646,4 +676,6 @@ let suite =
       test_into_nan_recovery;
     Alcotest.test_case "two callers share one pool" `Quick
       test_shared_pool_two_callers;
+    Alcotest.test_case "host session timelines launch nothing" `Quick
+      test_host_timeline_measured;
   ]

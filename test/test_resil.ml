@@ -675,6 +675,90 @@ let test_resume_under_faults () =
         (bits_equal reference.Kf_ml.Linreg_cg.weights
            resumed.Kf_ml.Linreg_cg.weights))
 
+(* The graph solvers keep their state in buffers (PageRank's ranks,
+   GraphEmb's embedding) that a resume writes into. *)
+let test_resume_graph_solvers () =
+  let g = Kf_ml.Dataset.adjacency (Rng.create 31) ~nodes:80 ~out_degree:6 in
+  let h0 = Gen.dense (Rng.create 32) ~rows:80 ~cols:4 in
+  with_tmp @@ fun path ->
+  let reference = Kf_ml.Pagerank.run device g in
+  ignore (Kf_ml.Pagerank.run ~iterations:3 ~checkpoint:(path, 1) device g);
+  let resumed = Kf_ml.Pagerank.run ~resume:path device g in
+  Alcotest.(check bool) "PageRank ranks bit-identical" true
+    (bits_equal reference.Kf_ml.Pagerank.ranks resumed.Kf_ml.Pagerank.ranks);
+  Alcotest.(check int) "PageRank iteration count agrees"
+    reference.Kf_ml.Pagerank.iterations resumed.Kf_ml.Pagerank.iterations;
+  let reference = Kf_ml.Graphemb.run device g h0 in
+  ignore (Kf_ml.Graphemb.run ~iterations:3 ~checkpoint:(path, 1) device g h0);
+  let resumed = Kf_ml.Graphemb.run ~resume:path device g h0 in
+  Alcotest.(check bool) "GraphEmb embedding bit-identical" true
+    (bits_equal reference.Kf_ml.Graphemb.embedding.Dense.data
+       resumed.Kf_ml.Graphemb.embedding.Dense.data)
+
+(* A checkpoint of another shape is refused at resume with [Corrupt]
+   naming the state field, before any kernel sees a vector of the wrong
+   length: buffer fields (Linreg_cg's [w], PageRank's ranks) and a field
+   the solver replaces (GLM's [w]). *)
+let test_resume_shape_mismatch () =
+  let input, raw = mk_regression 29 in
+  let wide =
+    Fusion.Executor.Sparse
+      (Gen.sparse_uniform (Rng.create 30) ~rows:160 ~cols:48 ~density:0.15)
+  in
+  let counts = Array.map (fun t -> Float.round (exp (0.02 *. t))) raw in
+  let refused field resume =
+    match resume () with
+    | () -> Alcotest.failf "a checkpoint of another shape resumed (%s)" field
+    | exception Ckpt.Corrupt msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names %s" msg field)
+          true
+          (Astring.String.is_infix ~affix:(Printf.sprintf "%S" field) msg)
+  in
+  with_tmp @@ fun path ->
+  ignore
+    (Kf_ml.Linreg_cg.fit ~max_iterations:2 ~checkpoint:(path, 1) device input
+       ~targets:raw);
+  refused "lr.w" (fun () ->
+      ignore (Kf_ml.Linreg_cg.fit ~resume:path device wide ~targets:raw));
+  ignore
+    (Kf_ml.Glm.fit ~newton_iterations:1 ~checkpoint:(path, 1) device input
+       ~targets:counts);
+  refused "glm.w" (fun () ->
+      ignore (Kf_ml.Glm.fit ~resume:path device wide ~targets:counts));
+  let graph nodes =
+    Kf_ml.Dataset.adjacency (Rng.create 33) ~nodes ~out_degree:4
+  in
+  ignore (Kf_ml.Pagerank.run ~iterations:2 ~checkpoint:(path, 1) device
+            (graph 40));
+  refused "pagerank.r" (fun () ->
+      ignore (Kf_ml.Pagerank.run ~resume:path device (graph 50)))
+
+(* Every reason a model file is refused names the file, so a caller
+   can print it as it stands: missing, unreadable (a directory),
+   damaged, and a checksum-valid payload that does not decode. *)
+let test_reload_rejections_name_the_file () =
+  let dir = Filename.get_temp_dir_name () in
+  let undecodable = Filename.temp_file "kf_resil" ".ckpt" in
+  let payload = "\xff\xff" in
+  Out_channel.with_open_bin undecodable (fun oc ->
+      Printf.fprintf oc "%s\n%016Lx\n%d\n%s" Ckpt.version
+        (Ckpt.fnv1a64 payload ~pos:0 ~len:(String.length payload))
+        (String.length payload) payload);
+  Fun.protect ~finally:(fun () -> Sys.remove undecodable) @@ fun () ->
+  with_tmp @@ fun damaged ->
+  Out_channel.with_open_bin damaged (fun oc -> output_string oc "garbage");
+  List.iter
+    (fun path ->
+      match Kf_resil.Reload.check Kf_resil.Reload.initial ~path with
+      | _, Kf_resil.Reload.Rejected reason ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names %s" reason path)
+            true
+            (Astring.String.is_prefix ~affix:(path ^ ": ") reason)
+      | _ -> Alcotest.failf "%s was not rejected" path)
+    [ Filename.concat dir "kf-no-such-model.ckpt"; dir; damaged; undecodable ]
+
 (* A recovery scope arms its own domain only: guarded ops issued from
    two domains at once must neither lose each other's depth nor arm
    each other's unguarded calls. *)
@@ -740,4 +824,10 @@ let suite =
       test_resume_under_faults;
     Alcotest.test_case "recovery scope is per domain" `Quick
       test_arm_is_per_domain;
+    Alcotest.test_case "kill/resume PageRank and GraphEmb bit-exact" `Quick
+      test_resume_graph_solvers;
+    Alcotest.test_case "resume refuses another shape, naming the field"
+      `Quick test_resume_shape_mismatch;
+    Alcotest.test_case "reload rejections name the file" `Quick
+      test_reload_rejections_name_the_file;
   ]
