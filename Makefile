@@ -22,7 +22,7 @@ bench-host:
 bench-host-small:
 	dune exec bench/host_suite.exe -- --small
 
-# Plan compiler vs eval-time interpretation; writes BENCH_plan.json.
+# Plan compiler vs the unfused reference interpreter; writes BENCH_plan.json.
 bench-plan:
 	dune exec bench/plan_suite.exe
 

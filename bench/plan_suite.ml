@@ -1,6 +1,8 @@
-(* Plan-compiler benchmark (Bechamel): eval-time interpretation
-   ([Sysml.Script.eval]) vs compiled plan execution ([Kf_plan.Compiler])
-   on the three studied DML scripts, across all three engines.  Wall
+(* Plan-compiler benchmark (Bechamel): the unfused reference
+   interpreter ([Sysml.Script.eval], one executor call per operator) vs
+   compiled plan execution ([Kf_plan.Compiler]) on the three studied
+   DML scripts, across all three engines.  The [interp_*] fields time
+   that reference, so they compare fused against unfused work.  Wall
    times are real (the whole point for [host]; for the simulated engines
    they measure the interpreter/compiler machinery itself), and the
    simulated device time + fused-launch counts from single runs show

@@ -7,7 +7,7 @@
      kf train   fit an ML algorithm and report timings + pattern trace
      kf serve   micro-batched scoring service driven by synthetic clients
      kf top     live terminal view of a serve --metrics-port endpoint
-     kf script  run a DML script, interpreted or through the plan compiler *)
+     kf script  run a DML script through the fusion plan compiler *)
 
 open Cmdliner
 open Matrix
@@ -1040,25 +1040,16 @@ let script_cmd =
   let file_arg =
     Arg.(
       value
-      & opt (some file) None
+      & opt (some non_dir_file) None
       & info [ "f"; "file" ]
           ~doc:"DML script; omit to run the paper's Listing 1.")
-  in
-  let plan_arg =
-    Arg.(
-      value & flag
-      & info [ "plan" ]
-          ~doc:
-            "Compile the script with the fusion plan compiler and execute \
-             the chosen plan instead of interpreting statement by \
-             statement.")
   in
   let explain_arg =
     Arg.(
       value & flag
       & info [ "explain" ]
           ~doc:
-            "Like $(b,--plan), and also print the plan report: rewrite \
+            "Print the plan report before running the plan: rewrite \
              counts, hoisted loop-invariant nodes, and every fusion group \
              with its candidate costs.")
   in
@@ -1086,14 +1077,23 @@ let script_cmd =
       & info [ "dim" ] ~docv:"D"
           ~doc:"Embedding width for $(b,--graph) inputs.")
   in
-  let script () p file { engine } obs plan explain dump_ir graph dim =
+  let script () p file { engine } obs explain dump_ir graph dim =
     with_obs obs @@ fun () ->
+    (* a script that does not parse or type-check is a usage error *)
+    let usage msg =
+      Printf.eprintf "kf script: %s: %s\n%!"
+        (Option.value file ~default:"built-in listing")
+        msg;
+      exit 2
+    in
     let program =
-      match file with
-      | Some path -> Sysml.Dml.parse_file path
-      | None ->
-          Sysml.Dml.parse
-            (if graph then Sysml.Dml.graph_listing else Sysml.Dml.listing1)
+      try
+        match file with
+        | Some path -> Sysml.Dml.parse_file path
+        | None ->
+            Sysml.Dml.parse
+              (if graph then Sysml.Dml.graph_listing else Sysml.Dml.listing1)
+      with Sysml.Dml.Syntax_error msg -> usage msg
     in
     let positional =
       if graph then begin
@@ -1111,27 +1111,30 @@ let script_cmd =
         [ Sysml.Script.Matrix input; Sysml.Script.Vector targets ]
       end
     in
-    let r =
-      if not (plan || explain || dump_ir <> None) then
-        Sysml.Script.eval ~engine device ~inputs:[] ~positional program
-      else begin
-        (* compiled once: --dump-ir and --explain report the plan that
-           runs *)
-        let compiled =
-          Kf_plan.Compiler.compile ~engine ~positional device ~inputs:[]
-            program
-        in
-        Option.iter
-          (fun path ->
-            let oc = open_out path in
-            Kf_obs.Json.to_channel oc (Kf_plan.Compiler.to_json compiled);
-            close_out oc;
-            Printf.printf "plan IR written to %s\n" path)
-          dump_ir;
-        if explain then print_string (Kf_plan.Compiler.explain compiled);
-        Kf_plan.Compiler.execute compiled
-      end
+    let run () =
+      match
+        Kf_plan.Compiler.compile ~engine ~positional device ~inputs:[] program
+      with
+      | exception Kf_plan.Lower.Not_static reason ->
+          Printf.eprintf
+            "kf script: not compiled (%s); running the reference \
+             interpreter\n%!"
+            reason;
+          Sysml.Script.eval ~engine device ~inputs:[] ~positional program
+      | compiled ->
+          (* compiled once: --dump-ir and --explain report the plan that
+             runs *)
+          Option.iter
+            (fun path ->
+              let oc = open_out path in
+              Kf_obs.Json.to_channel oc (Kf_plan.Compiler.to_json compiled);
+              close_out oc;
+              Printf.printf "plan IR written to %s\n" path)
+            dump_ir;
+          if explain then print_string (Kf_plan.Compiler.explain compiled);
+          Kf_plan.Compiler.execute compiled
     in
+    let r = try run () with Sysml.Script.Type_error msg -> usage msg in
     Printf.printf
       "script finished: %.2f ms simulated device time, %d fused launches\n"
       r.Sysml.Script.gpu_ms r.Sysml.Script.fused_launches;
@@ -1150,10 +1153,14 @@ let script_cmd =
     (Cmd.info "script"
        ~doc:
          "Run a DML script (default: the paper's Listing 1) on synthetic \
-          inputs bound to $(b,\\$1) (matrix) and $(b,\\$2) (targets).")
+          inputs bound to $(b,\\$1) (matrix) and $(b,\\$2) (targets).  The \
+          fusion plan compiler picks a fused kernel wherever an operator \
+          tree matches one; a script whose types depend on run-time \
+          values runs on the unfused reference interpreter instead, after \
+          a note on stderr.")
     Term.(
       const script $ setup_logs $ problem_term $ file_arg $ exec_term
-      $ obs_term $ plan_arg $ explain_arg $ dump_ir_arg $ graph_arg $ dim_arg)
+      $ obs_term $ explain_arg $ dump_ir_arg $ graph_arg $ dim_arg)
 
 let () =
   (* every KF_* variable is checked before any work, workers included *)

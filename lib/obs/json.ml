@@ -55,8 +55,8 @@ let rec to_buffer b = function
       Buffer.add_char b '}'
 
 (* Recursive-descent reader for the subset this module writes.  Having a
-   reader next to the writer lets downstream consumers (the host cost
-   model calibrating itself from BENCH_host.json) reload artefacts
+   reader next to the writer lets downstream consumers (the repository
+   benchmark's harness reading its own summaries) reload artefacts
    without a JSON dependency; the test suite deliberately keeps its own
    independent parser so this one is itself under test. *)
 

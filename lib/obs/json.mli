@@ -29,8 +29,7 @@ val parse : string -> t
     [\uXXXX] codepoints above Latin-1).  Raises {!Parse_error} on
     malformed input.  Numbers without [.]/[e] parse as {!Int}, others as
     {!Float}.  Lets consumers reload artefacts written by this module —
-    e.g. the plan compiler's host cost model calibrating itself from
-    [BENCH_host.json]. *)
+    e.g. the repository benchmark's harness reading its own summaries. *)
 
 val member : string -> t -> t option
 (** [member k (Obj fields)] looks up [k]; [None] on non-objects. *)

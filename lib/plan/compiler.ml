@@ -29,7 +29,7 @@ let mat_of_node ~inputs ~positional (n : node) : Cost.mat =
     match n.ty with
     | Matrix_ref { rows; cols; nnz; dense } ->
         { Cost.shape = { Cost.rows; cols; nnz; dense }; row_off = None }
-    | ty -> type_error "fusion anchor has type %s, not matrix" (ty_name ty)
+    | ty -> S.type_error "fusion anchor has type %s, not matrix" (ty_name ty)
   in
   let resolved =
     match n.op with
@@ -39,8 +39,8 @@ let mat_of_node ~inputs ~positional (n : node) : Cost.mat =
   in
   match resolved with Some m -> m | None -> from_ty ()
 
-let compile ?engine ?pool ?host ?(overhead_ms = 0.05) ?(positional = [])
-    device ~inputs program =
+let compile ?engine ?pool ?(overhead_ms = 0.05) ?(positional = []) device
+    ~inputs program =
   Kf_obs.Trace.with_span "plan.compile" @@ fun () ->
   let lowered = Lower.program ~inputs ~positional program in
   let steps = lowered.Lower.steps in
@@ -48,11 +48,6 @@ let compile ?engine ?pool ?host ?(overhead_ms = 0.05) ?(positional = [])
   let pushdowns = Passes.push_transposes steps in
   let _, flush_by_loop = flush_sets steps in
   let cost_engine = Option.value ~default:Fusion.Executor.Fused engine in
-  let host =
-    match host with
-    | Some h -> h
-    | None -> Cost.host_of_bench_file "BENCH_host.json"
-  in
   let domains =
     match (pool, cost_engine) with
     | Some p, _ -> Par.Pool.size p
@@ -65,7 +60,7 @@ let compile ?engine ?pool ?host ?(overhead_ms = 0.05) ?(positional = [])
     | _ -> 1
   in
   let ctx =
-    Cost.create ~host ~overhead_ms ~domains ~workers ~engine:cost_engine device
+    Cost.create ~overhead_ms ~domains ~workers ~engine:cost_engine device
   in
   let groups, ordered_groups =
     Kf_obs.Trace.with_span "plan.cost" (fun () ->

@@ -5,18 +5,18 @@
 
     The compiled plan is specialised to one concrete set of inputs —
     shapes, sparsity and scalar inputs are baked in — which is what lets
-    every rewrite be decided ahead of execution.  The executed results
-    agree with {!Sysml.Script.eval} to rounding on every engine; what
-    changes is the operator schedule (loop-invariant work runs once, and
-    the fused-call boundaries are chosen by cost rather than by the
-    syntactic shape of each assignment). *)
+    every rewrite be decided ahead of execution.  It is the one place a
+    DML program's operator trees are fused.  The executed results agree
+    to rounding, on every engine, with {!Sysml.Script.eval}, the
+    reference interpreter that makes one executor call per operator;
+    what changes is the operator schedule (loop-invariant work runs
+    once, and each fusion group's call boundaries are chosen by cost). *)
 
 type t
 
 val compile :
   ?engine:Fusion.Executor.engine ->
   ?pool:Par.Pool.t ->
-  ?host:Cost.host_params ->
   ?overhead_ms:float ->
   ?positional:Sysml.Script.value list ->
   Gpu_sim.Device.t ->
@@ -26,13 +26,15 @@ val compile :
 (** Lower, rewrite and select fusion groups.  [engine] (default
     [Fused]) selects both the execution backend and the cost model that
     prices candidates; [pool] sizes the host cost model's domain count
-    and is the pool {!execute} runs on; [host] overrides the host cost
-    parameters (default: calibrated from [BENCH_host.json] in the
-    current directory when present); [overhead_ms] (default 0.05, the
+    and is the pool {!execute} runs on; [overhead_ms] (default 0.05, the
     {!Sysml.Runtime.systemml} bookkeeping default) is the per-operator
-    charge that breaks cost ties toward larger fusion groups.  Raises
-    {!Ir.Type_error} on programs the interpreter would reject (plus the
-    documented plan-time strictness differences). *)
+    charge that breaks cost ties toward larger fusion groups.  The plan
+    depends on these arguments only (host candidates are priced with
+    {!Cost.default_host}).  Raises {!Sysml.Script.Type_error} on a
+    program the reference interpreter would reject, also when the
+    ill-typed code sits in a branch that would not run, and
+    {!Lower.Not_static} on a program whose types depend on run-time
+    values, which only the reference interpreter runs. *)
 
 val execute : t -> Sysml.Script.run
 (** Run the plan.  Each call creates a fresh session; the run record has

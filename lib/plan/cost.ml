@@ -10,8 +10,7 @@
    - [Host]: a stream-bandwidth model over the *maximum per-domain byte
      share* ({!Par.Partition.by_prefix} over the real [row_off] when the
      plan is compiled against a sparse input, uniform otherwise), plus a
-     per-job dispatch overhead; calibratable from a [BENCH_host.json]
-     written by [make bench-host].
+     per-job dispatch overhead, with the constants of [default_host].
 
    Absolute numbers only need to be *ordered* usefully: the plan chooser
    compares candidates under one model, and a per-operator bookkeeping
@@ -55,57 +54,6 @@ type host_params = {
 
 let default_host = { stream_gbs = 6.0; par_efficiency = 0.7; dispatch_ms = 0.02 }
 
-(* Refit the host parameters from a BENCH_host.json document: the
-   sequential pattern time gives the single-domain stream bandwidth (the
-   pattern streams the matrix twice), and the best fused multi-domain
-   result gives the achieved parallel efficiency. *)
-let host_of_bench_json json =
-  let open Kf_obs.Json in
-  let num = function Int i -> Some (float_of_int i) | Float f -> Some f | _ -> None in
-  let ( let* ) = Option.bind in
-  let fitted =
-    let* matrix = member "matrix" json in
-    let* nnz = Option.bind (member "nnz" matrix) num in
-    let* seq_ms = Option.bind (member "sequential_ms" json) num in
-    if seq_ms <= 0.0 || nnz <= 0.0 then None
-    else
-      let bytes = 2.0 *. nnz *. 12.0 in
-      let stream_gbs = bytes /. (seq_ms *. 1e6) in
-      let results = match member "results" json with Some (List l) -> l | _ -> [] in
-      let par_efficiency =
-        List.fold_left
-          (fun acc r ->
-            match (member "variant" r, Option.bind (member "ms" r) num,
-                   Option.bind (member "domains" r) num) with
-            | Some (Str "dense-acc"), Some ms, Some d
-              when ms > 0.0 && d > 1.0 ->
-                Float.max acc (seq_ms /. ms /. d)
-            | _ -> acc)
-          0.0 results
-      in
-      let par_efficiency =
-        if par_efficiency > 0.0 then Float.min 1.0 par_efficiency
-        else default_host.par_efficiency
-      in
-      Some { stream_gbs; par_efficiency; dispatch_ms = default_host.dispatch_ms }
-  in
-  Option.value ~default:default_host fitted
-
-let host_of_bench_file path =
-  if Sys.file_exists path then
-    try
-      let ic = open_in path in
-      let doc =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            Kf_obs.Json.parse
-              (really_input_string ic (in_channel_length ic)))
-      in
-      host_of_bench_json doc
-    with _ -> default_host
-  else default_host
-
 (* --- context ------------------------------------------------------------- *)
 
 type ctx = {
@@ -118,8 +66,7 @@ type ctx = {
   net : Kf_dist.Netmodel.t;
 }
 
-let create ?(host = default_host) ?(overhead_ms = 0.05) ?(domains = 1) ?workers
-    ?net ~engine device =
+let create ?(overhead_ms = 0.05) ?(domains = 1) ?workers ?net ~engine device =
   let workers =
     match workers with
     | Some w -> max 1 w
@@ -131,7 +78,7 @@ let create ?(host = default_host) ?(overhead_ms = 0.05) ?(domains = 1) ?workers
   let net =
     match net with Some n -> n | None -> Kf_dist.Netmodel.of_env ()
   in
-  { engine; device; host; domains; overhead_ms; workers; net }
+  { engine; device; host = default_host; domains; overhead_ms; workers; net }
 
 (* --- simulated-GPU occupancy --------------------------------------------- *)
 

@@ -6,7 +6,9 @@
     from the Section 3.3 tuning model — shape-only, so the paper's
     500k x 1k worked example can be costed without materialising 5M
     non-zeros.  [Host] uses a stream-bandwidth model over the maximum
-    per-domain byte share, calibratable from a [BENCH_host.json].
+    per-domain byte share, with the constants of {!default_host}: a plan
+    depends only on the compiler's arguments, never on files in the
+    working directory.
 
     Absolute numbers only need to be {e ordered} usefully: the plan
     chooser compares candidates under one model, and the per-operator
@@ -33,15 +35,8 @@ type host_params = {
 }
 
 val default_host : host_params
-
-val host_of_bench_json : Kf_obs.Json.t -> host_params
-(** Refit the host parameters from a parsed [BENCH_host.json] document;
-    falls back to {!default_host} field-wise when the document lacks the
-    needed measurements. *)
-
-val host_of_bench_file : string -> host_params
-(** {!host_of_bench_json} over a file path; {!default_host} when the
-    file is missing or unreadable. *)
+(** The host constants every {!create} context prices with (hand-set,
+    not fitted). *)
 
 (** {1 Costing context} *)
 
@@ -58,7 +53,6 @@ type ctx = {
 }
 
 val create :
-  ?host:host_params ->
   ?overhead_ms:float ->
   ?domains:int ->
   ?workers:int ->
@@ -66,7 +60,7 @@ val create :
   engine:Fusion.Executor.engine ->
   Gpu_sim.Device.t ->
   ctx
-(** Defaults: [host = default_host], [overhead_ms = 0.05] (the
+(** [host] is {!default_host}.  Defaults: [overhead_ms = 0.05] (the
     {!Sysml.Runtime} per-operator charge), [domains = 1], [workers =
     Kf_dist.Cluster.default_size ()] under [Dist] (1 otherwise), [net =
     Kf_dist.Netmodel.of_env ()]. *)

@@ -158,7 +158,7 @@ let candidates ctx ~mat_of ch =
     in
     let kernel = Cost.fused_ms ctx mat inst in
     (* Direct body with an absorbed beta tail runs the epilogue axpy as a
-       second operator (the interpreter's Direct path does the same). *)
+       second operator ([Interp.exec_group]'s Direct path). *)
     let s = mat.Cost.shape in
     let extra_axpy =
       if (not chainlike) && beta_z <> None then

@@ -7,8 +7,8 @@
    sets, so their first forced value survives every iteration, and a
    loop that never runs never forces them at all.  Nodes chosen as
    fusion-group roots execute as one fused pattern call ({!exec_group});
-   everything else evaluates operator by operator exactly as the
-   eval-time interpreter would, so the two paths agree to rounding. *)
+   everything else makes one executor call per operator, as the
+   reference interpreter ({!Sysml.Script.eval}) does. *)
 
 open Ir
 module S = Sysml.Script
@@ -26,48 +26,6 @@ type t = {
   mutable outputs : (string * S.value) list;
   mutable fused : int;
 }
-
-let type_error fmt = Printf.ksprintf (fun s -> raise (S.Type_error s)) fmt
-
-let scalar = function
-  | S.Num f -> f
-  | S.Vector _ -> type_error "expected a scalar, got a vector"
-  | S.Matrix _ -> type_error "expected a scalar, got a matrix"
-
-let vector = function
-  | S.Vector v -> v
-  | S.Num _ -> type_error "expected a vector, got a scalar"
-  | S.Matrix _ -> type_error "expected a vector, got a matrix"
-
-let matrix = function
-  | S.Matrix m -> m
-  | S.Num _ -> type_error "expected a matrix, got a scalar"
-  | S.Vector _ -> type_error "expected a matrix, got a vector"
-
-let sparse v =
-  match matrix v with
-  | Fusion.Executor.Sparse g -> g
-  | Fusion.Executor.Dense _ ->
-      type_error "sddmm/spmm need a sparse (CSR) left operand"
-
-let dense v =
-  match matrix v with
-  | Fusion.Executor.Dense h -> h
-  | Fusion.Executor.Sparse _ ->
-      type_error "sddmm/spmm need a dense embedding right operand"
-
-let semiring name =
-  match Fusion.Semiring.find name with
-  | Some sr -> sr
-  | None -> type_error "unknown semiring %S" name
-
-(* The float payload a guard can health-check, whatever the value's
-   flavour. *)
-let value_floats = function
-  | S.Num f -> [| f |]
-  | S.Vector v -> v
-  | S.Matrix (Fusion.Executor.Dense d) -> d.Matrix.Dense.data
-  | S.Matrix (Fusion.Executor.Sparse c) -> c.Matrix.Csr.values
 
 let rec force st n =
   match Hashtbl.find_opt st.cache n.id with
@@ -87,15 +45,15 @@ and eval_node st n =
   | Input_named name, _ -> (
       match List.assoc_opt name st.inputs with
       | Some v -> v
-      | None -> type_error "unbound variable %s" name)
+      | None -> S.type_error "unbound variable %s" name)
   | Input_pos k, _ ->
       if k < 1 || k > Array.length st.positional then
-        type_error "read($%d): no such positional input" k
+        S.type_error "read($%d): no such positional input" k
       else st.positional.(k - 1)
   | Var_at { var; _ }, _ -> (
       match Hashtbl.find_opt st.env var with
       | Some v -> v
-      | None -> type_error "unbound variable %s" var)
+      | None -> S.type_error "unbound variable %s" var)
   | Ones, _ -> (
       match n.ty with
       | Vector len -> S.Vector (Array.make len 1.0)
@@ -108,38 +66,38 @@ and eval_node st n =
       match force st a with
       | S.Num f -> S.Num (-.f)
       | S.Vector v -> S.Vector (Kf_ml.Session.scal st.session (-1.0) v)
-      | S.Matrix _ -> type_error "cannot negate a matrix")
+      | S.Matrix _ -> S.type_error "cannot negate a matrix")
   | Bin op, [ a; b ] -> bin st op (force st a) (force st b)
   | Dot, [ a; b ] ->
       S.Num
-        (Kf_ml.Session.dot st.session (vector (force st a))
-           (vector (force st b)))
+        (Kf_ml.Session.dot st.session (S.vector (force st a))
+           (S.vector (force st b)))
   | Matmul, [ m; y ] ->
       S.Vector
-        (Kf_ml.Session.x_y st.session (matrix (force st m))
-           (vector (force st y)))
+        (Kf_ml.Session.x_y st.session (S.matrix (force st m))
+           (S.vector (force st y)))
   | Matmul_t, [ m; p ] ->
       (* every anchor normally executes through its group; this is the
          floor behaviour should one ever be forced bare *)
       st.fused <- st.fused + 1;
       S.Vector
-        (Kf_ml.Session.xt_y st.session (matrix (force st m))
-           (vector (force st p)) ~alpha:1.0)
+        (Kf_ml.Session.xt_y st.session (S.matrix (force st m))
+           (S.vector (force st p)) ~alpha:1.0)
   | Sddmm sr, [ g; h ] ->
       S.Matrix
         (Fusion.Executor.Sparse
-           (Kf_ml.Session.sddmm ~semiring:(semiring sr) st.session
-              (sparse (force st g))
-              (dense (force st h))))
+           (Kf_ml.Session.sddmm ~semiring:(S.semiring_named sr) st.session
+              (S.graph_sparse (force st g))
+              (S.graph_dense (force st h))))
   | Spmm sr, [ s; h ] ->
       (* every Spmm anchor normally executes through its group; this is
          the floor behaviour should one ever be forced bare *)
       S.Matrix
         (Fusion.Executor.Dense
-           (Kf_ml.Session.spmm ~semiring:(semiring sr) st.session
-              (sparse (force st s))
-              (dense (force st h))))
-  | Transpose, _ -> type_error "t() is only valid inside a matrix product"
+           (Kf_ml.Session.spmm ~semiring:(S.semiring_named sr) st.session
+              (S.graph_sparse (force st s))
+              (S.graph_dense (force st h))))
+  | Transpose, _ -> S.type_error "t() is only valid inside a matrix product"
   | _ -> assert false
 
 and bin st op a b =
@@ -164,91 +122,60 @@ and bin st op a b =
   | Sub, S.Vector u, S.Vector v ->
       S.Vector (Kf_ml.Session.axpy st.session (-1.0) v u)
   | (Add | Sub), (S.Num _ | S.Vector _), (S.Num _ | S.Vector _) ->
-      type_error "scalar +/- vector is not defined"
-  | _ -> type_error "unsupported operand combination"
+      S.type_error "scalar +/- vector is not defined"
+  | _ -> S.type_error "unsupported operand combination"
 
-(* One fused pattern call for a whole chain.  The alpha factors multiply
-   out exactly as the interpreter's recognizer folds them (products of
-   scalars and sign flips are bitwise-exact), and the Direct-body
-   epilogue mirrors the interpreter's [xt_y]-then-[axpy] path. *)
-(* Recovery scope for a fused group: a fault injected anywhere in the
-   group's execution (or a guard trip on its output) re-runs the whole
-   group, bounded.  The executor underneath has its own finer-grained
-   retry/fallback chain; this layer exists so a plan-level fault point
-   ("plan.exec_group") also has a recovery story. *)
+(* One fused pattern call for a whole chain.  The alpha factors are
+   products of scalars and sign flips (bitwise-exact), and the Direct
+   body's epilogue is an [xt_y] followed by an [axpy].  Recovery is the
+   executor's: each call below retries, falls back and guards on its
+   own. *)
 and exec_group st g =
-  if not (Kf_resil.Fault.active ()) then exec_group_body st g
-  else begin
-    let rec attempt k =
-      match
-        Kf_resil.Fault.with_arm (fun () ->
-            Kf_resil.Fault.check Kf_resil.Fault.Launch ~point:"plan.exec_group";
-            let w = exec_group_body st g in
-            Kf_resil.Guard.check_vec ~point:"plan.exec_group"
-              (value_floats w);
-            w)
-      with
-      | w -> w
-      | exception
-          ((Kf_resil.Fault.Injected _ | Kf_resil.Guard.Unhealthy _) as exn)
-        ->
-          if k >= 3 then raise exn
-          else begin
-            Kf_obs.Trace.instant "resil.retry"
-              ~args:[ ("op", "plan.exec_group") ];
-            attempt (k + 1)
-          end
-    in
-    attempt 0
-  end
-
-and exec_group_body st g =
   let c = g.Fuse.g_chosen in
   match c.Fuse.c_body with
   | Fuse.Fused_graph gr ->
       (* a fusedmm-family call: the chain counts as a fused launch, the
-         aggregation-only floor is a plain operator (matching the
-         eval-time recognizer's accounting) *)
-      let gm = sparse (force st gr.Fuse.gr_g) in
-      let hm = dense (force st gr.Fuse.gr_h) in
+         aggregation-only floor is a plain operator *)
+      let gm = S.graph_sparse (force st gr.Fuse.gr_g) in
+      let hm = S.graph_dense (force st gr.Fuse.gr_h) in
       if gr.Fuse.gr_inst = Fusion.Fusedmm.Sddmm_spmm then
         st.fused <- st.fused + 1;
       S.Matrix
         (Fusion.Executor.Dense
            (Kf_ml.Session.fusedmm
-              ~semiring:(semiring gr.Fuse.gr_semiring)
+              ~semiring:(S.semiring_named gr.Fuse.gr_semiring)
               st.session gr.Fuse.gr_inst gm hm))
   | Fuse.Direct _ | Fuse.Chain _ -> (
-      let x = matrix (force st g.Fuse.g_x) in
+      let x = S.matrix (force st g.Fuse.g_x) in
       let alpha =
         List.fold_left
           (fun a f ->
             match f with
             | Fuse.F_neg -> -.a
-            | Fuse.F_scalar s -> a *. scalar (force st s))
+            | Fuse.F_scalar s -> a *. S.scalar (force st s))
           1.0 c.Fuse.c_alpha
       in
       let beta_of s =
-        match s with None -> 1.0 | Some s -> scalar (force st s)
+        match s with None -> 1.0 | Some s -> S.scalar (force st s)
       in
       st.fused <- st.fused + 1;
       match c.Fuse.c_body with
       | Fuse.Direct p -> (
-          let pv = vector (force st p) in
+          let pv = S.vector (force st p) in
           let w = Kf_ml.Session.xt_y st.session x pv ~alpha in
           match c.Fuse.c_beta_z with
           | None -> S.Vector w
           | Some (s, z) ->
               S.Vector
                 (Kf_ml.Session.axpy st.session (beta_of s)
-                   (vector (force st z))
+                   (S.vector (force st z))
                    w))
       | Fuse.Chain { y; v } ->
-          let yv = vector (force st y) in
-          let vv = Option.map (fun v -> vector (force st v)) v in
+          let yv = S.vector (force st y) in
+          let vv = Option.map (fun v -> S.vector (force st v)) v in
           let beta_z =
             Option.map
-              (fun (s, z) -> (beta_of s, vector (force st z)))
+              (fun (s, z) -> (beta_of s, S.vector (force st z)))
               c.Fuse.c_beta_z
           in
           S.Vector
@@ -264,12 +191,12 @@ let rec exec_step st = function
   | Bind (x, n) -> Hashtbl.replace st.env x (force st n)
   | Write (n, name) -> st.outputs <- (name, force st n) :: st.outputs
   | If_ { cond; then_; else_ } ->
-      if scalar (force st cond) <> 0.0 then List.iter (exec_step st) then_
+      if S.scalar (force st cond) <> 0.0 then List.iter (exec_step st) then_
       else List.iter (exec_step st) else_
   | While_ { loop_id; cond; body; _ } ->
       let rec loop () =
         flush st loop_id;
-        if scalar (force st cond) <> 0.0 then begin
+        if S.scalar (force st cond) <> 0.0 then begin
           List.iter (exec_step st) body;
           loop ()
         end

@@ -4,14 +4,10 @@
     computed at most once until some loop in its flush set starts an
     iteration — this is how loop-invariant hoisting is realised.  Nodes
     chosen as fusion-group roots execute as one fused pattern call;
-    everything else evaluates operator by operator exactly as the
-    eval-time interpreter would, so the two paths agree to rounding.
-
-    When fault injection is active ({!Kf_resil.Fault.active}), each
-    fused group runs inside an armed recovery scope: a fault injected
-    anywhere in the group's execution (or a guard trip on its output)
-    re-runs the whole group, bounded at three retries, on top of the
-    executor's own finer-grained retry/fallback chain. *)
+    everything else makes one executor call per operator, as the
+    reference interpreter ({!Sysml.Script.eval}) does, so the two paths
+    agree to rounding.  Recovery from faults and guard trips is the
+    executor's, per call; the plan adds no layer of its own. *)
 
 val execute :
   ?engine:Fusion.Executor.engine ->
@@ -28,4 +24,5 @@ val execute :
     node ids to their groups ({!Fuse.select}'s first component);
     [flush_by_loop] is {!Ir.flush_sets}'s second component.  The result
     has the same shape as {!Sysml.Script.eval}'s, so differential tests
-    can compare the two directly. *)
+    can compare the two directly.  Raises {!Sysml.Script.Type_error} on
+    a value of the wrong kind. *)

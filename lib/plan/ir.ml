@@ -58,10 +58,6 @@ type step =
   | While_ of { loop_id : int; cond : node; body : step list; phis : node list }
   | If_ of { cond : node; then_ : step list; else_ : step list }
 
-exception Type_error of string
-
-let type_error fmt = Printf.ksprintf (fun s -> raise (Type_error s)) fmt
-
 let binop_name = function
   | Add -> "add"
   | Sub -> "sub"

@@ -55,12 +55,6 @@ type step =
   | While_ of { loop_id : int; cond : node; body : step list; phis : node list }
   | If_ of { cond : node; then_ : step list; else_ : step list }
 
-exception Type_error of string
-
-val type_error : ('a, unit, string, 'b) format4 -> 'a
-(** [type_error fmt ...] raises {!Type_error} with the formatted
-    message. *)
-
 val binop_name : binop -> string
 val op_name : op -> string
 val ty_name : ty -> string

@@ -4,14 +4,22 @@
    same pair the interpreter would receive), so every node carries a
    fully resolved type: scalar inputs fold to constants, [ncol]/[nrow]
    fold to constants, and vector lengths / matrix shapes are exact.
-   Typing mirrors the interpreter's dynamic rules; a program the
-   interpreter would reject at runtime is rejected here at plan time
-   (plus two deliberate strictness differences, documented on
-   {!Ir.Type_error} sites: conditionally-dead ill-typed code and
-   non-constant [matrix(0, rows=e)] lengths are compile errors). *)
+   Typing mirrors the reference interpreter's dynamic rules: a program
+   it would reject at run time raises [Script.Type_error] here, and so
+   does ill-typed code in a branch that would never run.  A type that
+   depends on run-time values (a [matrix(0, rows=e)] length that is not
+   a plan-time constant, a variable whose type differs across a loop
+   iteration or the arms of an if, or that a loop reads before it
+   assigns it) raises [Not_static]. *)
 
 open Ir
 module S = Sysml.Script
+
+exception Not_static of string
+
+let type_error = S.type_error
+
+let not_static fmt = Printf.ksprintf (fun s -> raise (Not_static s)) fmt
 
 type result = { steps : step list; builder : builder; loops : int }
 
@@ -22,6 +30,9 @@ type ctx = {
   mutable serial : int;
   mutable next_loop : int;
   mutable enclosing : int list;  (* innermost first *)
+  mutable loop_assigned : string list;
+      (* variables the enclosing loops' bodies assign: one read before
+         its assignment is bound only from the second iteration on *)
 }
 
 let ty_of_value = function
@@ -65,6 +76,8 @@ let current_node ctx vars name =
 let lower_var ctx vars name =
   match current_node ctx vars name with
   | Some n -> n
+  | None when List.mem name ctx.loop_assigned ->
+      not_static "variable %s is read before its assignment in a loop" name
   | None -> type_error "unbound variable %s" name
 
 let rec lower_expr ctx vars (e : S.expr) : node =
@@ -153,7 +166,7 @@ let rec lower_expr ctx vars (e : S.expr) : node =
       match a.op with
       | Const f -> mk ctx.b Zero_vec [] (Vector (int_of_float f))
       | _ ->
-          type_error
+          not_static
             "matrix(0, rows=...): the length is not a plan-time constant")
   | S.Sddmm (ge, he, sr) -> (
       check_semiring sr;
@@ -270,7 +283,7 @@ let rec lower_stmt ctx vars (s : S.stmt) : step =
             | Some a, Some b ->
                 if a.ty = b.ty then a.ty
                 else
-                  type_error "variable %s has conflicting types across if" x
+                  not_static "variable %s has conflicting types across if" x
             | Some a, None -> a.ty
             | None, Some b -> b.ty
             | None, None -> assert false
@@ -294,15 +307,18 @@ let rec lower_stmt ctx vars (s : S.stmt) : step =
             | None -> None)
           assigned
       in
+      let outer_assigned = ctx.loop_assigned in
       ctx.enclosing <- loop_id :: outer;
+      ctx.loop_assigned <- assigned @ outer_assigned;
       let cond = lower_scalar ctx vars c in
       let body_steps = List.map (lower_stmt ctx vars) body in
       ctx.enclosing <- outer;
+      ctx.loop_assigned <- outer_assigned;
       List.iter
         (fun (x, phi) ->
           match Hashtbl.find_opt vars x with
           | Some final when final.ty <> phi.ty ->
-              type_error "variable %s changes type across loop iterations" x
+              not_static "variable %s changes type across loop iterations" x
           | _ -> ())
         phis;
       List.iter
@@ -323,6 +339,7 @@ let program ~inputs ~positional (stmts : S.stmt list) : result =
       serial = 0;
       next_loop = 0;
       enclosing = [];
+      loop_assigned = [];
     }
   in
   let vars = Hashtbl.create 16 in

@@ -4,11 +4,19 @@
     same pair the interpreter would receive), so every node carries a
     fully resolved type: scalar inputs fold to constants, [ncol]/[nrow]
     fold to constants, and vector lengths / matrix shapes are exact.
-    Typing mirrors the interpreter's dynamic rules; a program the
-    interpreter would reject at runtime is rejected here at plan time,
-    by raising {!Ir.Type_error} (plus two deliberate strictness
-    differences: conditionally-dead ill-typed code and non-constant
-    [matrix(0, rows=e)] lengths are compile errors). *)
+    Typing mirrors {!Sysml.Script.eval}'s dynamic rules: a program it
+    would reject at run time raises {!Sysml.Script.Type_error} here, at
+    plan time, and so does ill-typed code in a branch that would never
+    run. *)
+
+exception Not_static of string
+(** The program's types depend on run-time values, so it has no static
+    plan: a [matrix(0, rows=e)] length that is not a plan-time constant,
+    a variable whose type (or vector length) differs across a loop
+    iteration or the arms of an [if], or a variable a loop reads before
+    its first assignment (bound only from the second iteration on).
+    The message names the construct.
+    {!Sysml.Script.eval} runs such programs. *)
 
 type result = {
   steps : Ir.step list;

@@ -6,7 +6,7 @@
 
    - {!hoist_invariants} — per [while] loop, the non-trivial nodes its
      body references that do not depend on any of the loop's phis.
-     These are exactly the computations the eval-time interpreter
+     These are exactly the computations the reference interpreter
      re-resolves every iteration (the bug this subsystem fixes: the
      [t(X)] shape resolution, the [ones] vector behind every [sum]);
      under the plan executor their cached values survive iterations, so

@@ -9,7 +9,7 @@ type hoist = { h_loop : int; h_nodes : Ir.node list }
 val hoist_invariants : Ir.step list -> hoist list
 (** Per [while] loop, the non-trivial nodes its body references that do
     not depend on any of the loop's phis — exactly the computations the
-    eval-time interpreter re-resolves every iteration.  The pass only
+    reference interpreter re-resolves every iteration.  The pass only
     {e reports} the hoist set: the hoisting itself is realised by the
     value cache (invariant nodes have empty flush sets), which also
     means a loop that never runs never pays for its hoisted nodes. *)

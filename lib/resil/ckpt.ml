@@ -225,8 +225,12 @@ let get_ints payload name =
 (* --- file I/O ------------------------------------------------------------- *)
 
 (* Every error names the file: [open_in_bin]'s own message does, and
-   a read that fails after it (a directory, an I/O error) is prefixed. *)
+   a read that fails after it (an I/O error) is prefixed.  A directory
+   opens without complaint and only fails to read, so it is refused
+   first. *)
 let read_file path =
+  if Sys.file_exists path && Sys.is_directory path then
+    raise (Sys_error (path ^ ": is a directory"));
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)

@@ -51,7 +51,8 @@ val write : path:string -> algorithm:string -> iteration:int -> payload -> unit
 
 val read : path:string -> t
 (** Raises {!Corrupt} on any malformed/damaged file, [Sys_error] if
-    unreadable; either message names the file. *)
+    unreadable or a directory ("<path>: is a directory"); either message
+    names the file. *)
 
 val read_with_checksum : path:string -> t * string
 (** {!read} plus the file's verified payload checksum (16 hex digits) —

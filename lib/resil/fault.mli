@@ -24,7 +24,7 @@
 
     Rules for [launch], [nan]/[inf] and [crash] only fire inside an
     {e armed} recovery scope ({!with_arm}) — the executor's guarded
-    dispatch and the plan interpreter install one — so code paths with
+    dispatch installs one — so code paths with
     no recovery story (direct [Host_fused] / [Blas] calls in tests)
     never see an injected exception. [alloc] and [trunc] target points
     that recover in place, so they fire unconditionally.

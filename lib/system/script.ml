@@ -44,7 +44,6 @@ exception Type_error of string
 let type_error fmt = Printf.ksprintf (fun s -> raise (Type_error s)) fmt
 
 type state = {
-  device : Gpu_sim.Device.t;
   session : Kf_ml.Session.t;
   bindings : (string, value) Hashtbl.t;
   positional : value array;
@@ -84,106 +83,13 @@ let semiring_named name =
   | Some sr -> sr
   | None -> type_error "unknown semiring %S" name
 
-let same_matrix a b =
-  match (a, b) with
-  | Fusion.Executor.Sparse x, Fusion.Executor.Sparse y -> x == y
-  | Fusion.Executor.Dense x, Fusion.Executor.Dense y -> x == y
-  | _ -> false
+(* --- evaluation ------------------------------------------------------------
 
-(* --- pattern recognition -------------------------------------------------
+   One executor call per operator, in source order: no tree is ever
+   collapsed into a fused call, so this interpreter is the unfused
+   reference the plan compiler ([Kf_plan]) is checked against. *)
 
-   An assignment whose right-hand side matches
-
-     [alpha *] t(X) %*% ([v *] (X %*% y)) [+ beta * z]
-
-   is collapsed into one fused pattern call; a bare [t(X) %*% p] becomes
-   an [X^T y] call.  Anything else evaluates operator by operator. *)
-
-(* the inner chain: (X %*% y) or (v * (X %*% y)) for the given matrix *)
-let rec inner_chain st x = function
-  | Matmul (mx, y) -> (
-      match eval st mx with
-      | Matrix x' when same_matrix x x' -> Some (vector (eval st y), None)
-      | _ -> None
-      | exception Type_error _ -> None)
-  | Mul (v, rest) -> (
-      match inner_chain st x rest with
-      | Some (y, None) -> (
-          match eval st v with
-          | Vector v -> Some (y, Some v)
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
-
-(* t(X) %*% chain, possibly scaled by a scalar on the left *)
-and transpose_product st = function
-  | Matmul (T mx, rhs) -> (
-      match eval st mx with
-      | Matrix x -> (
-          match inner_chain st x rhs with
-          | Some (y, v) -> Some (1.0, x, `Chain (y, v))
-          | None -> (
-              (* plain t(X) %*% p *)
-              match eval st rhs with
-              | Vector p -> Some (1.0, x, `Direct p)
-              | _ -> None
-              | exception Type_error _ -> None))
-      | _ -> None
-      | exception Type_error _ -> None)
-  | Mul (a, rest) -> (
-      match eval st a with
-      | Num alpha -> (
-          match transpose_product st rest with
-          | Some (alpha', x, body) -> Some (alpha *. alpha', x, body)
-          | None -> None)
-      | _ -> None
-      | exception Type_error _ -> None)
-  | _ -> None
-
-(* beta * z (or z * beta) as the additive tail *)
-and scaled_vector st = function
-  | Mul (a, b) -> (
-      match (eval st a, eval st b) with
-      | Num beta, Vector z | Vector z, Num beta -> Some (beta, z)
-      | _ -> None
-      | exception Type_error _ -> None)
-  | _ -> None
-
-and recognize st expr =
-  let fuse ?beta_z (alpha, x, body) =
-    st.fused <- st.fused + 1;
-    let input = x in
-    match body with
-    | `Direct p ->
-        (* alpha * X^T p; the additive tail, if any, is applied after *)
-        let w = Kf_ml.Session.xt_y st.session input p ~alpha in
-        Some
-          (match beta_z with
-          | None -> Vector w
-          | Some (beta, z) ->
-              Vector (Kf_ml.Session.axpy st.session beta z w))
-    | `Chain (y, v) ->
-        Some
-          (Vector
-             (Kf_ml.Session.pattern st.session input ~y ?v ?beta_z ~alpha
-                ()))
-  in
-  match expr with
-  | Add (a, b) -> (
-      match (transpose_product st a, scaled_vector st b) with
-      | Some t, Some bz -> fuse ~beta_z:bz t
-      | _ -> (
-          match (scaled_vector st a, transpose_product st b) with
-          | Some bz, Some t -> fuse ~beta_z:bz t
-          | _ -> None))
-  | _ -> (
-      match transpose_product st expr with
-      | Some t -> fuse t
-      | None -> None)
-
-(* --- plain evaluation ---------------------------------------------------- *)
-
-and eval st = function
+let rec eval st = function
   | Const f -> Num f
   | Var name -> (
       match Hashtbl.find_opt st.bindings name with
@@ -206,15 +112,16 @@ and eval st = function
       Num
         (if scalar (eval st a) <> 0.0 && scalar (eval st b) <> 0.0 then 1.0
          else 0.0)
-  | Matmul (T te, rhs) as e -> (
-      (* reached only outside an assignment's recognition, e.g. nested *)
-      match recognize st e with
-      | Some v -> v
-      | None -> (
+  | Matmul (T te, rhs) -> (
+      match (eval st te, eval st rhs) with
+      | Vector u, Vector v ->
           (* t(p) %*% q over vectors is a dot product *)
-          match (eval st te, eval st rhs) with
-          | Vector u, Vector v -> Num (Kf_ml.Session.dot st.session u v)
-          | _ -> type_error "unsupported transpose product"))
+          Num (Kf_ml.Session.dot st.session u v)
+      | Matrix x, Vector p ->
+          (* counted the way the plan interpreter counts a bare X^T y *)
+          st.fused <- st.fused + 1;
+          Vector (Kf_ml.Session.xt_y st.session x p ~alpha:1.0)
+      | _ -> type_error "unsupported transpose product")
   | Matmul (me, ye) -> (
       let m = matrix (eval st me) in
       match eval st ye with
@@ -240,33 +147,12 @@ and eval st = function
       Matrix
         (Fusion.Executor.Sparse
            (Kf_ml.Session.sddmm ~semiring:(semiring_named sr) st.session g h))
-  | Spmm (se, he, sr) -> (
-      let sem = semiring_named sr in
+  | Spmm (se, he, sr) ->
+      let s = graph_sparse (eval st se) in
       let h = graph_dense (eval st he) in
-      (* the graph analogue of the Equation-1 recognizer: an SpMM whose
-         sparse operand is a same-semiring SDDMM over the same embedding
-         is the family's fused chain — one launch, S never materialised *)
-      let fused =
-        match se with
-        | Sddmm (ge, he', sr') when sr' = sr -> (
-            match eval st he' with
-            | Matrix (Fusion.Executor.Dense h') when h' == h ->
-                let g = graph_sparse (eval st ge) in
-                st.fused <- st.fused + 1;
-                Some
-                  (Kf_ml.Session.fusedmm ~semiring:sem st.session
-                     Fusion.Fusedmm.Sddmm_spmm g h)
-            | _ -> None
-            | exception Type_error _ -> None)
-        | _ -> None
-      in
-      match fused with
-      | Some z -> Matrix (Fusion.Executor.Dense z)
-      | None ->
-          let s = graph_sparse (eval st se) in
-          Matrix
-            (Fusion.Executor.Dense
-               (Kf_ml.Session.spmm ~semiring:sem st.session s h)))
+      Matrix
+        (Fusion.Executor.Dense
+           (Kf_ml.Session.spmm ~semiring:(semiring_named sr) st.session s h))
   | Read k ->
       if k < 1 || k > Array.length st.positional then
         type_error "read($%d): no such positional input" k
@@ -296,11 +182,7 @@ let stmt_label = function
 let rec exec st stmt =
   Kf_obs.Trace.with_span (stmt_label stmt) @@ fun () ->
   match stmt with
-  | Assign (name, e) ->
-      let value =
-        match recognize st e with Some v -> v | None -> eval st e
-      in
-      Hashtbl.replace st.bindings name value
+  | Assign (name, e) -> Hashtbl.replace st.bindings name (eval st e)
   | While (cond, body) ->
       while scalar (eval st cond) <> 0.0 do
         List.iter (exec st) body
@@ -308,9 +190,7 @@ let rec exec st stmt =
   | If (cond, then_, else_) ->
       if scalar (eval st cond) <> 0.0 then List.iter (exec st) then_
       else List.iter (exec st) else_
-  | Write (e, name) ->
-      let v = match recognize st e with Some v -> v | None -> eval st e in
-      st.outputs <- (name, v) :: st.outputs
+  | Write (e, name) -> st.outputs <- (name, eval st e) :: st.outputs
 
 let eval ?engine ?pool ?(positional = []) device ~inputs program =
   let session =
@@ -318,7 +198,6 @@ let eval ?engine ?pool ?(positional = []) device ~inputs program =
   in
   let st =
     {
-      device;
       session;
       bindings = Hashtbl.create 16;
       positional = Array.of_list positional;
@@ -326,7 +205,6 @@ let eval ?engine ?pool ?(positional = []) device ~inputs program =
       fused = 0;
     }
   in
-  ignore st.device;
   List.iter (fun (name, v) -> Hashtbl.replace st.bindings name v) inputs;
   Kf_obs.Trace.with_span "script.eval" (fun () -> List.iter (exec st) program);
   {

@@ -1,13 +1,14 @@
 (** A miniature declarative-ML language in the style of SystemML's DML —
-    the language Listing 1 of the paper is written in — with an evaluator
-    that *transparently selects the fused GPU kernel* whenever an
-    expression tree matches the pattern of Equation 1.
+    the language Listing 1 of the paper is written in — and its
+    reference interpreter.
 
-    This reproduces the paper's integration story at the language level:
-    the script author writes `t(V) %*% (V %*% p) + eps * p` as three
-    algebra operators; the evaluator recognises the shape and issues a
-    single fused launch (or the library composition, for comparison),
-    recording what it fused.
+    {!eval} runs a program one executor call per operator, in source
+    order: [t(V) %*% (V %*% p) + eps * p] is an [X y] call, an [X^T y]
+    call, a scaling and an [axpy].  It never collapses a tree into a
+    fused call.  Selecting the fused kernel wherever an operator tree
+    matches Equation 1 — the paper's SystemML integration — is the plan
+    compiler's job ([Kf_plan.Compiler]), which this interpreter checks
+    as an oracle that shares no fusion logic with it.
 
     The subset implemented is exactly what the studied algorithms need:
     scalars, vectors and matrices; arithmetic; comparisons and [&];
@@ -44,10 +45,7 @@ type expr =
           dense embedding; the string names a [Fusion.Semiring] *)
   | Spmm of expr * expr * string
       (** [spmm(S, H, "semiring")]: the aggregation
-          [Z_i = op_j (S_ij * H_j)].  When the sparse operand is
-          syntactically a same-semiring [Sddmm] over the same embedding,
-          the evaluator issues the family's single fused SDDMM ⊕ SpMM
-          launch instead of materialising [S] *)
+          [Z_i = op_j (S_ij * H_j)] *)
 
 type stmt =
   | Assign of string * expr
@@ -64,11 +62,39 @@ type run = {
   env : (string * value) list;  (** final variable bindings *)
   outputs : (string * value) list;  (** values exported with [Write] *)
   gpu_ms : float;  (** simulated device time of all issued operators *)
-  fused_launches : int;  (** pattern trees recognised and fused *)
+  fused_launches : int;
+      (** Equation-1 calls issued: under {!eval} one per [t(X) %*% p]
+          ([X^T y]); under a compiled plan one per Equation-1 group
+          and per fused SDDMM ⊕ SpMM chain *)
   trace : Fusion.Pattern.Trace.t;
 }
 
 exception Type_error of string
+(** A DML type error: an unbound variable, operands of the wrong kind or
+    shape, an unknown semiring.  Raised by {!eval} at run time and by
+    the plan compiler at compile time. *)
+
+val type_error : ('a, unit, string, 'b) format4 -> 'a
+(** [type_error fmt ...] raises {!Type_error} with the formatted
+    message. *)
+
+(** {1 Value projections}
+
+    Each raises {!Type_error} naming what it expected; shared by every
+    interpreter of this language. *)
+
+val scalar : value -> float
+val vector : value -> Matrix.Vec.t
+val matrix : value -> Fusion.Executor.input
+
+val graph_sparse : value -> Matrix.Csr.t
+(** The sparse (CSR) left operand of [sddmm]/[spmm]. *)
+
+val graph_dense : value -> Matrix.Dense.t
+(** The dense embedding right operand of [sddmm]/[spmm]. *)
+
+val semiring_named : string -> Fusion.Semiring.t
+(** The registered semiring of that name. *)
 
 val eval :
   ?engine:Fusion.Executor.engine ->
@@ -78,11 +104,11 @@ val eval :
   inputs:(string * value) list ->
   stmt list ->
   run
-(** Run a program.  [positional] supplies [read($1)], [read($2)], ...;
-    [~engine:Library] executes the same script without fusion (every
-    operator its own kernel chain) — the two runs return the same values,
-    which the tests check.  [pool] selects the domain pool for the
-    [Host] engine. *)
+(** Run a program on the reference interpreter: one executor call per
+    operator.  [positional] supplies [read($1)], [read($2)], ...;
+    [engine] (default [Fused]) runs each of those calls, and [pool]
+    selects the domain pool for the [Host] engine.  Raises {!Type_error}
+    when a statement it reaches is ill-typed. *)
 
 val lookup : run -> string -> value
 (** Raises [Not_found]. *)

@@ -74,7 +74,7 @@ let test_streamed_equals_resident () =
     (instantiations (v, z))
 
 let test_script_equals_executor () =
-  (* the DML route through the interpreter's recogniser must agree with a
+  (* the DML route through the plan compiler's fusion must agree with a
      direct Executor call on the very same instantiation *)
   let sparse, _, y, v, z = case 44 ~rows:150 ~cols:20 in
   let input = Fusion.Executor.Sparse sparse in
@@ -96,11 +96,15 @@ let test_script_equals_executor () =
     ]
   in
   let r =
-    eval Device.gtx_titan
-      ~inputs:
-        [ ("X", Matrix input); ("y", Vector y); ("v", Vector v); ("z", Vector z) ]
-      program
+    Kf_plan.Compiler.execute
+      (Kf_plan.Compiler.compile Device.gtx_titan
+         ~inputs:
+           [
+             ("X", Matrix input); ("y", Vector y); ("v", Vector v); ("z", Vector z);
+           ]
+         program)
   in
+  Alcotest.(check int) "one fused call" 1 r.fused_launches;
   Alcotest.(check bool) "script = executor" true
     (Vec.approx_equal ~tol:1e-9 (lookup_vector r "w") direct.Fusion.Executor.w)
 

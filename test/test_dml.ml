@@ -71,9 +71,10 @@ let test_listing1_verbatim () =
   let input = Fusion.Executor.Sparse x in
   let program = Dml.parse Dml.listing1 in
   let r =
-    Script.eval device ~inputs:[]
-      ~positional:[ Script.Matrix input; Script.Vector targets ]
-      program
+    Kf_plan.Compiler.execute
+      (Kf_plan.Compiler.compile device ~inputs:[]
+         ~positional:[ Script.Matrix input; Script.Vector targets ]
+         program)
   in
   (* the script writes its solution as "w" *)
   let w =

@@ -584,9 +584,19 @@ let test_plan_matches_eval () =
       let t = Compiler.compile ~engine ?pool device ~inputs:[] ~positional program in
       let rp = Compiler.execute t in
       let ri = Script.eval ~engine ?pool device ~inputs:[] ~positional program in
+      (* the plan fuses the sigmoid chain; the reference runs it unfused *)
       Alcotest.(check int)
-        (case_name engine pool ^ ": fused launches agree")
-        ri.Script.fused_launches rp.Script.fused_launches;
+        (case_name engine pool ^ ": planned fused launches")
+        1 rp.Script.fused_launches;
+      Alcotest.(check int)
+        (case_name engine pool ^ ": reference fused launches")
+        0 ri.Script.fused_launches;
+      Alcotest.(check int)
+        (case_name engine pool ^ ": planned chain traced")
+        1
+        (Fusion.Pattern.Trace.desc_count rp.Script.trace
+           (Fusion.Fusedmm.descriptor ~semiring:"sigmoid"
+              Fusion.Fusedmm.Sddmm_spmm));
       List.iter
         (fun name ->
           let find (r : Script.run) =
@@ -604,7 +614,7 @@ let test_plan_rejects_unknown_semiring () =
   let program = Sysml.Dml.parse "Z = spmm($1, $2, \"fourier\"); write(Z, \"Z\");" in
   let positional = graph_positional ~nodes:20 ~dim:4 in
   Alcotest.check_raises "unknown semiring"
-    (Kf_plan.Ir.Type_error
+    (Sysml.Script.Type_error
        "unknown semiring \"fourier\" (available: plain, sigmoid, maxpool)")
     (fun () -> ignore (Compiler.compile device ~inputs:[] ~positional program))
 

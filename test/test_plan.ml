@@ -1,9 +1,11 @@
 (* The plan compiler (lib/plan): planned execution must be
-   observationally equivalent to the reference interpreter on every
-   engine, the rewrite passes must fire where Listing 1 says they can,
-   the planner must not re-resolve loop-invariant work the interpreter
-   re-resolves every iteration, and the cost model must prefer the
-   paper's single fused kernel on the 500k x 1k worked example. *)
+   observationally equivalent to the unfused reference interpreter
+   ([Sysml.Script.eval]) on every engine, the rewrite passes must fire
+   where Listing 1 says they can, the planner must not re-resolve
+   loop-invariant work the interpreter re-resolves every iteration, the
+   cost model must prefer the paper's single fused kernel on the
+   500k x 1k worked example, and a plan must depend only on the
+   compiler's arguments. *)
 open Matrix
 module Script = Sysml.Script
 module Compiler = Kf_plan.Compiler
@@ -285,13 +287,13 @@ let test_listing1_rewrites () =
 
 let test_listing1_instantiation () =
   let program, positional = listing1_setup () in
-  let ri = Script.eval device ~inputs:[] ~positional program in
   let t = Compiler.compile ~positional device ~inputs:[] program in
-  Alcotest.(check bool) "interpreter fused X^T(Xy)+bz" true
+  let rp = Compiler.execute t in
+  Alcotest.(check bool) "planner chose X^T(Xy)+bz" true
+    (List.mem Fusion.Pattern.Xt_X_y_plus_z (Compiler.chosen_instantiations t));
+  Alcotest.(check bool) "the planned run fused X^T(Xy)+bz" true
     (List.mem Fusion.Pattern.Xt_X_y_plus_z
-       (Fusion.Pattern.Trace.instantiations ri.Script.trace));
-  Alcotest.(check bool) "planner chose the same instantiation" true
-    (List.mem Fusion.Pattern.Xt_X_y_plus_z (Compiler.chosen_instantiations t))
+       (Fusion.Pattern.Trace.instantiations rp.Script.trace))
 
 let test_listing1_all_engines () =
   let program, positional = listing1_setup () in
@@ -422,6 +424,71 @@ let test_glm_full_pattern () =
   Alcotest.(check bool) "GLM plan fuses the full pattern" true
     (List.mem Fusion.Pattern.Full_pattern (Compiler.chosen_instantiations t))
 
+(* ---- plans depend only on their arguments ------------------------------ *)
+
+(* A BENCH_host.json in the working directory is not an input: the host
+   estimates, and so the chosen groups, are the same beside a skewed
+   one. *)
+let test_explain_ignores_cwd () =
+  let program, positional = listing1_setup () in
+  let explain () =
+    Compiler.explain
+      (Compiler.compile ~engine:Fusion.Executor.Host
+         ~pool:(Lazy.force pool1) ~positional device ~inputs:[] program)
+  in
+  let plain = explain () in
+  let dir = Filename.temp_dir "kf-plan" "" in
+  let bench = Filename.concat dir "BENCH_host.json" in
+  Out_channel.with_open_text bench (fun oc ->
+      output_string oc
+        {|{"matrix": {"rows": 1000, "cols": 100, "nnz": 1000},
+ "sequential_ms": 1000.0,
+ "results": [{"variant": "dense-acc", "ms": 900.0, "domains": 2}]}|});
+  let cwd = Sys.getcwd () in
+  let beside =
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.chdir cwd;
+        Sys.remove bench;
+        Sys.rmdir dir)
+      (fun () ->
+        Sys.chdir dir;
+        explain ())
+  in
+  Alcotest.(check string) "same plan report" plain beside
+
+(* ---- programs without a static plan ------------------------------------ *)
+
+(* Each program's types depend on run-time values, so it compiles to
+   [Not_static] naming the construct; the reference interpreter runs it. *)
+let test_not_static_runs_on_reference () =
+  List.iter
+    (fun (source, construct, check) ->
+      let program = Sysml.Dml.parse source in
+      (match Compiler.compile device ~inputs:[] program with
+      | (_ : Compiler.t) -> Alcotest.failf "%s compiled" construct
+      | exception Kf_plan.Lower.Not_static reason ->
+          Alcotest.(check bool) (reason ^ " names the construct") true
+            (Astring.String.is_infix ~affix:construct reason));
+      check (List.assoc "out" (Script.eval device ~inputs:[] program).Script.outputs))
+    [
+      ( {|k = 0; i = 0;
+while (i < 3) { k = k + 2; i = i + 1; }
+z = matrix(0, rows=k, cols=1);
+write(z, "out");|},
+        "matrix(0, rows=...)",
+        function
+        | Script.Vector z -> Alcotest.(check int) "length" 6 (Array.length z)
+        | _ -> Alcotest.fail "not a vector" );
+      ( {|i = 0; y = 0;
+while (i < 2) { if (i > 0) { y = x; } x = 7; i = i + 1; }
+write(y, "out");|},
+        "variable x is read before its assignment",
+        function
+        | Script.Num y -> Alcotest.(check (float 0.0)) "y" 7.0 y
+        | _ -> Alcotest.fail "not a scalar" );
+    ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_planned_equals_interp;
@@ -438,4 +505,8 @@ let suite =
       test_cost_worked_example;
     Alcotest.test_case "GLM plan reaches the full pattern" `Quick
       test_glm_full_pattern;
+    Alcotest.test_case "explain ignores BENCH_host.json in the cwd" `Quick
+      test_explain_ignores_cwd;
+    Alcotest.test_case "no static plan: the reference runs it" `Quick
+      test_not_static_runs_on_reference;
   ]

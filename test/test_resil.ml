@@ -755,7 +755,12 @@ let test_reload_rejections_name_the_file () =
           Alcotest.(check bool)
             (Printf.sprintf "%S names %s" reason path)
             true
-            (Astring.String.is_prefix ~affix:(path ^ ": ") reason)
+            (Astring.String.is_prefix ~affix:(path ^ ": ") reason);
+          if path = dir then
+            Alcotest.(check bool)
+              (Printf.sprintf "%S says it is a directory" reason)
+              true
+              (Astring.String.is_infix ~affix:"directory" reason)
       | _ -> Alcotest.failf "%s was not rejected" path)
     [ Filename.concat dir "kf-no-such-model.ckpt"; dir; damaged; undecodable ]
 

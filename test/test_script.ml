@@ -1,5 +1,6 @@
-(* The DML-style script interpreter: value semantics, transparent fusion
-   of pattern-shaped trees, and Listing 1 end to end. *)
+(* The DML-style script layer: the reference interpreter's value
+   semantics, the plan compiler's fusion of pattern-shaped trees, and
+   Listing 1 end to end on both. *)
 open Matrix
 open Sysml.Script
 
@@ -13,6 +14,11 @@ let problem seed ~rows ~cols =
   (Fusion.Executor.Sparse x, x, targets)
 
 let run ?engine ~inputs program = eval ?engine device ~inputs program
+
+(* the fusing path: compile for the engine, then execute the plan *)
+let planned ?engine ~inputs program =
+  Kf_plan.Compiler.execute
+    (Kf_plan.Compiler.compile ?engine device ~inputs program)
 
 let test_scalar_arithmetic () =
   let r =
@@ -71,11 +77,14 @@ let test_fusion_recognised () =
   let rng = Rng.create 2 in
   let y = Gen.vector rng 40 in
   let r =
-    run
+    planned
       ~inputs:[ ("X", Matrix input); ("y", Vector y) ]
       [ Assign ("w", Matmul (T (Var "X"), Matmul (Var "X", Var "y"))) ]
   in
   Alcotest.(check int) "one fused launch" 1 r.fused_launches;
+  Alcotest.(check bool) "trace records X^T(Xy)" true
+    (List.mem Fusion.Pattern.Xt_X_y
+       (Fusion.Pattern.Trace.instantiations r.trace));
   Alcotest.(check bool) "correct result" true
     (Vec.approx_equal ~tol:1e-7 (lookup_vector r "w")
        (Blas.csrmv_t x (Blas.csrmv x y)))
@@ -87,7 +96,7 @@ let test_fusion_full_pattern () =
   let v = Gen.vector rng 200 in
   let z = Gen.vector rng 30 in
   let r =
-    run
+    planned
       ~inputs:
         [ ("X", Matrix input); ("y", Vector y); ("v", Vector v); ("z", Vector z) ]
       [
@@ -117,10 +126,13 @@ let test_different_matrices_not_fused () =
   let rng = Rng.create 7 in
   let y = Gen.vector rng 20 in
   let r =
-    run
+    planned
       ~inputs:[ ("A", Matrix input_a); ("B", Matrix input_b); ("y", Vector y) ]
       [ Assign ("w", Matmul (T (Var "A"), Matmul (Var "B", Var "y"))) ]
   in
+  Alcotest.(check bool) "no X^T(Xy) call" false
+    (List.mem Fusion.Pattern.Xt_X_y
+       (Fusion.Pattern.Trace.instantiations r.trace));
   Alcotest.(check bool) "still correct" true
     (Vec.approx_equal ~tol:1e-7 (lookup_vector r "w")
        (Blas.csrmv_t a (Blas.csrmv b y)))
@@ -129,8 +141,8 @@ let test_engines_agree () =
   let input, _, targets = problem 8 ~rows:400 ~cols:30 in
   let program = linreg_cg_script ~max_iterations:30 ~eps:0.001 in
   let inputs = [ ("V", Matrix input); ("y", Vector targets) ] in
-  let fused = run ~engine:Fusion.Executor.Fused ~inputs program in
-  let library = run ~engine:Fusion.Executor.Library ~inputs program in
+  let fused = planned ~engine:Fusion.Executor.Fused ~inputs program in
+  let library = planned ~engine:Fusion.Executor.Library ~inputs program in
   Alcotest.(check bool) "same solution" true
     (Vec.approx_equal ~tol:1e-6 (lookup_vector fused "w")
        (lookup_vector library "w"));
@@ -140,7 +152,7 @@ let test_engines_agree () =
 let test_listing1_matches_builtin () =
   let input, _, targets = problem 9 ~rows:500 ~cols:40 in
   let script_run =
-    run
+    planned
       ~inputs:[ ("V", Matrix input); ("y", Vector targets) ]
       (linreg_cg_script ~max_iterations:100 ~eps:0.001)
   in
@@ -171,6 +183,24 @@ let test_type_errors () =
     (expect_type_error
        [ Assign ("a", Add (Const 1.0, Zero_vector (Const 3.0))) ])
 
+(* The reference interpreter never fuses: Listing 1's q assignment is
+   an X y call, an X^T y call, a scaling and an axpy, so the only
+   Equation-1 calls it records are the X^T y ones. *)
+let test_reference_is_unfused () =
+  let input, _, targets = problem 9 ~rows:500 ~cols:40 in
+  let r =
+    eval device ~inputs:[]
+      ~positional:[ Matrix input; Vector targets ]
+      (Sysml.Dml.parse Sysml.Dml.listing1)
+  in
+  Alcotest.(check (list string))
+    "records only a*X^T*y"
+    [ Fusion.Pattern.name Fusion.Pattern.Xt_y ]
+    (List.map Fusion.Pattern.name
+       (Fusion.Pattern.Trace.instantiations r.trace));
+  Alcotest.(check int) "one per X^T y call" r.fused_launches
+    (Fusion.Pattern.Trace.count r.trace Fusion.Pattern.Xt_y)
+
 let suite =
   [
     Alcotest.test_case "scalar arithmetic" `Quick test_scalar_arithmetic;
@@ -185,4 +215,6 @@ let suite =
     Alcotest.test_case "Listing 1 = built-in LR-CG" `Quick
       test_listing1_matches_builtin;
     Alcotest.test_case "type errors" `Quick test_type_errors;
+    Alcotest.test_case "reference interpreter fuses nothing on Listing 1"
+      `Quick test_reference_is_unfused;
   ]
